@@ -1,7 +1,9 @@
 //! Typed arrays stored on the simulated disk.
 
+use std::cell::Cell;
 use std::marker::PhantomData;
 
+use crate::cache::BlockHandle;
 use crate::machine::Machine;
 use crate::record::Record;
 use crate::storage::StorageError;
@@ -16,11 +18,20 @@ use crate::storage::StorageError;
 /// The array owns one disk *segment*; dropping the `ExtVec` frees the segment
 /// (the model's disk is unbounded, but the simulator tracks live and peak
 /// disk usage so the paper's `O(E)` space claims can be validated).
+///
+/// Each record costs one machine call. The append tail and every
+/// [`ScanReader`] hold a block handle, so a stream re-touches its current
+/// block by slot instead of looking it up; the touches, and therefore the
+/// charges, are exactly those of word-by-word access.
 pub struct ExtVec<T: Record> {
     machine: Machine,
     segment: u32,
     len: usize,
     freed: bool,
+    /// The append cursor's handle.
+    tail: BlockHandle,
+    /// The handle of `get`/`set` probes.
+    probe: Cell<BlockHandle>,
     _marker: PhantomData<T>,
 }
 
@@ -32,6 +43,8 @@ impl<T: Record> ExtVec<T> {
             segment: machine.new_segment(),
             len: 0,
             freed: false,
+            tail: BlockHandle::default(),
+            probe: Cell::new(BlockHandle::default()),
             _marker: PhantomData,
         }
     }
@@ -75,12 +88,8 @@ impl<T: Record> ExtVec<T> {
     /// see [`ExtVec::try_push`] for the fallible variant.
     #[track_caller]
     pub fn push(&mut self, value: T) {
-        let mut buf = [0u64; 4];
-        debug_assert!(T::WORDS <= buf.len());
-        value.encode(&mut buf[..T::WORDS]);
-        let base = self.len * T::WORDS;
-        for (k, w) in buf[..T::WORDS].iter().enumerate() {
-            self.machine.write_word(self.segment, base + k, *w);
+        if let Err(e) = self.write_at(self.len, value) {
+            panic!("unrecoverable storage fault on write: {e}");
         }
         self.len += 1;
     }
@@ -90,19 +99,28 @@ impl<T: Record> ExtVec<T> {
     /// errors instead of panics. On error the element is not appended (a
     /// partially torn append is truncated away).
     pub fn try_push(&mut self, value: T) -> Result<(), StorageError> {
-        let mut buf = [0u64; 4];
-        debug_assert!(T::WORDS <= buf.len());
-        value.encode(&mut buf[..T::WORDS]);
-        let base = self.len * T::WORDS;
-        for (k, w) in buf[..T::WORDS].iter().enumerate() {
-            if let Err(e) = self.machine.try_write_word(self.segment, base + k, *w) {
-                // Roll back any words of the torn element already written.
-                self.machine.truncate_segment(self.segment, base);
-                return Err(e);
-            }
+        if let Err(e) = self.write_at(self.len, value) {
+            // Roll back any words of the torn element already written.
+            self.machine
+                .truncate_segment(self.segment, self.len * T::WORDS);
+            return Err(e);
         }
         self.len += 1;
         Ok(())
+    }
+
+    /// Writes `value` as element `idx` (`idx == len` appends) in one machine
+    /// call, through the append tail's handle or the probe handle.
+    fn write_at(&mut self, idx: usize, value: T) -> Result<(), StorageError> {
+        let mut buf = [0u64; 4];
+        value.encode(&mut buf[..T::WORDS]);
+        let hint = if idx == self.len {
+            &mut self.tail
+        } else {
+            self.probe.get_mut()
+        };
+        self.machine
+            .write_record(self.segment, idx * T::WORDS, &buf[..T::WORDS], hint)
     }
 
     /// Reads the element at `idx`.
@@ -119,12 +137,10 @@ impl<T: Record> ExtVec<T> {
             "ExtVec::get: index {idx} out of bounds (len {})",
             self.len
         );
-        let mut buf = [0u64; 4];
-        let base = idx * T::WORDS;
-        for (k, slot) in buf[..T::WORDS].iter_mut().enumerate() {
-            *slot = self.machine.read_word(self.segment, base + k);
+        match self.read_at(idx) {
+            Ok(v) => v,
+            Err(e) => panic!("unrecoverable storage fault on read: {e}"),
         }
-        T::decode(&buf[..T::WORDS])
     }
 
     /// Fallible variant of [`ExtVec::get`]: permanent storage faults (read
@@ -137,12 +153,17 @@ impl<T: Record> ExtVec<T> {
             "ExtVec::try_get: index {idx} out of bounds (len {})",
             self.len
         );
-        let mut buf = [0u64; 4];
-        let base = idx * T::WORDS;
-        for (k, slot) in buf[..T::WORDS].iter_mut().enumerate() {
-            *slot = self.machine.try_read_word(self.segment, base + k)?;
-        }
-        Ok(T::decode(&buf[..T::WORDS]))
+        self.read_at(idx)
+    }
+
+    /// Reads element `idx` in one machine call through the probe handle.
+    fn read_at(&self, idx: usize) -> Result<T, StorageError> {
+        let mut hint = self.probe.get();
+        let v = self
+            .machine
+            .read_record(self.segment, idx * T::WORDS, &mut hint);
+        self.probe.set(hint);
+        v
     }
 
     /// Overwrites the element at `idx`.
@@ -159,11 +180,8 @@ impl<T: Record> ExtVec<T> {
             "ExtVec::set: index {idx} out of bounds (len {})",
             self.len
         );
-        let mut buf = [0u64; 4];
-        value.encode(&mut buf[..T::WORDS]);
-        let base = idx * T::WORDS;
-        for (k, w) in buf[..T::WORDS].iter().enumerate() {
-            self.machine.write_word(self.segment, base + k, *w);
+        if let Err(e) = self.write_at(idx, value) {
+            panic!("unrecoverable storage fault on write: {e}");
         }
     }
 
@@ -176,13 +194,7 @@ impl<T: Record> ExtVec<T> {
             "ExtVec::try_set: index {idx} out of bounds (len {})",
             self.len
         );
-        let mut buf = [0u64; 4];
-        value.encode(&mut buf[..T::WORDS]);
-        let base = idx * T::WORDS;
-        for (k, w) in buf[..T::WORDS].iter().enumerate() {
-            self.machine.try_write_word(self.segment, base + k, *w)?;
-        }
-        Ok(())
+        self.write_at(idx, value)
     }
 
     /// Swaps the elements at `i` and `j` (a convenience for in-place
@@ -233,6 +245,7 @@ impl<T: Record> ExtVec<T> {
             vec: self,
             pos: start,
             end,
+            handle: BlockHandle::default(),
         }
     }
 
@@ -473,11 +486,14 @@ impl<T: Record + std::fmt::Debug> std::fmt::Debug for ExtVec<T> {
 /// A sequential, buffer-free reader over an [`ExtVec`] range.
 ///
 /// Because consecutive elements share blocks, iterating costs `⌈n·w/B⌉` read
-/// I/Os on a cold cache and nothing on a warm one.
+/// I/Os on a cold cache and nothing on a warm one. The reader holds a handle
+/// on its current block, so readers interleaved over one array (e.g. two
+/// views of the same segment) each re-touch their own block by slot.
 pub struct ScanReader<'a, T: Record> {
     vec: &'a ExtVec<T>,
     pos: usize,
     end: usize,
+    handle: BlockHandle,
 }
 
 impl<T: Record> ScanReader<'_, T> {
@@ -488,7 +504,11 @@ impl<T: Record> ScanReader<'_, T> {
         if self.pos >= self.end {
             return Ok(None);
         }
-        let v = self.vec.try_get(self.pos)?;
+        let v = self.vec.machine.read_record(
+            self.vec.segment,
+            self.pos * T::WORDS,
+            &mut self.handle,
+        )?;
         self.pos += 1;
         Ok(Some(v))
     }
@@ -498,12 +518,10 @@ impl<T: Record> Iterator for ScanReader<'_, T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        if self.pos >= self.end {
-            return None;
+        match self.try_next() {
+            Ok(v) => v,
+            Err(e) => panic!("unrecoverable storage fault on read: {e}"),
         }
-        let v = self.vec.get(self.pos);
-        self.pos += 1;
-        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

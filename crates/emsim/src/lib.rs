@@ -27,7 +27,10 @@
 //!   block granularity.
 //! * [`ScanReader`] / element pushes on [`ExtVec`] — sequential access
 //!   patterns, which under the LRU cache cost `⌈n·w/B⌉` I/Os as the model
-//!   prescribes for scanning.
+//!   prescribes for scanning. Each reader and each array's append tail holds
+//!   a *block handle* on its current block and re-touches it by cache slot,
+//!   one machine call per record; the touches and charges are exactly those
+//!   of word-by-word access (see the `cache` module docs).
 //! * [`Record`] — fixed-width encoding of elements into machine words
 //!   (the paper assumes each vertex and each edge occupies one word).
 //!
@@ -67,8 +70,8 @@
 //! keeps them in host vecs (the pure simulator). [`BackendKind::Disk`]
 //! ([`Machine::with_backend`]) stores them in a real temp file through
 //! [`DiskStorage`], fronted by an explicit [`BufferPool`] of `M/B` frames
-//! whose replacement policy mirrors the simulator's LRU cache decision for
-//! decision — so the charged transfer counts are identical on both planes
+//! that runs the simulator's own LRU cache, one frame per cache slot — so
+//! the charged transfer counts are identical on both planes
 //! (the E11 `DISK_PARITY` gate) while the disk backend performs exactly one
 //! real block read per charged read and one real write per charged write.
 //!
@@ -106,6 +109,8 @@ mod config;
 mod extvec;
 mod faults;
 mod gauge;
+#[cfg(test)]
+mod handle_twin;
 mod machine;
 pub mod pool;
 mod record;

@@ -4,11 +4,12 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use crate::cache::{block_key, LruCache};
+use crate::cache::{block_key, key_segment, BlockHandle, LruCache};
 use crate::config::EmConfig;
 use crate::faults::{CrashPoint, FaultEvent, FaultPlan, FaultyStorage};
 use crate::gauge::MemGauge;
 use crate::pool::BufferPool;
+use crate::record::Record;
 use crate::stats::{IoStats, RunStats};
 use crate::storage::{
     BlockDevice, DiskCounters, DiskStorage, MemStorage, Storage, StorageError, TransferDir,
@@ -26,11 +27,11 @@ pub enum BackendKind {
     #[default]
     InMemory,
     /// Genuinely out-of-core: payloads live in a real temp file through
-    /// [`DiskStorage`], fronted by a [`BufferPool`] of `M/B` frames whose
-    /// replacement policy mirrors the simulator's LRU cache decision for
-    /// decision — charged transfer counts are identical on both planes, and
-    /// the device sees exactly one real read per charged read and one real
-    /// write per charged write.
+    /// [`DiskStorage`], fronted by a [`BufferPool`] of `M/B` frames that
+    /// runs the simulator's own LRU cache — charged transfer counts are
+    /// identical on both planes by construction, and the device sees
+    /// exactly one real read per charged read and one real write per
+    /// charged write.
     Disk,
 }
 
@@ -43,12 +44,14 @@ struct Segment {
     live: bool,
 }
 
-/// Where block payloads live. The charge accounting never looks inside:
-/// both variants drive the same LRU policy and the same charge points.
+/// Where block payloads live, each variant with its residency tracking: the
+/// in-memory plane's [`LruCache`], or the buffer pool that runs the same
+/// `LruCache` over real frames. The charge accounting never looks inside:
+/// both variants drive the same policy and the same charge points.
 /// (Boxed: the disk plane is ~300 bytes of pool + device state, and the
 /// common in-memory variant should not pay for it.)
 enum DataPlane {
-    Mem,
+    Mem(LruCache),
     Disk(Box<DiskPlane>),
 }
 
@@ -106,13 +109,95 @@ struct MachineInner {
     config: EmConfig,
     segments: Vec<Segment>,
     free_segments: Vec<u32>,
-    /// Residency/dirty tracking for the in-memory plane (the disk plane's
-    /// buffer pool tracks its own, with the identical policy).
-    cache: LruCache,
     data: DataPlane,
     lane: ChargeLane,
     disk_words: u64,
     peak_disk_words: u64,
+}
+
+impl MachineInner {
+    /// Touches the block holding word `idx` of segment `seg` — by slot when
+    /// `hint` holds that block, by key otherwise — and charges what the
+    /// touch cost. Returns the slot now holding the block and the block's
+    /// first word; `hint` then holds the block.
+    ///
+    /// A write to the first word of a block at the segment's end is a fresh
+    /// append: it needs no read of the block (the model writes whole blocks),
+    /// while writing into the middle of an uncached block does
+    /// (read-modify-write).
+    #[inline]
+    fn touch(
+        &mut self,
+        seg: u32,
+        idx: usize,
+        write: bool,
+        hint: &mut BlockHandle,
+    ) -> Result<(u32, usize), StorageError> {
+        // A valid handle on the word's block: re-touch by slot. A hit
+        // charges nothing, so that is the whole touch.
+        if key_segment(hint.key) == u64::from(seg)
+            && idx.wrapping_sub(hint.first) < self.config.block_words
+        {
+            let held = match &mut self.data {
+                DataPlane::Mem(cache) => cache.retouch(hint, write),
+                DataPlane::Disk(plane) => plane.pool.retouch(hint, write),
+            };
+            if held {
+                return Ok((hint.slot, hint.first));
+            }
+        }
+        self.touch_by_key(seg, idx, write, hint)
+    }
+
+    /// The rest of [`MachineInner::touch`]: find the block by key, admit it
+    /// on a miss, and charge the transfers.
+    fn touch_by_key(
+        &mut self,
+        seg: u32,
+        idx: usize,
+        write: bool,
+        hint: &mut BlockHandle,
+    ) -> Result<(u32, usize), StorageError> {
+        let block_words = self.config.block_words;
+        let block = idx / block_words;
+        let (key, first) = (block_key(seg, block as u64), block * block_words);
+        let fresh = write && idx == first && idx == self.segments[seg as usize].len;
+        let touch = match &mut self.data {
+            DataPlane::Mem(cache) => cache.touch_with(hint, key, write),
+            DataPlane::Disk(plane) => {
+                let DiskPlane { pool, dev } = &mut **plane;
+                pool.touch_with(hint, key, write, fresh, dev)
+            }
+        };
+        hint.first = first;
+        if touch.miss && !fresh {
+            if let Err(e) = self.lane.charge(TransferDir::Read) {
+                // The block never arrived: drop the just-admitted entry (on
+                // disk, its frame) so a retry faces, and is charged for, a
+                // real miss. The block is still intact on the device.
+                match &mut self.data {
+                    DataPlane::Mem(cache) => cache.discard(key),
+                    DataPlane::Disk(plane) => plane.pool.discard(key),
+                }
+                return Err(e);
+            }
+        }
+        if touch.writeback {
+            self.lane.charge(TransferDir::Write)?;
+        }
+        Ok((touch.slot, first))
+    }
+
+    /// Words `range` of segment `seg`, whose block starting at word `first`
+    /// sits in slot `slot`.
+    fn words(&self, seg: u32, slot: u32, first: usize, range: std::ops::Range<usize>) -> &[u64] {
+        match &self.data {
+            DataPlane::Mem(_) => &self.segments[seg as usize].words[range],
+            DataPlane::Disk(plane) => {
+                &plane.pool.frame(slot)[range.start - first..range.end - first]
+            }
+        }
+    }
 }
 
 /// A cheap, clonable handle to a simulated external-memory machine.
@@ -192,7 +277,7 @@ impl Machine {
 
     fn with_parts(config: EmConfig, storage: Box<dyn Storage>, backend: BackendKind) -> Self {
         let data = match backend {
-            BackendKind::InMemory => DataPlane::Mem,
+            BackendKind::InMemory => DataPlane::Mem(LruCache::new(config.frames())),
             BackendKind::Disk => {
                 let dev = DiskStorage::create(config.block_words)
                     .unwrap_or_else(|e| panic!("failed to create the disk backend file: {e}"));
@@ -207,7 +292,6 @@ impl Machine {
                 config,
                 segments: Vec::new(),
                 free_segments: Vec::new(),
-                cache: LruCache::new(config.frames()),
                 data,
                 lane: ChargeLane {
                     io: IoStats::default(),
@@ -233,7 +317,7 @@ impl Machine {
     /// Which data plane this machine runs on.
     pub fn backend(&self) -> BackendKind {
         match self.inner.borrow().data {
-            DataPlane::Mem => BackendKind::InMemory,
+            DataPlane::Mem(_) => BackendKind::InMemory,
             DataPlane::Disk(_) => BackendKind::Disk,
         }
     }
@@ -245,7 +329,7 @@ impl Machine {
     /// equal charged writes — which is what E11 verifies.
     pub fn disk_counters(&self) -> Option<DiskCounters> {
         match &self.inner.borrow().data {
-            DataPlane::Mem => None,
+            DataPlane::Mem(_) => None,
             DataPlane::Disk(plane) => Some(plane.dev.counters()),
         }
     }
@@ -254,7 +338,7 @@ impl Machine {
     /// The file is unlinked when the last machine handle drops.
     pub fn disk_file(&self) -> Option<PathBuf> {
         match &self.inner.borrow().data {
-            DataPlane::Mem => None,
+            DataPlane::Mem(_) => None,
             DataPlane::Disk(plane) => Some(plane.dev.path().to_path_buf()),
         }
     }
@@ -322,8 +406,8 @@ impl Machine {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         match &mut inner.data {
-            DataPlane::Mem => {
-                let writes = inner.cache.clear();
+            DataPlane::Mem(cache) => {
+                let writes = cache.clear();
                 for _ in 0..writes {
                     if let Err(e) = inner.lane.charge(TransferDir::Write) {
                         panic!("unrecoverable storage fault while emptying the cache: {e}");
@@ -333,13 +417,12 @@ impl Machine {
             }
             DataPlane::Disk(plane) => {
                 let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_keys();
-                for &key in &dirty {
+                let dirty = pool.dirty_slots();
+                for &slot in &dirty {
                     if let Err(e) = inner.lane.charge(TransferDir::Write) {
                         panic!("unrecoverable storage fault while emptying the cache: {e}");
                     }
-                    dev.write_block(key, pool.frame(key));
-                    pool.mark_clean(key);
+                    pool.write_back(slot, dev);
                 }
                 pool.clear();
                 dirty.len() as u64
@@ -353,8 +436,8 @@ impl Machine {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         match &mut inner.data {
-            DataPlane::Mem => {
-                let writes = inner.cache.flush();
+            DataPlane::Mem(cache) => {
+                let writes = cache.flush();
                 for _ in 0..writes {
                     if let Err(e) = inner.lane.charge(TransferDir::Write) {
                         panic!("unrecoverable storage fault while flushing the cache: {e}");
@@ -364,13 +447,12 @@ impl Machine {
             }
             DataPlane::Disk(plane) => {
                 let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_keys();
-                for &key in &dirty {
+                let dirty = pool.dirty_slots();
+                for &slot in &dirty {
                     if let Err(e) = inner.lane.charge(TransferDir::Write) {
                         panic!("unrecoverable storage fault while flushing the cache: {e}");
                     }
-                    dev.write_block(key, pool.frame(key));
-                    pool.mark_clean(key);
+                    pool.write_back(slot, dev);
                 }
                 dirty.len() as u64
             }
@@ -425,9 +507,9 @@ impl Machine {
         // disk, release their file slots for recycling).
         let nblocks = seg_words.div_ceil(block_words);
         match &mut inner.data {
-            DataPlane::Mem => {
+            DataPlane::Mem(cache) => {
                 for b in 0..nblocks {
-                    inner.cache.discard(block_key(seg, b));
+                    cache.discard(block_key(seg, b));
                 }
             }
             DataPlane::Disk(plane) => {
@@ -442,156 +524,134 @@ impl Machine {
         inner.free_segments.push(seg);
     }
 
-    /// Reads the word at `idx` of segment `seg`, charging a read I/O if the
-    /// containing block is not cached. Panics on permanent storage faults;
-    /// see [`Machine::try_read_word`] for the fallible variant.
+    /// Reads the record at word `idx` of segment `seg` through the cursor
+    /// handle `hint`, charging a read I/O for every block of the record that
+    /// is not cached. The record is decoded in place from the segment or the
+    /// pool frame. Permanent storage faults (retry exhaustion) come back as
+    /// errors; a `CrashAt` kill switch still panics — a crash is not
+    /// handleable.
+    pub(crate) fn read_record<T: Record>(
+        &self,
+        seg: u32,
+        idx: usize,
+        hint: &mut BlockHandle,
+    ) -> Result<T, StorageError> {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let end = idx + T::WORDS;
+        let seg_len = inner.segments[seg as usize].len;
+        assert!(
+            end <= seg_len,
+            "read past end of segment: idx {}, len {seg_len}",
+            end - 1
+        );
+        let block_words = inner.config.block_words;
+        let (mut slot, mut first) = inner.touch(seg, idx, false, hint)?;
+        if end <= first + block_words {
+            return Ok(T::decode(inner.words(seg, slot, first, idx..end)));
+        }
+        // The record straddles a block boundary: touch each block it spans,
+        // in word order, exactly as word-by-word reads would.
+        let mut buf = [0u64; 4];
+        let mut at = idx;
+        loop {
+            let stop = end.min(first + block_words);
+            buf[at - idx..stop - idx].copy_from_slice(inner.words(seg, slot, first, at..stop));
+            if stop == end {
+                return Ok(T::decode(&buf[..T::WORDS]));
+            }
+            at = stop;
+            (slot, first) = inner.touch(seg, at, false, hint)?;
+        }
+    }
+
+    /// Writes `words` starting at word `idx` of segment `seg` (which must be
+    /// `≤ len`, appending past the end) through the cursor handle `hint`,
+    /// charging I/Os for cache misses and dirty evictions. Permanent storage
+    /// faults (torn-write retry exhaustion, disk-full) come back as errors,
+    /// leaving the words before the failing one written; a `CrashAt` kill
+    /// switch still panics.
+    pub(crate) fn write_record(
+        &self,
+        seg: u32,
+        idx: usize,
+        words: &[u64],
+        hint: &mut BlockHandle,
+    ) -> Result<(), StorageError> {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let block_words = inner.config.block_words;
+        let (mut slot, mut first) = (0, 0);
+        for (k, &value) in words.iter().enumerate() {
+            let at = idx + k;
+            let seg_len = inner.segments[seg as usize].len;
+            assert!(
+                at <= seg_len,
+                "write past end of segment: idx {at}, len {seg_len}"
+            );
+            let append = at == seg_len;
+            if let Some(capacity_words) = inner.config.disk_capacity_words {
+                if append && inner.disk_words + 1 > capacity_words {
+                    return Err(StorageError::NoSpace {
+                        capacity_words,
+                        requested_words: inner.disk_words + 1,
+                    });
+                }
+            }
+            // Later words of the same block need no touch of their own: the
+            // block is the MRU and already dirty, so a touch would be a no-op.
+            if k == 0 || at == first + block_words {
+                (slot, first) = inner.touch(seg, at, true, hint)?;
+            }
+            match &mut inner.data {
+                DataPlane::Mem(_) => {
+                    let segment = &mut inner.segments[seg as usize].words;
+                    if append {
+                        segment.push(value);
+                    } else {
+                        segment[at] = value;
+                    }
+                }
+                DataPlane::Disk(plane) => plane.pool.frame_mut(slot)[at - first] = value,
+            }
+            if append {
+                inner.segments[seg as usize].len += 1;
+                inner.disk_words += 1;
+                inner.peak_disk_words = inner.peak_disk_words.max(inner.disk_words);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the cursor handle `h` is valid: its slot still holds its
+    /// block, so the next touch through it skips the lookup.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, h: &BlockHandle) -> bool {
+        match &self.inner.borrow().data {
+            DataPlane::Mem(cache) => cache.holds(h),
+            DataPlane::Disk(plane) => plane.pool.holds(h),
+        }
+    }
+
+    /// Reads one word with no cursor handle: the keyed path of
+    /// [`Machine::read_record`]. Panics on permanent storage faults.
+    #[cfg(test)]
     #[track_caller]
     pub(crate) fn read_word(&self, seg: u32, idx: usize) -> u64 {
-        match self.try_read_word(seg, idx) {
+        match self.read_record(seg, idx, &mut BlockHandle::default()) {
             Ok(word) => word,
             Err(e) => panic!("unrecoverable storage fault on read: {e}"),
         }
     }
 
-    /// Fallible variant of [`Machine::read_word`]: permanent storage faults
-    /// (retry exhaustion) surface as errors instead of panics. A `CrashAt`
-    /// kill switch still panics — a crash is not handleable.
-    pub(crate) fn try_read_word(&self, seg: u32, idx: usize) -> Result<u64, StorageError> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let block_words = inner.config.block_words;
-        let block = (idx / block_words) as u64;
-        let key = block_key(seg, block);
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let touch = inner.cache.touch(key, false);
-                if touch.miss {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // The block never arrived: evict the speculative cache
-                        // entry so a later retry faces (and is charged for) a
-                        // real miss.
-                        inner.cache.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                Ok(inner.segments[seg as usize].words[idx])
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let seg_len = inner.segments[seg as usize].len;
-                assert!(
-                    idx < seg_len,
-                    "read past end of segment: idx {idx}, len {seg_len}"
-                );
-                let touch = pool.access(key, false, false, dev);
-                if touch.miss {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // Same recovery as in memory: drop the just-admitted
-                        // frame so a retry faces a real miss again (the block
-                        // is still intact on the device).
-                        pool.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                Ok(pool.word(key, idx % block_words))
-            }
-        }
-    }
-
-    /// Writes `value` at `idx` of segment `seg` (which must be `≤ len`,
-    /// appending when equal), charging I/Os for cache misses and dirty
-    /// evictions. Panics on permanent storage faults (including disk-full);
-    /// see [`Machine::try_write_word`] for the fallible variant.
+    /// Writes one word with no cursor handle: the keyed path of
+    /// [`Machine::write_record`]. Panics on permanent storage faults.
+    #[cfg(test)]
     #[track_caller]
     pub(crate) fn write_word(&self, seg: u32, idx: usize, value: u64) {
-        if let Err(e) = self.try_write_word(seg, idx, value) {
+        if let Err(e) = self.write_record(seg, idx, &[value], &mut BlockHandle::default()) {
             panic!("unrecoverable storage fault on write: {e}");
         }
-    }
-
-    /// Fallible variant of [`Machine::write_word`]: permanent storage faults
-    /// (torn-write retry exhaustion, disk-full) surface as errors instead of
-    /// panics. A `CrashAt` kill switch still panics.
-    pub(crate) fn try_write_word(
-        &self,
-        seg: u32,
-        idx: usize,
-        value: u64,
-    ) -> Result<(), StorageError> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let seg_len = inner.segments[seg as usize].len;
-        if idx > seg_len {
-            panic!("write past end of segment: idx {idx}, len {seg_len}");
-        }
-        if let Some(capacity_words) = inner.config.disk_capacity_words {
-            if idx == seg_len && inner.disk_words + 1 > capacity_words {
-                return Err(StorageError::NoSpace {
-                    capacity_words,
-                    requested_words: inner.disk_words + 1,
-                });
-            }
-        }
-        let block_words = inner.config.block_words;
-        let block = (idx / block_words) as u64;
-        let key = block_key(seg, block);
-        // Appending a word to a fresh block does not require reading the
-        // block from disk first (the model writes whole blocks); but writing
-        // into the middle of an uncached block does (read-modify-write).
-        let block_start = usize::try_from(block).expect("block index exceeds usize") * block_words;
-        let fresh_append = idx == seg_len && idx == block_start;
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let touch = inner.cache.touch(key, true);
-                if touch.miss && !fresh_append {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // Read-modify-write fill failed: evict the speculative
-                        // entry so a retry faces a real miss again.
-                        inner.cache.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                let segment = &mut inner.segments[seg as usize];
-                if idx < seg_len {
-                    segment.words[idx] = value;
-                } else {
-                    segment.words.push(value);
-                }
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                // A fresh append materialises a zeroed frame with no device
-                // read, mirroring the simulator's uncharged fresh miss.
-                let touch = pool.access(key, true, fresh_append, dev);
-                if touch.miss && !fresh_append {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        pool.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                pool.set_word(key, idx - block_start, value);
-            }
-        }
-        if idx == seg_len {
-            inner.segments[seg as usize].len += 1;
-            inner.disk_words += 1;
-            if inner.disk_words > inner.peak_disk_words {
-                inner.peak_disk_words = inner.disk_words;
-            }
-        }
-        Ok(())
     }
 
     pub(crate) fn truncate_segment(&self, seg: u32, new_words: usize) {

@@ -5,34 +5,29 @@
 //! in host RAM. On the disk backend ([`crate::BackendKind::Disk`]) the data
 //! lives in a real file, so residency comes with an actual frame of `B`
 //! words: the `BufferPool` owns `M/B` such frames, fills a missed frame from
-//! the device, writes a dirty frame back on eviction (exactly once), and
-//! supports *pinned* frames — a pinned frame is never chosen as an eviction
-//! victim, the mechanism callers holding a live block view (e.g. a
-//! materialised [`crate::ExtSlice`] window) use to keep it addressable.
+//! the device, and writes a dirty frame back on eviction (exactly once).
 //!
-//! **Policy parity is the whole point.** The pool's replacement policy is
-//! strict LRU, written to make *identical* decisions to the simulator's
-//! `LruCache` on any pin-free access sequence (the machine never pins): same
-//! misses, same victims, same dirty write-backs. That is what makes the
-//! E11 `DISK_PARITY` gate — identical charged transfer counts on both
-//! backends — hold by construction, with a property test in this module and
-//! the CI gate as the witnesses. If you change the eviction policy here,
-//! change `LruCache` identically (and vice versa).
+//! **Policy parity holds by construction.** The pool does not implement a
+//! replacement policy of its own: it runs the simulator's `LruCache` and
+//! keeps frame `s` for the block in the cache's slot `s`. Misses, victims and
+//! dirty write-backs are therefore the simulator's, decision for decision,
+//! which is what makes the E11 `DISK_PARITY` gate — identical charged
+//! transfer counts on both backends — hold; the
+//! `policy_matches_the_simulator_lru_cache` test below and the CI gate are
+//! the witnesses.
+//!
+//! **Block handles.** Because frames are indexed by cache slot, a cursor's
+//! [`crate::cache::BlockHandle`] names a frame as well as an LRU node. The
+//! machine reads and writes words by slot, never by key. A handle stays
+//! valid while its slot holds its key; eviction, [`BufferPool::discard`]
+//! (a freed segment, or a failed read charge dropping the just-admitted
+//! frame) and [`BufferPool::clear`] (a cold cache) end that, and the next
+//! touch through the handle takes the keyed path. A slot re-touch is the
+//! same touch as a keyed one, so handles never change which frame is
+//! evicted or written.
 
-use std::collections::HashMap;
-
+use crate::cache::{BlockHandle, LruCache, Touch};
 use crate::storage::BlockDevice;
-
-const NIL: u32 = u32::MAX;
-
-struct Frame {
-    key: u64,
-    data: Vec<u64>,
-    dirty: bool,
-    pins: u32,
-    prev: u32,
-    next: u32,
-}
 
 /// Outcome of one [`BufferPool::access`]: what the pool had to do, so the
 /// machine can charge the matching simulated transfers.
@@ -46,78 +41,73 @@ pub struct PoolTouch {
     pub writeback: bool,
 }
 
-/// A fixed-capacity pool of block frames with strict-LRU eviction, dirty
-/// write-back, and pinning. See the module docs for the policy-parity
-/// contract with the simulator's LRU cache.
+/// A fixed-capacity pool of block frames with strict-LRU eviction and dirty
+/// write-back. See the module docs for the policy-parity contract with the
+/// simulator's LRU cache.
 pub struct BufferPool {
-    capacity: usize,
+    lru: LruCache,
     block_words: usize,
-    frames: Vec<Frame>,
-    // emlint: allow(uncharged-std, reason = "frame index of the buffer pool, host bookkeeping below the charge boundary; one entry per resident block, capped at M/B")
-    map: HashMap<u64, u32>,
-    free: Vec<u32>,
-    head: u32, // most recently used
-    tail: u32, // least recently used
-    pinned_frames: usize,
+    /// Frame `s` is `frames[s·B .. (s+1)·B]`, grown as slots come into use.
+    frames: Vec<u64>,
 }
 
 impl BufferPool {
     /// A pool of `capacity` frames (at least one) of `block_words` words.
     pub fn new(capacity: usize, block_words: usize) -> Self {
         assert!(block_words > 0, "a frame holds at least one word");
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            lru: LruCache::new(capacity),
             block_words,
-            // emlint: allow(unleased, reason = "the pool's M/B frames ARE the modelled internal memory, below the charge boundary; sized by capacity, not by input")
-            frames: Vec::with_capacity(capacity),
-            // emlint: allow(uncharged-std, reason = "frame index sized by the fixed frame count, host bookkeeping below the charge boundary")
-            map: HashMap::with_capacity(capacity * 2),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            pinned_frames: 0,
+            // emlint: allow(unleased, reason = "the pool's M/B frames ARE the modelled internal memory, below the charge boundary; grown one frame per slot up to the fixed frame count, not by input")
+            frames: Vec::new(),
         }
     }
 
     /// Number of frames (the `M/B` of the machine that built the pool).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity()
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// Whether no block is resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.len() == 0
     }
 
     /// Whether `key` is resident.
     pub fn resident(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.lru.contains(key)
     }
 
-    /// Number of currently pinned frames.
-    pub fn pinned(&self) -> usize {
-        self.pinned_frames
+    /// Whether handle `h` is valid: its frame still holds its block.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, h: &BlockHandle) -> bool {
+        self.lru.holds(h)
+    }
+
+    /// Re-touches the frame a valid handle `h` holds (see
+    /// [`LruCache::retouch`]); returns whether `h` was valid.
+    #[inline]
+    pub(crate) fn retouch(&mut self, h: &BlockHandle, write: bool) -> bool {
+        self.lru.retouch(h, write)
     }
 
     /// Touches block `key`, admitting it on a miss (evicting the
-    /// least-recently-used *unpinned* frame if the pool is full, writing it
-    /// to `dev` first when dirty). A missed frame is filled from `dev`
-    /// unless `fresh` is set (a fresh append materialises a zeroed frame
-    /// with no device read — mirroring the simulator, which charges no read
-    /// for appends to a fresh block). `write` marks the frame dirty.
+    /// least-recently-used frame if the pool is full, writing it to `dev`
+    /// first when dirty). A missed frame is filled from `dev` unless `fresh`
+    /// is set (a fresh append materialises a zeroed frame with no device
+    /// read — mirroring the simulator, which charges no read for appends to
+    /// a fresh block). `write` marks the frame dirty.
     ///
     /// # Panics
     ///
-    /// Panics if every frame is pinned and an eviction is needed, or if a
-    /// non-fresh miss names a block the device has never seen (a resident
-    /// block is either in the pool or on the device — anything else is a
-    /// caller bug).
+    /// Panics if a non-fresh miss names a block the device has never seen (a
+    /// resident block is either in the pool or on the device — anything else
+    /// is a caller bug).
     pub fn access(
         &mut self,
         key: u64,
@@ -125,234 +115,114 @@ impl BufferPool {
         fresh: bool,
         dev: &mut dyn BlockDevice,
     ) -> PoolTouch {
-        if let Some(&idx) = self.map.get(&key) {
-            if write {
-                self.frames[idx as usize].dirty = true;
-            }
-            if self.head != idx {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            return PoolTouch::default();
+        let touch = self.touch_with(&mut BlockHandle::default(), key, write, fresh, dev);
+        PoolTouch {
+            miss: touch.miss,
+            writeback: touch.writeback,
         }
+    }
 
-        let mut touch = PoolTouch {
-            miss: true,
-            writeback: false,
-        };
-        // Evict (writing back a dirty victim) if the pool is full.
-        let mut recycled: Option<u32> = None;
-        if self.map.len() >= self.capacity {
-            let mut victim = self.tail;
-            while victim != NIL && self.frames[victim as usize].pins > 0 {
-                victim = self.frames[victim as usize].prev;
+    /// [`BufferPool::access`] through a cursor's handle: a valid `hint`
+    /// finds the frame without a lookup. The returned slot indexes
+    /// [`BufferPool::frame`].
+    pub(crate) fn touch_with(
+        &mut self,
+        hint: &mut BlockHandle,
+        key: u64,
+        write: bool,
+        fresh: bool,
+        dev: &mut dyn BlockDevice,
+    ) -> Touch {
+        let touch = self.lru.touch_with(hint, key, write);
+        if touch.miss {
+            let range = self.frame_range(touch.slot);
+            if self.frames.len() < range.end {
+                self.frames.resize(range.end, 0);
             }
-            assert!(
-                victim != NIL,
-                "buffer pool exhausted: all {} frames are pinned",
-                self.capacity
-            );
-            let vkey = self.frames[victim as usize].key;
-            if self.frames[victim as usize].dirty {
-                touch.writeback = true;
-                // Split the borrow: move the data out, write it, move it back
-                // so the allocation is reused by the admitted frame.
-                let data = std::mem::take(&mut self.frames[victim as usize].data);
-                dev.write_block(vkey, &data);
-                self.frames[victim as usize].data = data;
+            // The admitted block took over the victim's slot: its frame
+            // still holds the victim's words until they reach the device.
+            if touch.writeback {
+                dev.write_block(touch.victim, &self.frames[range.clone()]);
             }
-            self.unlink(victim);
-            self.map.remove(&vkey);
-            recycled = Some(victim);
+            if fresh {
+                self.frames[range].fill(0);
+            } else {
+                assert!(
+                    dev.contains(key),
+                    "block {key:#x} is neither resident nor on the device"
+                );
+                dev.read_block(key, &mut self.frames[range]);
+            }
         }
-
-        let idx = if let Some(i) = recycled.or_else(|| self.free.pop()) {
-            let frame = &mut self.frames[i as usize];
-            frame.key = key;
-            frame.dirty = write;
-            frame.pins = 0;
-            frame.data.clear();
-            frame.data.resize(self.block_words, 0);
-            i
-        } else {
-            // emlint: allow(unleased, reason = "one B-word frame of the pool's fixed M/B-frame budget, below the charge boundary")
-            self.frames.push(Frame {
-                key,
-                data: vec![0u64; self.block_words],
-                dirty: write,
-                pins: 0,
-                prev: NIL,
-                next: NIL,
-            });
-            u32::try_from(self.frames.len() - 1).expect("frame count exceeds u32")
-        };
-        if !fresh {
-            assert!(
-                dev.contains(key),
-                "block {key:#x} is neither resident nor on the device"
-            );
-            dev.read_block(key, &mut self.frames[idx as usize].data);
-        }
-        self.map.insert(key, idx);
-        self.push_front(idx);
         touch
     }
 
-    /// Drops a just-admitted (or any resident, unpinned) frame without a
-    /// write-back: the machine calls this when the simulated read charge for
-    /// a miss fails permanently, so a retry faces a real miss again.
+    fn frame_range(&self, slot: u32) -> std::ops::Range<usize> {
+        let start = slot as usize * self.block_words;
+        start..start + self.block_words
+    }
+
+    /// The words of resident slot `slot`.
+    pub(crate) fn frame(&self, slot: u32) -> &[u64] {
+        &self.frames[self.frame_range(slot)]
+    }
+
+    /// The words of resident slot `slot`, for writing. (The touch that
+    /// found the slot already marked it dirty.)
+    pub(crate) fn frame_mut(&mut self, slot: u32) -> &mut [u64] {
+        let range = self.frame_range(slot);
+        &mut self.frames[range]
+    }
+
+    /// Drops a just-admitted (or any resident) frame without a write-back:
+    /// the machine calls this when the simulated read charge for a miss
+    /// fails permanently, so a retry faces a real miss again.
     pub fn discard(&mut self, key: u64) {
-        if let Some(idx) = self.map.remove(&key) {
-            assert_eq!(
-                self.frames[idx as usize].pins, 0,
-                "discarding pinned block {key:#x}"
-            );
-            self.unlink(idx);
-            self.free.push(idx);
-        }
+        self.lru.discard(key);
     }
 
-    /// Pins `key`'s frame: it will never be chosen as an eviction victim
-    /// until unpinned. Pins nest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not resident.
-    pub fn pin(&mut self, key: u64) {
-        let idx = self.map[&key];
-        let frame = &mut self.frames[idx as usize];
-        if frame.pins == 0 {
-            self.pinned_frames += 1;
-        }
-        frame.pins += 1;
+    /// The dirty resident slots, least-recently-used first (a deterministic
+    /// order, so charge/write interleavings are reproducible).
+    pub(crate) fn dirty_slots(&self) -> Vec<u32> {
+        self.lru.dirty_slots()
     }
 
-    /// Releases one pin of `key`'s frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not resident or not pinned.
-    pub fn unpin(&mut self, key: u64) {
-        let idx = self.map[&key];
-        let frame = &mut self.frames[idx as usize];
-        assert!(frame.pins > 0, "unpinning unpinned block {key:#x}");
-        frame.pins -= 1;
-        if frame.pins == 0 {
-            self.pinned_frames -= 1;
-        }
-    }
-
-    /// The word at `offset` of resident block `key`.
-    pub fn word(&self, key: u64, offset: usize) -> u64 {
-        let idx = self.map[&key];
-        self.frames[idx as usize].data[offset]
-    }
-
-    /// Stores `value` at `offset` of resident block `key`, marking it dirty.
-    pub fn set_word(&mut self, key: u64, offset: usize, value: u64) {
-        let idx = self.map[&key];
-        let frame = &mut self.frames[idx as usize];
-        frame.data[offset] = value;
-        frame.dirty = true;
-    }
-
-    /// A view of resident block `key`'s frame.
-    pub fn frame(&self, key: u64) -> &[u64] {
-        let idx = self.map[&key];
-        &self.frames[idx as usize].data
-    }
-
-    /// The dirty resident block keys, least-recently-used first (a
-    /// deterministic order, so charge/write interleavings are reproducible).
+    /// The dirty resident block keys, least-recently-used first.
     pub fn dirty_keys(&self) -> Vec<u64> {
+        let slots = self.dirty_slots();
         // emlint: allow(unleased, reason = "at most M/B keys of flush bookkeeping, below the charge boundary")
-        let mut keys = Vec::new();
-        let mut idx = self.tail;
-        while idx != NIL {
-            let frame = &self.frames[idx as usize];
-            if frame.dirty {
-                keys.push(frame.key);
-            }
-            idx = frame.prev;
-        }
-        keys
+        slots.into_iter().map(|slot| self.lru.key(slot)).collect()
     }
 
-    /// Marks resident block `key` clean (after its data reached the device).
-    pub fn mark_clean(&mut self, key: u64) {
-        let idx = self.map[&key];
-        self.frames[idx as usize].dirty = false;
+    /// Writes resident slot `slot` to `dev` and marks it clean.
+    pub(crate) fn write_back(&mut self, slot: u32, dev: &mut dyn BlockDevice) {
+        dev.write_block(self.lru.key(slot), self.frame(slot));
+        self.lru.mark_clean(slot);
     }
 
     /// Writes every dirty frame to `dev` and marks it clean (frames stay
     /// resident). Returns the number of blocks written.
     pub fn flush_to(&mut self, dev: &mut dyn BlockDevice) -> u64 {
-        let dirty = self.dirty_keys();
-        for &key in &dirty {
-            let idx = self.map[&key];
-            dev.write_block(key, &self.frames[idx as usize].data);
-            self.frames[idx as usize].dirty = false;
+        let dirty = self.dirty_slots();
+        for &slot in &dirty {
+            self.write_back(slot, dev);
         }
         dirty.len() as u64
     }
 
     /// Drops every frame *without* write-backs — the caller flushes first
     /// (the machine's `cold_cache` charges those writes one by one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame is pinned.
     pub fn clear(&mut self) {
-        assert_eq!(
-            self.pinned_frames, 0,
-            "clearing a buffer pool with pinned frames"
-        );
-        self.map.clear();
-        self.frames.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let f = &self.frames[idx as usize];
-            (f.prev, f.next)
-        };
-        if prev != NIL {
-            self.frames[prev as usize].next = next;
-        } else if self.head == idx {
-            self.head = next;
-        }
-        if next != NIL {
-            self.frames[next as usize].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
-        }
-        self.frames[idx as usize].prev = NIL;
-        self.frames[idx as usize].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: u32) {
-        self.frames[idx as usize].prev = NIL;
-        self.frames[idx as usize].next = self.head;
-        if self.head != NIL {
-            self.frames[self.head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
+        self.lru.clear();
     }
 }
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("block_words", &self.block_words)
-            .field("resident", &self.map.len())
-            .field("pinned", &self.pinned_frames)
+            .field("resident", &self.len())
             .finish()
     }
 }
@@ -361,6 +231,7 @@ impl std::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
     use crate::storage::DiskCounters;
+    use std::collections::HashMap;
 
     /// In-memory mock device recording every executed transfer.
     struct MockDevice {
@@ -427,49 +298,20 @@ mod tests {
     fn dirty_frames_are_written_back_exactly_once() {
         let mut dev = MockDevice::new(2);
         let mut pool = BufferPool::new(1, 2);
-        pool.access(1, true, true, &mut dev);
-        pool.set_word(1, 0, 99);
+        let t = pool.touch_with(&mut BlockHandle::default(), 1, true, true, &mut dev);
+        pool.frame_mut(t.slot)[0] = 99;
         // Eviction by 2: block 1 written back once.
         let t = pool.access(2, false, true, &mut dev);
         assert!(t.miss && t.writeback);
         assert_eq!(dev.write_log, vec![1]);
         // Re-admitting 1 reads it back; evicting it again while *clean*
         // writes nothing.
-        let t = pool.access(1, false, false, &mut dev);
+        let t = pool.touch_with(&mut BlockHandle::default(), 1, false, false, &mut dev);
         assert!(t.miss && !t.writeback, "block 2 was clean");
-        assert_eq!(pool.word(1, 0), 99);
+        assert_eq!(pool.frame(t.slot)[0], 99);
         let t = pool.access(3, false, true, &mut dev);
         assert!(t.miss && !t.writeback, "block 1 is clean after write-back");
         assert_eq!(dev.write_log, vec![1], "no second write-back");
-    }
-
-    #[test]
-    fn pinned_frames_are_never_victims() {
-        let mut dev = MockDevice::new(2);
-        let mut pool = BufferPool::new(2, 2);
-        pool.access(1, true, true, &mut dev);
-        pool.access(2, true, true, &mut dev);
-        pool.pin(1);
-        assert_eq!(pool.pinned(), 1);
-        // 1 is the LRU, but pinned: 2 must be evicted instead, twice over.
-        pool.access(3, false, true, &mut dev);
-        assert!(pool.resident(1) && pool.resident(3) && !pool.resident(2));
-        pool.access(4, false, true, &mut dev);
-        assert!(pool.resident(1) && pool.resident(4) && !pool.resident(3));
-        pool.unpin(1);
-        assert_eq!(pool.pinned(), 0);
-        pool.access(5, false, true, &mut dev);
-        assert!(!pool.resident(1), "unpinned frames evict normally again");
-    }
-
-    #[test]
-    #[should_panic(expected = "all 1 frames are pinned")]
-    fn fully_pinned_pool_panics_on_admission() {
-        let mut dev = MockDevice::new(2);
-        let mut pool = BufferPool::new(1, 2);
-        pool.access(1, true, true, &mut dev);
-        pool.pin(1);
-        pool.access(2, false, true, &mut dev);
     }
 
     #[test]

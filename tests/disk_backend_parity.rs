@@ -2,17 +2,17 @@
 //! file-backed [`BackendKind::Disk`] plane is the witness. Across the oracle
 //! graph-family matrix, sequentially and at `P ∈ {1, 4}`, the two planes
 //! must produce bit-identical triangle multisets and identical charged
-//! transfer counts (the buffer pool replays the simulator's LRU policy
-//! decision for decision); faults injected over the real disk must account
-//! identically to faults over memory; and a machine's backing file must be
-//! unlinked when the machine goes away — crash or no crash.
+//! transfer counts (the buffer pool runs the simulator's own LRU policy);
+//! faults injected over the real disk must account identically to faults
+//! over memory. (Temp-file hygiene has its own test binary,
+//! `tests/disk_temp_hygiene.rs`.)
 
 use emsim::{BackendKind, EmConfig, FaultPlan, Machine};
 use graphgen::{generators, Graph};
 use proptest::prelude::*;
 use trienum::{
-    enumerate_triangles, enumerate_triangles_on, enumerate_triangles_sharded,
-    enumerate_triangles_with_recovery, Algorithm, CollectingSink, ShardPlan,
+    enumerate_triangles_on, enumerate_triangles_sharded, enumerate_triangles_with_recovery,
+    Algorithm, CollectingSink, ShardPlan,
 };
 
 /// The three paper algorithms, parameterised by a shared seed.
@@ -160,47 +160,5 @@ fn transient_faults_over_the_disk_backend_account_like_memory() {
     assert!(
         mem_stats.retry_io > 0,
         "a 6%/4% schedule over this instance must fire (got a fault-free run)"
-    );
-}
-
-/// Temp-file hygiene: every worker machine of a sharded disk run creates its
-/// own backing file, and none survive the run.
-#[test]
-fn sharded_disk_runs_leave_no_backing_files_behind() {
-    let count_files = || {
-        std::fs::read_dir(std::env::temp_dir())
-            .expect("temp dir is readable")
-            .filter_map(Result::ok)
-            .filter(|e| {
-                e.file_name()
-                    .to_string_lossy()
-                    .starts_with(&format!("emsim-disk-{}-", std::process::id()))
-            })
-            .count()
-    };
-    let before = count_files();
-    let g = generators::erdos_renyi(150, 1_200, 5);
-    let mut sink = CollectingSink::new();
-    let mut seq_sink = CollectingSink::new();
-    let alg = Algorithm::CacheAwareRandomized { seed: 7 };
-    let cfg = EmConfig::new(256, 32);
-    enumerate_triangles_sharded(
-        &g,
-        alg,
-        cfg,
-        ShardPlan::new(4).with_backend(BackendKind::Disk),
-        &mut sink,
-    )
-    .expect("paper drivers run sharded");
-    enumerate_triangles(&g, alg, cfg, &mut seq_sink);
-    assert_eq!(
-        sink.into_triangles().len(),
-        seq_sink.into_triangles().len(),
-        "the disk run must still be correct"
-    );
-    assert_eq!(
-        count_files(),
-        before,
-        "every worker's backing file must be unlinked when its machine drops"
     );
 }
