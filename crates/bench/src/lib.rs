@@ -3,12 +3,11 @@
 //! The paper is a theory paper with no measured tables or figures; the
 //! "evaluation" this crate reproduces is therefore the set of quantitative
 //! claims made by its theorems (see DESIGN.md §6 and EXPERIMENTS.md). Each
-//! experiment is a function returning printable rows, shared between
-//!
-//! * the `reproduce` binary (`cargo run --release -p trienum-bench --bin
-//!   reproduce`), which regenerates every table in EXPERIMENTS.md, and
-//! * the Criterion benches (`cargo bench`), which additionally measure
-//!   wall-clock time of the simulator runs at a smaller scale.
+//! experiment is a function returning printable rows, which the `reproduce`
+//! binary (`cargo run --release -p trienum-bench --bin reproduce`) prints to
+//! regenerate every table in EXPERIMENTS.md. Wall-clock measurement of the
+//! paper drivers and of each layer of the machine stack lives in the
+//! standalone `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -1765,7 +1764,8 @@ mod tests {
         assert!(json.contains("\"budget_words\": 2000"));
         assert!(json.contains("\"budget_words\": null"));
 
-        let dir = std::env::temp_dir().join("trienum-bench-json-test");
+        let dir =
+            std::env::temp_dir().join(format!("trienum-bench-json-test-{}", std::process::id()));
         let path =
             write_experiment_record(&dir, "e3", "E3: cache-obliviousness", &rows, &peaks, &gates)
                 .unwrap();

@@ -20,7 +20,7 @@ use kwise::{ColorMemo, RandomColoring};
 
 use crate::input::ExtGraph;
 use crate::lemma1::enumerate_through_vertex;
-use crate::lemma2::{enumerate_multi_cone, enumerate_with_pivots, ChunkPolicy, ConeClasses};
+use crate::lemma2::{enumerate_multi_cone, ChunkPolicy, ConeClasses};
 use crate::partition::ColorPartition;
 use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
@@ -28,7 +28,6 @@ use crate::util::{
     degree_table, isqrt_u128, remove_incident_edges, vertices_with_degree, SortKind,
 };
 use crate::workunit::{ShardCursor, WorkUnitKind};
-use crate::Step3Strategy;
 
 use emsim::ExtVec;
 
@@ -49,19 +48,10 @@ pub(crate) fn run_cache_aware_randomized(
     graph: &ExtGraph,
     cfg: EmConfig,
     seed: u64,
-    strategy: Step3Strategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
 ) -> ColoredRunOutcome {
-    run_cache_aware_randomized_sharded(
-        graph,
-        cfg,
-        seed,
-        strategy,
-        sink,
-        recorder,
-        &mut ShardCursor::solo(),
-    )
+    run_cache_aware_randomized_sharded(graph, cfg, seed, sink, recorder, &mut ShardCursor::solo())
 }
 
 /// [`run_cache_aware_randomized`] under a shard cursor: the worker executes
@@ -72,7 +62,6 @@ pub(crate) fn run_cache_aware_randomized_sharded(
     graph: &ExtGraph,
     cfg: EmConfig,
     seed: u64,
-    strategy: Step3Strategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     shard: &mut ShardCursor,
@@ -80,16 +69,7 @@ pub(crate) fn run_cache_aware_randomized_sharded(
     let e = graph.edge_count();
     let c = number_of_colors(e, cfg.mem_words);
     let coloring = RandomColoring::new(c, seed);
-    run_colored(
-        graph,
-        cfg,
-        c,
-        &|v| coloring.color(v),
-        strategy,
-        sink,
-        recorder,
-        shard,
-    )
+    run_colored(graph, cfg, c, &|v| coloring.color(v), sink, recorder, shard)
 }
 
 /// The number of colours `c = ⌈√(E/M)⌉` (at least 1), computed exactly in
@@ -137,10 +117,9 @@ pub(crate) fn split_high_low_degree(
 /// Shared driver for the randomized (Section 2) and derandomized (Section 4)
 /// cache-aware algorithms: everything except how the colouring is chosen.
 ///
-/// Step 3 runs the strategy the caller picked: the production
-/// [`Step3Strategy::PivotGrouped`] loop, or the
-/// [`Step3Strategy::PerTripleReference`] loop the equivalence tests pin the
-/// production path against.
+/// Step 3 groups the `c³` colour triples by pivot colour pair `(τ2, τ3)`:
+/// each pivot chunk's Lemma 2 indexes are built once and all `c` cone
+/// colours' class views stream against them.
 ///
 /// Work units (sharded runs): each step-1 high-degree vertex is one unit, in
 /// ascending vertex order; each *non-empty* step-3 pivot pair `(τ2, τ3)` is
@@ -149,13 +128,11 @@ pub(crate) fn split_high_low_degree(
 /// Step 2 — building the partition — is replicated on every worker: all
 /// workers need the class index. With a solo cursor every claim succeeds and
 /// this is exactly the sequential driver.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_colored(
     graph: &ExtGraph,
     cfg: EmConfig,
     c: u64,
     color: &dyn Fn(VertexId) -> u64,
-    strategy: Step3Strategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     shard: &mut ShardCursor,
@@ -214,89 +191,48 @@ pub(crate) fn run_colored(
     // ---- Step 3: enumerate the colour triples against Lemma 2. ----
     let before: IoStats = machine.io();
     let mut step3_chunk_passes = 0u64;
-    match strategy {
-        Step3Strategy::PivotGrouped => {
-            // Group the `c³` triples by their pivot colour pair `(τ2, τ3)`:
-            // the pivot class is handed to Lemma 2 as a zero-copy view and
-            // each of its chunks is loaded and indexed once for all `c` cone
-            // colours, instead of once per `(τ1, τ2, τ3)`.
-            for t2 in 0..c {
-                for t3 in 0..c {
-                    // Skip-fast: an empty pivot class is rejected on the
-                    // in-core offset table before any allocation. The skip
-                    // precedes the unit claim — the class index is
-                    // replicated, so every worker skips the same pairs and
-                    // the unit stream stays aligned.
-                    if partition.class_len(t2, t3) == 0 {
-                        continue;
-                    }
-                    if !shard.claim(WorkUnitKind::PivotPair { t2, t3 }) {
-                        continue;
-                    }
-                    let pivots = partition.class_slice(t2, t3);
-                    let mut cones: Vec<ConeClasses> = Vec::new();
-                    for t1 in 0..c {
-                        let mut ranges = Vec::new();
-                        if partition.class_len(t1, t2) > 0 {
-                            ranges.push(partition.class_slice(t1, t2));
-                        }
-                        // E_{τ1,τ2} and E_{τ1,τ3} coincide when τ2 = τ3.
-                        if t3 != t2 && partition.class_len(t1, t3) > 0 {
-                            ranges.push(partition.class_slice(t1, t3));
-                        }
-                        // Skip-fast: a cone colour with no candidate cone
-                        // edges cannot contribute a triangle. (Pivot-internal
-                        // triangles survive this guard: their cone colour is
-                        // τ2, whose ranges include the non-empty pivot class.)
-                        if ranges.is_empty() {
-                            continue;
-                        }
-                        cones.push(ConeClasses { ranges });
-                    }
-                    // The cone table is O(c) in-core words of view metadata.
-                    let _cone_lease = machine.gauge().lease((cones.len() * 4) as u64);
-                    let stats = enumerate_multi_cone(
-                        pivots,
-                        &cones,
-                        cfg.mem_words,
-                        ChunkPolicy::default(),
-                        sink,
-                    );
-                    triangles += stats.emitted;
-                    step3_chunk_passes += stats.chunk_passes;
-                }
+    // Group the `c³` triples by their pivot colour pair `(τ2, τ3)`: the pivot
+    // class is handed to Lemma 2 as a zero-copy view and each of its chunks
+    // is loaded and indexed once for all `c` cone colours, instead of once
+    // per `(τ1, τ2, τ3)`.
+    for t2 in 0..c {
+        for t3 in 0..c {
+            // Skip-fast: an empty pivot class is rejected on the in-core
+            // offset table before any allocation. The skip precedes the unit
+            // claim — the class index is replicated, so every worker skips
+            // the same pairs and the unit stream stays aligned.
+            if partition.class_len(t2, t3) == 0 {
+                continue;
             }
-        }
-        Step3Strategy::PerTripleReference => {
-            // The reference loop is a test-only equivalence baseline; the
-            // sharded scheduler always selects the production strategy, so
-            // the loop is not decomposed into units.
-            debug_assert!(
-                shard.is_solo(),
-                "the per-triple reference loop only runs sequentially"
-            );
-            // The pre-grouping loop: one Lemma 2 invocation per colour
-            // triple, with materialised pivot copies, per-triple re-merged
-            // edge sets and a per-triangle cone-colour filter.
+            if !shard.claim(WorkUnitKind::PivotPair { t2, t3 }) {
+                continue;
+            }
+            let pivots = partition.class_slice(t2, t3);
+            let mut cones: Vec<ConeClasses> = Vec::new();
             for t1 in 0..c {
-                for t2 in 0..c {
-                    for t3 in 0..c {
-                        if partition.class_len(t2, t3) == 0 {
-                            continue;
-                        }
-                        let pivots = partition.extract_class(t2, t3);
-                        let edge_set = partition.union_sorted(&[(t1, t2), (t1, t3), (t2, t3)]);
-                        triangles += enumerate_with_pivots(
-                            &edge_set,
-                            &pivots,
-                            cfg.mem_words,
-                            ChunkPolicy::PUBLISHED_BASELINE,
-                            |t: Triangle| memo_color(t.a) == t1,
-                            sink,
-                        );
-                    }
+                let mut ranges = Vec::new();
+                if partition.class_len(t1, t2) > 0 {
+                    ranges.push(partition.class_slice(t1, t2));
                 }
+                // E_{τ1,τ2} and E_{τ1,τ3} coincide when τ2 = τ3.
+                if t3 != t2 && partition.class_len(t1, t3) > 0 {
+                    ranges.push(partition.class_slice(t1, t3));
+                }
+                // Skip-fast: a cone colour with no candidate cone edges
+                // cannot contribute a triangle. (Pivot-internal triangles
+                // survive this guard: their cone colour is τ2, whose ranges
+                // include the non-empty pivot class.)
+                if ranges.is_empty() {
+                    continue;
+                }
+                cones.push(ConeClasses { ranges });
             }
+            // The cone table is O(c) in-core words of view metadata.
+            let _cone_lease = machine.gauge().lease((cones.len() * 4) as u64);
+            let stats =
+                enumerate_multi_cone(pivots, &cones, cfg.mem_words, ChunkPolicy::default(), sink);
+            triangles += stats.emitted;
+            step3_chunk_passes += stats.chunk_passes;
         }
     }
     recorder.record("step3_color_triples", before, machine.io());
@@ -343,14 +279,7 @@ mod tests {
         let before = machine.io().total();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(
-            &eg,
-            cfg,
-            seed,
-            Step3Strategy::PivotGrouped,
-            &mut sink,
-            &mut rec,
-        );
+        let out = run_cache_aware_randomized(&eg, cfg, seed, &mut sink, &mut rec);
         (out.triangles, machine.io().total() - before, out)
     }
 
@@ -511,18 +440,13 @@ mod tests {
         // The split is an analysis device, not a correctness requirement —
         // but the boundary input must still enumerate exactly (0 triangles:
         // a star plus a path is triangle-free).
-        for strategy in [
-            Step3Strategy::PivotGrouped,
-            Step3Strategy::PerTripleReference,
-        ] {
-            let cfg = EmConfig::new(mem, 16);
-            let machine = Machine::new(cfg);
-            let eg = ExtGraph::load(&machine, &g);
-            let mut sink = StrictSink::new();
-            let mut rec = PhaseRecorder::new(machine.gauge());
-            let out = run_cache_aware_randomized(&eg, cfg, 1, strategy, &mut sink, &mut rec);
-            assert_eq!(out.triangles, 0, "{strategy:?}");
-        }
+        let cfg = EmConfig::new(mem, 16);
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, &g);
+        let mut sink = StrictSink::new();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let out = run_cache_aware_randomized(&eg, cfg, 1, &mut sink, &mut rec);
+        assert_eq!(out.triangles, 0);
     }
 
     #[test]
@@ -547,54 +471,25 @@ mod tests {
         // 0 (but c = 3 declared colours), only the (0,0) pivot class is
         // non-empty, cone colours 1 and 2 must be skipped, and the
         // pivot-internal triangles of class (0,0) must be emitted exactly
-        // once — both by the pivot-grouped loop and the reference loop.
+        // once.
         let g = generators::erdos_renyi(120, 900, 8);
         let expected = naive::count_triangles(&g);
         let cfg = EmConfig::new(256, 32);
-        for strategy in [
-            Step3Strategy::PivotGrouped,
-            Step3Strategy::PerTripleReference,
-        ] {
-            let machine = Machine::new(cfg);
-            let eg = ExtGraph::load(&machine, &g);
-            let mut sink = StrictSink::new(); // panics on duplicate emission
-            let mut rec = PhaseRecorder::new(machine.gauge());
-            let out = run_colored(
-                &eg,
-                cfg,
-                3,
-                &|_| 0,
-                strategy,
-                &mut sink,
-                &mut rec,
-                &mut ShardCursor::solo(),
-            );
-            assert_eq!(out.triangles, expected, "{strategy:?}");
-            assert_eq!(sink.len() as u64, expected, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn pivot_grouped_and_reference_step3_agree_under_memory_pressure() {
-        for seed in [1u64, 4] {
-            let g = generators::chung_lu_power_law(300, 2000, 2.1, seed);
-            let cfg = EmConfig::new(128, 16); // tiny memory: many colours
-            let collect = |strategy: Step3Strategy| {
-                let machine = Machine::new(cfg);
-                let eg = ExtGraph::load(&machine, &g);
-                let mut sink = crate::sink::CollectingSink::new();
-                let mut rec = PhaseRecorder::new(machine.gauge());
-                let out = run_cache_aware_randomized(&eg, cfg, seed, strategy, &mut sink, &mut rec);
-                let mut ts = sink.into_triangles();
-                ts.sort_unstable();
-                (out.triangles, ts)
-            };
-            let (n_new, t_new) = collect(Step3Strategy::PivotGrouped);
-            let (n_old, t_old) = collect(Step3Strategy::PerTripleReference);
-            assert_eq!(n_new, n_old, "seed {seed}");
-            assert_eq!(t_new, t_old, "seed {seed}");
-            assert_eq!(n_new, naive::count_triangles(&g), "seed {seed}");
-        }
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, &g);
+        let mut sink = StrictSink::new(); // panics on duplicate emission
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let out = run_colored(
+            &eg,
+            cfg,
+            3,
+            &|_| 0,
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+        );
+        assert_eq!(out.triangles, expected);
+        assert_eq!(sink.len() as u64, expected);
     }
 
     #[test]
@@ -610,43 +505,13 @@ mod tests {
         machine.gauge().reset_peak();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(
-            &eg,
-            cfg,
-            2,
-            Step3Strategy::PivotGrouped,
-            &mut sink,
-            &mut rec,
-        );
+        let out = run_cache_aware_randomized(&eg, cfg, 2, &mut sink, &mut rec);
         assert_eq!(out.triangles, naive::count_triangles(&g));
         assert!(
             machine.gauge().peak() <= 2 * cfg.mem_words as u64,
             "peak in-core usage {} exceeds 2M = {}",
             machine.gauge().peak(),
             2 * cfg.mem_words
-        );
-    }
-
-    #[test]
-    fn pivot_grouped_step3_does_less_io_than_the_reference() {
-        let g = generators::erdos_renyi(600, 12_000, 2);
-        let cfg = EmConfig::new(512, 32);
-        let io_of = |strategy: Step3Strategy| {
-            let machine = Machine::new(cfg);
-            let eg = ExtGraph::load(&machine, &g);
-            machine.cold_cache();
-            let before = machine.io().total();
-            let mut sink = StrictSink::new();
-            let mut rec = PhaseRecorder::new(machine.gauge());
-            run_cache_aware_randomized(&eg, cfg, 7, strategy, &mut sink, &mut rec);
-            machine.io().total() - before
-        };
-        let grouped = io_of(Step3Strategy::PivotGrouped);
-        let reference = io_of(Step3Strategy::PerTripleReference);
-        assert!(
-            (grouped as f64) < 0.8 * reference as f64,
-            "pivot grouping should cut step-3 I/O well below the per-triple \
-             loop (grouped={grouped}, reference={reference})"
         );
     }
 

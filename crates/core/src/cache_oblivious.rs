@@ -17,8 +17,8 @@
 //!    one bit function **per tree level**, installed up front as a batch
 //!    (see [`RefinedColoring::push_batch`]), so sibling subproblems share
 //!    the same refinement and the whole tree is a function of the seed and
-//!    the level alone (which is what lets two different tree-evaluation
-//!    orders compute the identical tree);
+//!    the level alone (which is what lets sharded workers and resumed runs
+//!    rebuild the identical tree);
 //! 3. splits into the 8 colour vectors
 //!    `{2c0−1, 2c0} × {2c1−1, 2c1} × {2c2−1, 2c2}`, each restricted to the
 //!    edges compatible with that vector.
@@ -71,39 +71,27 @@
 //!   two-source merge ([`emalgo::kway_merge_tagged`]) closes every leaf's
 //!   wedges against its edges in one pass (see [`close_oversized_leaves`]).
 //!
-//! ## Two tree-evaluation orders
+//! ## Tree-evaluation order
 //!
-//! [`RecursionStrategy::DepthFirst`] (production) evaluates the tree in
-//! depth-first order over an **explicit subproblem stack** (one frame per
-//! pending node, plus gauge-lease markers so the accounting matches the old
-//! recursion frame for frame). The explicit stack is what makes the run
-//! *checkpointable*: at any subproblem boundary the whole frontier can be
-//! serialised as `O(1)`-word descriptors (depth, colour vector, removed
-//! vertices) and the edge lists recovered later by order-preserving filter
-//! scans of the root — see [`crate::checkpoint`]. Depth-first order is what
-//! makes the run cache-adaptive: a
-//! subtree whose working set fits internal memory is created, consumed and
-//! freed before the LRU cache ever evicts it, so deep levels cost no I/O at
-//! all and the charged I/O concentrates on the above-memory part of the
-//! tree — exactly the structure Theorem 1's `O(E^{3/2}/(√M·B))` bound needs.
-//!
-//! [`RecursionStrategy::LevelSynchronous`] evaluates the tree one depth at a
-//! time: all live nodes' edges grouped in eight level-wide bucket files, a
-//! single [`emalgo::PartitionWriter`] sweep per level (`O(depth)` partition
-//! sweeps in total, against one per internal node), per-node metadata in
-//! thin disk streams. It computes the identical tree and triangle multiset
-//! (the oracle suite pins both), and it is what the level-batched variant of
-//! this algorithm looks like — but **measurement rejected it as the
-//! production default**: holding an entire level's files live defeats the
-//! free-before-eviction locality of the depth-first order, and the deep
-//! levels' `E·2^d` volume then streams cold at every machine size (measured
-//! ~9–50× the depth-first I/O on E3, see EXPERIMENTS.md). It is retained as
-//! a doc-hidden toggle so the equivalence and pass-count guarantees stay
-//! executable.
+//! The tree is evaluated depth-first over an **explicit subproblem stack**
+//! (one frame per pending node, plus gauge-lease markers so the accounting
+//! matches the old recursion frame for frame). The explicit stack is what
+//! makes the run *checkpointable*: at any subproblem boundary the whole
+//! frontier can be serialised as `O(1)`-word descriptors (depth, colour
+//! vector, removed vertices) and the edge lists recovered later by
+//! order-preserving filter scans of the root — see [`crate::checkpoint`].
+//! Depth-first order is what makes the run cache-adaptive: a subtree whose
+//! working set fits internal memory is created, consumed and freed before
+//! the LRU cache ever evicts it, so deep levels cost no I/O at all and the
+//! charged I/O concentrates on the above-memory part of the tree — exactly
+//! the structure Theorem 1's `O(E^{3/2}/(√M·B))` bound needs. A
+//! level-synchronous order (one partition sweep per depth) keeps whole
+//! levels live, so the deep levels stream cold at every machine size: it
+//! measured 12–77× the depth-first I/O on E3 (see EXPERIMENTS.md).
 
 use std::rc::Rc;
 
-use emalgo::{kway_merge_tagged, PartitionWriter};
+use emalgo::kway_merge_tagged;
 use emsim::{ExtVec, Machine, MemLease};
 use graphgen::{Edge, Triangle, VertexId};
 use kwise::{FourWise, RefinedColoring};
@@ -117,7 +105,6 @@ use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::util::{remove_incident_edges, SortKind};
 use crate::workunit::{ShardCursor, WorkUnitKind};
-use crate::RecursionStrategy;
 
 /// Subproblems of at most this many edges are joined in core directly. A
 /// fixed constant — the cache-oblivious model forbids dependence on `M`/`B`,
@@ -227,9 +214,7 @@ struct CoContext<'a> {
     /// Times the ≤ 16 high-degree invariant had to be enforced by truncation
     /// (always 0 unless the degree accounting is broken).
     high_degree_truncations: u64,
-    /// Number of multi-way partition sweeps performed: one per internal node
-    /// under the depth-first driver, one per *level* under the
-    /// level-synchronous driver (the pass-count the O(depth) test pins).
+    /// Number of multi-way partition sweeps performed: one per internal node.
     partition_sweeps: u64,
     /// Gauge lease tracking the colouring's memoised bit evaluations.
     bit_cache_lease: MemLease,
@@ -290,18 +275,15 @@ pub(crate) struct CacheObliviousStats {
 }
 
 /// Runs the cache-oblivious randomized algorithm on `graph` with the given
-/// random seed and tree-evaluation order; returns the number of triangles
-/// emitted and recursion statistics. Both orders compute the identical
-/// recursion tree (the refinement bits are a function of `seed` and the
-/// level alone).
+/// random seed; returns the number of triangles emitted and recursion
+/// statistics.
 pub(crate) fn run_cache_oblivious(
     graph: &ExtGraph,
     seed: u64,
-    strategy: RecursionStrategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
 ) -> (u64, CacheObliviousStats) {
-    run_cache_oblivious_recoverable(graph, seed, strategy, sink, recorder, None, None)
+    run_cache_oblivious_recoverable(graph, seed, sink, recorder, None, None)
 }
 
 /// [`run_cache_oblivious`] under a shard cursor: every worker replicates the
@@ -310,8 +292,7 @@ pub(crate) fn run_cache_oblivious(
 /// the identical tree — and each node *at* the spawn depth is one whole
 /// subtree unit processed only by its owner. Leaf and high-degree emissions
 /// of the replicated top are individually sharded so their triangles are
-/// emitted exactly once across the pool. Always depth-first; checkpointing
-/// is rejected upstream by the scheduler.
+/// emitted exactly once across the pool. Sharded runs never checkpoint.
 pub(crate) fn run_cache_oblivious_sharded(
     graph: &ExtGraph,
     seed: u64,
@@ -320,17 +301,7 @@ pub(crate) fn run_cache_oblivious_sharded(
     shard: &mut ShardCursor,
     spawn_depth: usize,
 ) -> (u64, CacheObliviousStats) {
-    run_cache_oblivious_inner(
-        graph,
-        seed,
-        RecursionStrategy::DepthFirst,
-        sink,
-        recorder,
-        None,
-        None,
-        shard,
-        spawn_depth,
-    )
+    run_cache_oblivious_inner(graph, seed, sink, recorder, None, None, shard, spawn_depth)
 }
 
 /// [`run_cache_oblivious`] with crash-safety armed: when `spec` is given the
@@ -340,14 +311,13 @@ pub(crate) fn run_cache_oblivious_sharded(
 /// given the run starts from that checkpoint instead of the root — replaying
 /// the batched-leaf log, rebuilding the stack frontier by filter scans of the
 /// re-sorted root, and continuing the exactly-once emission numbering at the
-/// checkpoint's high-water mark. Both options require the depth-first driver.
+/// checkpoint's high-water mark.
 ///
 /// With both options `None` this is byte-for-byte the ordinary run: the
 /// checkpoint plumbing is pay-for-what-you-use.
 pub(crate) fn run_cache_oblivious_recoverable(
     graph: &ExtGraph,
     seed: u64,
-    strategy: RecursionStrategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     spec: Option<&CheckpointSpec>,
@@ -358,7 +328,6 @@ pub(crate) fn run_cache_oblivious_recoverable(
     run_cache_oblivious_inner(
         graph,
         seed,
-        strategy,
         sink,
         recorder,
         spec,
@@ -372,7 +341,6 @@ pub(crate) fn run_cache_oblivious_recoverable(
 fn run_cache_oblivious_inner(
     graph: &ExtGraph,
     seed: u64,
-    strategy: RecursionStrategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     spec: Option<&CheckpointSpec>,
@@ -434,49 +402,31 @@ fn run_cache_oblivious_inner(
         shard,
         spawn_depth,
     };
-    match strategy {
-        RecursionStrategy::DepthFirst => {
-            let stack = match resume {
-                None => vec![Frame::Node(PendingNode {
-                    edges: root,
-                    summary: None,
-                    target: (1, 1, 1),
-                    depth: 0,
-                    removed: None,
-                })],
-                Some(ck) => {
-                    let io0 = machine.io();
-                    let stack =
-                        rebuild_stack_from_checkpoint(&mut ctx, &machine, &coloring, &root, ck);
-                    drop(root);
-                    recorder.record("resume_rebuild", io0, machine.io());
-                    stack
-                }
-            };
-            let ckpt = spec.map(|s| CheckpointCtl {
-                spec: s,
-                seed,
-                root_edges: e,
-                last_io: machine.io().total(),
-            });
+    let stack = match resume {
+        None => vec![Frame::Node(PendingNode {
+            edges: root,
+            summary: None,
+            target: (1, 1, 1),
+            depth: 0,
+            removed: None,
+        })],
+        Some(ck) => {
             let io0 = machine.io();
-            drive_depth_first(&mut ctx, &machine, &coloring, stack, ckpt);
-            recorder.record("recursion", io0, machine.io());
+            let stack = rebuild_stack_from_checkpoint(&mut ctx, &machine, &coloring, &root, ck);
+            drop(root);
+            recorder.record("resume_rebuild", io0, machine.io());
+            stack
         }
-        RecursionStrategy::LevelSynchronous => {
-            assert!(
-                spec.is_none() && resume.is_none(),
-                "checkpoint/resume requires the depth-first driver"
-            );
-            assert!(
-                ctx.shard.is_solo(),
-                "sharded runs require the depth-first driver"
-            );
-            let io0 = machine.io();
-            solve_level_synchronous(&mut ctx, &machine, root, &coloring);
-            recorder.record("recursion", io0, machine.io());
-        }
-    }
+    };
+    let ckpt = spec.map(|s| CheckpointCtl {
+        spec: s,
+        seed,
+        root_edges: e,
+        last_io: machine.io().total(),
+    });
+    let io0 = machine.io();
+    drive_depth_first(&mut ctx, &machine, &coloring, stack, ckpt);
+    recorder.record("recursion", io0, machine.io());
     let io0 = machine.io();
     close_oversized_leaves(&mut ctx, &machine, &coloring);
     recorder.record("leaf_batch", io0, machine.io());
@@ -582,7 +532,6 @@ fn resolve_high_degree<I: Iterator<Item = Edge>>(
 /// Step 1 of one subproblem: Lemma 1 over the local high-degree vertices,
 /// emitting the proper triangles through each and removing its edges before
 /// the next. Returns the list with every `high` vertex's edges removed.
-/// Shared verbatim by both drivers so the emissions cannot drift.
 fn enumerate_high_degree(
     ctx: &mut CoContext<'_>,
     mut edges: ExtVec<Edge>,
@@ -778,7 +727,7 @@ fn close_oversized_leaves(ctx: &mut CoContext<'_>, machine: &Machine, coloring: 
 }
 
 // ---------------------------------------------------------------------------
-// The depth-first driver (production path): an explicit subproblem stack.
+// The depth-first driver: an explicit subproblem stack.
 // ---------------------------------------------------------------------------
 
 /// The set of vertices removed by high-degree enumeration at one node, linked
@@ -1148,187 +1097,6 @@ fn process_node(
     }
 }
 
-// ---------------------------------------------------------------------------
-// The level-synchronous driver.
-// ---------------------------------------------------------------------------
-
-/// Per-level node metadata streams, all disk-resident: `meta` holds one
-/// `(edge count, candidate count, summary error)` per node, `targets` its
-/// colour vector (colours after `d` refinements fit 32 bits comfortably —
-/// `2^d ≤ √E`), `cands` the flattened `(vertex, counter)` entries of the
-/// node's inherited heavy-hitter summary. Node `j`'s edges are the next
-/// `len_j` records of bucket `j mod 8` (bucket 0 of 1 at the root).
-struct LevelMeta {
-    meta: ExtVec<(u32, u32, u32)>,
-    targets: ExtVec<(u32, u32, u32)>,
-    cands: ExtVec<(u32, u32)>,
-}
-
-impl LevelMeta {
-    fn empty(machine: &Machine) -> Self {
-        Self {
-            meta: ExtVec::new(machine),
-            targets: ExtVec::new(machine),
-            cands: ExtVec::new(machine),
-        }
-    }
-}
-
-fn solve_level_synchronous(
-    ctx: &mut CoContext<'_>,
-    machine: &Machine,
-    root: ExtVec<Edge>,
-    coloring: &RefinedColoring,
-) {
-    // Current level: the root is a single bucket holding the sorted root
-    // edge list.
-    let root_len = root.len();
-    let mut buckets: Vec<ExtVec<Edge>> = vec![root];
-    let mut level = LevelMeta::empty(machine);
-    level.meta.push((root_len as u32, 0, 0));
-    level.targets.push((1, 1, 1));
-
-    let mut depth = 0usize;
-    while !level.meta.is_empty() {
-        let mut next = LevelMeta::empty(machine);
-        let mut writer: Option<PartitionWriter<Edge>> = None;
-        let mut offsets = vec![0usize; buckets.len()];
-        {
-            let mut cands_iter = level.cands.iter();
-            for (j, ((len, ccount, error), (t0, t1, t2))) in
-                level.meta.iter().zip(level.targets.iter()).enumerate()
-            {
-                machine.work(1);
-                let len = len as usize;
-                let bucket = j % buckets.len();
-                let offset = offsets[bucket];
-                offsets[bucket] += len;
-                ctx.subproblems += 1;
-                ctx.max_depth = ctx.max_depth.max(depth);
-                // Always drain this node's candidate records, even when the
-                // node is dead, so the stream stays aligned.
-                let summary = HeavyHitters {
-                    counters: cands_iter
-                        .by_ref()
-                        .take(ccount as usize)
-                        .map(|(v, n)| (v, u64::from(n)))
-                        .collect(),
-                    decrements: u64::from(error),
-                };
-                let e_here = len;
-                if e_here < 3 {
-                    continue;
-                }
-                let segment = buckets[bucket].slice(offset, offset + len);
-                let target = (u64::from(t0), u64::from(t1), u64::from(t2));
-
-                if e_here <= BASE_CASE_EDGES {
-                    let emitted = solve_leaf_in_core(
-                        machine,
-                        segment.iter(),
-                        |t| proper_at(&t, coloring, depth, target),
-                        ctx.sink,
-                    );
-                    ctx.emitted += emitted;
-                    continue;
-                }
-                if depth >= ctx.depth_limit {
-                    batch_oversized_leaf(
-                        machine,
-                        &mut ctx.leaf_batch,
-                        segment.iter(),
-                        target,
-                        depth,
-                    );
-                    continue;
-                }
-
-                // ---- Step 1: local high-degree vertices (summary built by
-                // the parent's sweep; the root pays its own scan). ----
-                let summary = if depth == 0 {
-                    HeavyHitters::of_stream(machine, segment.iter())
-                } else {
-                    summary
-                };
-                let (high, truncated) =
-                    resolve_high_degree(machine, &summary, e_here, || segment.iter());
-                ctx.high_degree_truncations += u64::from(truncated);
-
-                let mut filtered: Option<ExtVec<Edge>> = None;
-                if !high.is_empty() {
-                    let mut local: ExtVec<Edge> = ExtVec::new(machine);
-                    for e in segment.iter() {
-                        machine.work(1);
-                        local.push(e);
-                    }
-                    let kept = enumerate_high_degree(ctx, local, &high, coloring, depth, target);
-                    if kept.len() < 3 {
-                        continue;
-                    }
-                    filtered = Some(kept);
-                }
-
-                // ---- Steps 2–3: route this node into the level's one
-                // distribution sweep. ----
-                let writer = writer.get_or_insert_with(|| {
-                    ctx.partition_sweeps += 1;
-                    PartitionWriter::new(machine, CHILDREN)
-                });
-                let children = child_vectors(target);
-                let before: [usize; CHILDREN] = std::array::from_fn(|slot| writer.bucket_len(slot));
-                let mut summaries: Vec<HeavyHitters> =
-                    (0..CHILDREN).map(|_| HeavyHitters::default()).collect();
-                {
-                    let _lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
-                    let mut route =
-                        |writer: &mut PartitionWriter<Edge>,
-                         source: &mut dyn Iterator<Item = Edge>| {
-                            let mut prev: Option<Edge> = None;
-                            for e in source {
-                                debug_assert!(
-                                    prev.is_none_or(|p| p <= e),
-                                    "edge segment lost its inherited sort order"
-                                );
-                                prev = Some(e);
-                                let cu = coloring.color_at(e.u, depth + 1);
-                                let cv = coloring.color_at(e.v, depth + 1);
-                                let mut mask = 0u32;
-                                for (i, &child) in children.iter().enumerate() {
-                                    if pair_compatible(cu, cv, child) {
-                                        mask |= 1 << i;
-                                        summaries[i].feed_edge(&e);
-                                    }
-                                }
-                                writer.push(e, mask);
-                            }
-                        };
-                    match &filtered {
-                        Some(kept) => route(writer, &mut kept.iter()),
-                        None => route(writer, &mut segment.iter()),
-                    }
-                }
-                for (slot, summary) in summaries.into_iter().enumerate() {
-                    let child_len = writer.bucket_len(slot) - before[slot];
-                    next.meta.push((
-                        child_len as u32,
-                        summary.counters.len() as u32,
-                        summary.decrements as u32,
-                    ));
-                    let (z0, z1, z2) = children[slot];
-                    next.targets.push((z0 as u32, z1 as u32, z2 as u32));
-                    for (v, n) in summary.counters {
-                        next.cands.push((v, n as u32));
-                    }
-                }
-                ctx.bit_cache_lease.resize(coloring.cached_bits() as u64);
-            }
-        }
-        buckets = writer.map(PartitionWriter::finish).unwrap_or_default();
-        level = next;
-        depth += 1;
-    }
-}
-
 /// A small deterministic seed sequence (splitmix64) so one user-supplied seed
 /// drives the whole per-level bit schedule reproducibly.
 fn splitmix(state: &mut u64) -> u64 {
@@ -1347,60 +1115,42 @@ mod tests {
     use graphgen::{generators, naive};
     use kwise::BitFunctionFamily;
 
-    const BOTH: [RecursionStrategy; 2] = [
-        RecursionStrategy::DepthFirst,
-        RecursionStrategy::LevelSynchronous,
-    ];
-
-    fn run_with(
-        g: &graphgen::Graph,
-        cfg: EmConfig,
-        seed: u64,
-        strategy: RecursionStrategy,
-    ) -> (u64, u64, CacheObliviousStats) {
+    fn run(g: &graphgen::Graph, cfg: EmConfig, seed: u64) -> (u64, u64, CacheObliviousStats) {
         let machine = Machine::new(cfg);
         let eg = ExtGraph::load(&machine, g);
         machine.cold_cache();
         let before = machine.io().total();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (n, stats) = run_cache_oblivious(&eg, seed, strategy, &mut sink, &mut rec);
+        let (n, stats) = run_cache_oblivious(&eg, seed, &mut sink, &mut rec);
         (n, machine.io().total() - before, stats)
     }
 
-    fn run(g: &graphgen::Graph, cfg: EmConfig, seed: u64) -> (u64, u64, CacheObliviousStats) {
-        run_with(g, cfg, seed, RecursionStrategy::DepthFirst)
-    }
-
     #[test]
-    fn counts_match_oracle_on_er_graphs_under_both_drivers() {
+    fn counts_match_oracle_on_er_graphs() {
         for seed in [3u64, 12] {
             let g = generators::erdos_renyi(120, 900, seed);
             let expected = naive::count_triangles(&g);
-            for strategy in BOTH {
-                let (got, _, stats) = run_with(&g, EmConfig::new(1 << 9, 32), seed, strategy);
-                assert_eq!(got, expected, "seed {seed} ({strategy:?})");
-                assert!(stats.subproblems > 1);
-                assert_eq!(stats.high_degree_truncations, 0);
-            }
+            let (got, _, stats) = run(&g, EmConfig::new(1 << 9, 32), seed);
+            assert_eq!(got, expected, "seed {seed}");
+            assert!(stats.subproblems > 1);
+            assert_eq!(stats.high_degree_truncations, 0);
         }
     }
 
     #[test]
     fn counts_match_oracle_on_structured_graphs() {
-        for strategy in BOTH {
-            let clique = generators::clique(20);
-            let (got, _, _) = run_with(&clique, EmConfig::new(256, 32), 1, strategy);
-            assert_eq!(got, 1140, "{strategy:?}");
+        let clique = generators::clique(20);
+        let (got, _, _) = run(&clique, EmConfig::new(256, 32), 1);
+        assert_eq!(got, 1140);
 
-            let star = generators::star(200);
-            let (got, _, _) = run_with(&star, EmConfig::new(256, 32), 1, strategy);
-            assert_eq!(got, 0, "{strategy:?}");
+        let star = generators::star(200);
+        let (got, _, _) = run(&star, EmConfig::new(256, 32), 1);
+        assert_eq!(got, 0);
 
-            let lolli = generators::lollipop(10, 40);
-            let (got, _, _) = run_with(&lolli, EmConfig::new(256, 32), 2, strategy);
-            assert_eq!(got, 120, "{strategy:?}");
-        }
+        let lolli = generators::lollipop(10, 40);
+        let (got, _, _) = run(&lolli, EmConfig::new(256, 32), 2);
+        assert_eq!(got, 120);
     }
 
     #[test]
@@ -1430,31 +1180,9 @@ mod tests {
     #[test]
     fn recursion_depth_is_bounded_by_log4_e() {
         let g = generators::erdos_renyi(200, 1600, 3);
-        for strategy in BOTH {
-            let (_, _, stats) = run_with(&g, EmConfig::new(512, 32), 11, strategy);
-            let limit = ((1600f64).ln() / 4f64.ln()).ceil() as usize;
-            assert!(stats.max_depth <= limit, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn level_synchronous_sweeps_are_bounded_by_depth_not_node_count() {
-        let g = generators::erdos_renyi(150, 1200, 8);
-        let cfg = EmConfig::new(512, 32);
-        let (_, _, level) = run_with(&g, cfg, 5, RecursionStrategy::LevelSynchronous);
-        let (_, _, depth_first) = run_with(&g, cfg, 5, RecursionStrategy::DepthFirst);
-        assert!(
-            level.partition_sweeps as usize <= level.max_depth + 1,
-            "level-synchronous must sweep once per level at most ({} sweeps, depth {})",
-            level.partition_sweeps,
-            level.max_depth
-        );
-        assert!(
-            depth_first.partition_sweeps > 4 * level.partition_sweeps,
-            "the depth-first driver pays one sweep per internal node ({} vs {})",
-            depth_first.partition_sweeps,
-            level.partition_sweeps
-        );
+        let (_, _, stats) = run(&g, EmConfig::new(512, 32), 11);
+        let limit = ((1600f64).ln() / 4f64.ln()).ceil() as usize;
+        assert!(stats.max_depth <= limit);
     }
 
     #[test]
@@ -1533,12 +1261,10 @@ mod tests {
         // K16: E = 120, every vertex has degree 15 and 8·15 = 120 ≥ E, so all
         // 16 vertices are local high-degree — the maximum the invariant
         // allows. The run must stay exact without any truncation.
-        for strategy in BOTH {
-            let g = generators::clique(16);
-            let (got, _, stats) = run_with(&g, EmConfig::new(256, 32), 5, strategy);
-            assert_eq!(got, 560, "{strategy:?}"); // C(16, 3)
-            assert_eq!(stats.high_degree_truncations, 0, "{strategy:?}");
-        }
+        let g = generators::clique(16);
+        let (got, _, stats) = run(&g, EmConfig::new(256, 32), 5);
+        assert_eq!(got, 560); // C(16, 3)
+        assert_eq!(stats.high_degree_truncations, 0);
     }
 
     #[test]
@@ -1578,20 +1304,13 @@ mod tests {
             machine.cold_cache();
             let mut sink = CollectingSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let (n, _) = run_cache_oblivious_recoverable(
-                &eg,
-                9,
-                RecursionStrategy::DepthFirst,
-                &mut sink,
-                &mut rec,
-                spec,
-                None,
-            );
+            let (n, _) = run_cache_oblivious_recoverable(&eg, 9, &mut sink, &mut rec, spec, None);
             let stats = machine.stats();
             (n, sink.into_triangles(), stats.io, stats.work_ops)
         };
 
-        let dir = std::env::temp_dir().join("trienum-ckpt-bitident");
+        let dir =
+            std::env::temp_dir().join(format!("trienum-ckpt-bitident-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = CheckpointSpec {
             path: dir.join("ckpt.json"),
@@ -1623,14 +1342,13 @@ mod tests {
         let expected = {
             let mut sink = StrictSink::new();
             let mut rec = PhaseRecorder::new(machine_probe.gauge());
-            let (n, _) =
-                run_cache_oblivious(&eg, 4, RecursionStrategy::DepthFirst, &mut sink, &mut rec);
+            let (n, _) = run_cache_oblivious(&eg, 4, &mut sink, &mut rec);
             assert!(n > 0);
             (n, sink.seen().clone())
         };
         let total_transfers = machine_probe.transfers();
 
-        let dir = std::env::temp_dir().join("trienum-ckpt-resume");
+        let dir = std::env::temp_dir().join(format!("trienum-ckpt-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = CheckpointSpec {
             path: dir.join("ckpt.json"),
@@ -1652,15 +1370,8 @@ mod tests {
             machine.cold_cache();
             let mut durable = DurableSink::new(&mut collected);
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let _ = run_cache_oblivious_recoverable(
-                &eg,
-                4,
-                RecursionStrategy::DepthFirst,
-                &mut durable,
-                &mut rec,
-                Some(&spec),
-                None,
-            );
+            let _ =
+                run_cache_oblivious_recoverable(&eg, 4, &mut durable, &mut rec, Some(&spec), None);
         }));
         let payload = crashed.expect_err("the fault plan kills this run");
         assert!(payload.downcast_ref::<CrashPoint>().is_some());
@@ -1678,15 +1389,8 @@ mod tests {
         machine.cold_cache();
         let mut durable = DurableSink::resume_from(&mut collected, hwm);
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (total, _) = run_cache_oblivious_recoverable(
-            &eg,
-            4,
-            RecursionStrategy::DepthFirst,
-            &mut durable,
-            &mut rec,
-            None,
-            Some(&ck),
-        );
+        let (total, _) =
+            run_cache_oblivious_recoverable(&eg, 4, &mut durable, &mut rec, None, Some(&ck));
         durable.commit();
         assert_eq!(total, expected.0);
         let got: std::collections::HashSet<Triangle> =
@@ -1703,18 +1407,13 @@ mod tests {
 
     #[test]
     fn bit_cache_lease_is_released_after_the_run() {
-        for strategy in BOTH {
-            let g = generators::erdos_renyi(150, 1200, 2);
-            let machine = Machine::new(EmConfig::new(1 << 10, 32));
-            let eg = ExtGraph::load(&machine, &g);
-            let mut sink = StrictSink::new();
-            let mut rec = PhaseRecorder::new(machine.gauge());
-            let _ = run_cache_oblivious(&eg, 3, strategy, &mut sink, &mut rec);
-            assert_eq!(machine.gauge().in_use(), 0, "{strategy:?}");
-            assert!(
-                machine.gauge().peak() > 0,
-                "memoised bits were accounted ({strategy:?})"
-            );
-        }
+        let g = generators::erdos_renyi(150, 1200, 2);
+        let machine = Machine::new(EmConfig::new(1 << 10, 32));
+        let eg = ExtGraph::load(&machine, &g);
+        let mut sink = StrictSink::new();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let _ = run_cache_oblivious(&eg, 3, &mut sink, &mut rec);
+        assert_eq!(machine.gauge().in_use(), 0);
+        assert!(machine.gauge().peak() > 0, "memoised bits were accounted");
     }
 }

@@ -477,7 +477,8 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp_file() {
-        let dir = std::env::temp_dir().join("trienum-checkpoint-test");
+        let dir =
+            std::env::temp_dir().join(format!("trienum-checkpoint-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let c = sample();

@@ -22,7 +22,6 @@ use crate::potential::evaluate_candidates;
 use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::workunit::ShardCursor;
-use crate::Step3Strategy;
 
 /// Extra information reported by a derandomized run.
 #[derive(Debug, Clone)]
@@ -49,7 +48,6 @@ pub(crate) fn run_derandomized(
     cfg: EmConfig,
     family_seed: u64,
     candidate_override: Option<usize>,
-    strategy: Step3Strategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
 ) -> (ColoredRunOutcome, DerandInfo) {
@@ -58,7 +56,6 @@ pub(crate) fn run_derandomized(
         cfg,
         family_seed,
         candidate_override,
-        strategy,
         sink,
         recorder,
         &mut ShardCursor::solo(),
@@ -76,13 +73,11 @@ pub(crate) fn run_derandomized(
 /// derives the identical colouring and then shares `run_colored`'s unit
 /// stream (high-degree vertices + pivot pairs), which is where the actual
 /// enumeration cost lives.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_derandomized_sharded(
     graph: &ExtGraph,
     cfg: EmConfig,
     family_seed: u64,
     candidate_override: Option<usize>,
-    strategy: Step3Strategy,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     shard: &mut ShardCursor,
@@ -139,7 +134,7 @@ pub(crate) fn run_derandomized_sharded(
     // The refined colouring assigns values in [1, c]; the shared driver
     // expects colours in [0, c).
     let color = move |v: u32| coloring.color(v) - 1;
-    let outcome = run_colored(graph, cfg, c, &color, strategy, sink, recorder, shard);
+    let outcome = run_colored(graph, cfg, c, &color, sink, recorder, shard);
 
     (
         outcome,
@@ -165,15 +160,7 @@ mod tests {
         let eg = ExtGraph::load(&machine, g);
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (out, info) = run_derandomized(
-            &eg,
-            cfg,
-            1,
-            Some(24),
-            Step3Strategy::default(),
-            &mut sink,
-            &mut rec,
-        );
+        let (out, info) = run_derandomized(&eg, cfg, 1, Some(24), &mut sink, &mut rec);
         (out.triangles, out, info)
     }
 
@@ -230,15 +217,7 @@ mod tests {
             let eg = ExtGraph::load(&machine, &g);
             let mut sink = StrictSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let (out, _) = run_derandomized(
-                &eg,
-                cfg,
-                1,
-                Some(16),
-                Step3Strategy::PivotGrouped,
-                &mut sink,
-                &mut rec,
-            );
+            let (out, _) = run_derandomized(&eg, cfg, 1, Some(16), &mut sink, &mut rec);
             assert_eq!(out.triangles, naive::count_triangles(&g));
             out.step3_chunk_passes
         };

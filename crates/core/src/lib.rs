@@ -58,8 +58,7 @@ pub use input::ExtGraph;
 pub use sink::{CollectingSink, CountingSink, DurableSink, FnSink, StrictSink, TriangleSink};
 pub use stats::RunReport;
 pub use workunit::{
-    enumerate_triangles_sharded, enumerate_triangles_sharded_with_checkpoint, ShardConfigError,
-    ShardPlan, ShardedReport, WorkUnit, WorkUnitKind,
+    enumerate_triangles_sharded, ShardConfigError, ShardPlan, ShardedReport, WorkUnit, WorkUnitKind,
 };
 
 // Re-export the configuration and machine types so downstream users need
@@ -144,52 +143,6 @@ impl Algorithm {
     }
 }
 
-/// Which implementation of the cache-aware algorithms' step 3 (the
-/// colour-triple enumeration) a run uses.
-///
-/// Hidden from the public API: the production path is always
-/// [`Step3Strategy::PivotGrouped`]; the per-triple loop is retained solely
-/// so the test-suite can pin the two bit-identical (same triangle multiset,
-/// same counts) across graph families and drivers.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Step3Strategy {
-    /// Group the `c³` colour triples by pivot colour pair `(τ2, τ3)`: build
-    /// each pivot chunk's Lemma 2 indexes once and stream all `c` cone
-    /// colours' class views against it (zero-copy, no per-triangle filter).
-    #[default]
-    PivotGrouped,
-    /// The pre-grouping reference: one Lemma 2 invocation per colour triple,
-    /// with a materialised pivot copy, a re-merged edge set and a
-    /// per-triangle cone-colour filter each time.
-    PerTripleReference,
-}
-
-/// Which order evaluates the cache-oblivious algorithm's colour-refinement
-/// tree. Both orders compute the identical tree and triangle multiset (the
-/// oracle suite pins them bit-identical).
-///
-/// Hidden from the public API: the production path is always
-/// [`RecursionStrategy::DepthFirst`] — depth-first order is what keeps
-/// below-memory subtrees cache-resident, which is where the algorithm's
-/// `√M` I/O saving comes from. The level-synchronous driver (one
-/// order-preserving partition sweep per tree depth) is retained as a
-/// measured alternative so its equivalence and O(depth)-sweeps guarantees
-/// stay executable; see `cache_oblivious.rs` for why measurement rejected
-/// it as the default.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecursionStrategy {
-    /// Per-node depth-first recursion (production): one partition sweep per
-    /// internal node, subtrees completed before their siblings start.
-    #[default]
-    DepthFirst,
-    /// Process the tree one depth at a time: a single order-preserving
-    /// partition sweep routes every live node to the next level (`O(depth)`
-    /// sweeps in total), with per-node metadata in thin disk streams.
-    LevelSynchronous,
-}
-
 /// All algorithms, in the order the experiment tables list them.
 pub const ALL_ALGORITHMS: [Algorithm; 6] = [
     Algorithm::CacheAwareRandomized { seed: 0xC0FFEE },
@@ -237,39 +190,7 @@ pub fn enumerate_triangles(
     cfg: EmConfig,
     sink: &mut dyn TriangleSink,
 ) -> RunReport {
-    enumerate_triangles_with_step3(graph, algorithm, cfg, sink, Step3Strategy::default())
-}
-
-/// [`enumerate_triangles`] with an explicit [`Step3Strategy`] for the
-/// cache-aware algorithms (ignored by the others). Hidden: only the
-/// equivalence test-suite selects a non-default strategy.
-#[doc(hidden)]
-pub fn enumerate_triangles_with_step3(
-    graph: &Graph,
-    algorithm: Algorithm,
-    cfg: EmConfig,
-    sink: &mut dyn TriangleSink,
-    strategy: Step3Strategy,
-) -> RunReport {
-    enumerate_triangles_with_strategies(graph, algorithm, cfg, sink, strategy, Default::default())
-}
-
-/// [`enumerate_triangles`] with every strategy toggle explicit: the
-/// [`Step3Strategy`] of the cache-aware algorithms and the
-/// [`RecursionStrategy`] of the cache-oblivious one (each ignored by the
-/// algorithms it does not apply to). Hidden: only the equivalence
-/// test-suites select non-default strategies.
-#[doc(hidden)]
-pub fn enumerate_triangles_with_strategies(
-    graph: &Graph,
-    algorithm: Algorithm,
-    cfg: EmConfig,
-    sink: &mut dyn TriangleSink,
-    strategy: Step3Strategy,
-    recursion: RecursionStrategy,
-) -> RunReport {
-    let machine = Machine::new(cfg);
-    run_on_machine(&machine, graph, algorithm, sink, strategy, recursion)
+    enumerate_triangles_on(&Machine::new(cfg), graph, algorithm, sink)
 }
 
 /// Enumerates every triangle of `graph` on a *caller-built* machine — the
@@ -285,24 +206,6 @@ pub fn enumerate_triangles_on(
     graph: &Graph,
     algorithm: Algorithm,
     sink: &mut dyn TriangleSink,
-) -> RunReport {
-    run_on_machine(
-        machine,
-        graph,
-        algorithm,
-        sink,
-        Step3Strategy::default(),
-        RecursionStrategy::default(),
-    )
-}
-
-fn run_on_machine(
-    machine: &Machine,
-    graph: &Graph,
-    algorithm: Algorithm,
-    sink: &mut dyn TriangleSink,
-    strategy: Step3Strategy,
-    recursion: RecursionStrategy,
 ) -> RunReport {
     let cfg = machine.config();
     let ext = ExtGraph::load(machine, graph);
@@ -326,7 +229,6 @@ fn run_on_machine(
                     &ext,
                     cfg,
                     seed,
-                    strategy,
                     &mut translating,
                     &mut recorder,
                 );
@@ -348,7 +250,6 @@ fn run_on_machine(
                     cfg,
                     family_seed,
                     candidates,
-                    strategy,
                     &mut translating,
                     &mut recorder,
                 );
@@ -363,7 +264,6 @@ fn run_on_machine(
                 let (n, stats) = cache_oblivious::run_cache_oblivious(
                     &ext,
                     seed,
-                    recursion,
                     &mut translating,
                     &mut recorder,
                 );
@@ -501,7 +401,6 @@ fn run_recoverable(
         cache_oblivious::run_cache_oblivious_recoverable(
             &ext,
             seed,
-            RecursionStrategy::DepthFirst,
             &mut translating,
             &mut recorder,
             spec,

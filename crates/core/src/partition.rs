@@ -8,7 +8,7 @@
 //! (`c² ≤ E/M ≤ M` under the paper's assumptions, so the table respects the
 //! memory budget and is accounted on the gauge by the caller).
 
-use emalgo::{external_sort_by_key, kway_merge};
+use emalgo::external_sort_by_key;
 use emsim::{ExtSlice, ExtVec};
 use graphgen::{Edge, VertexId};
 
@@ -86,37 +86,6 @@ impl ColorPartition {
         self.edges.slice(self.offsets[k], self.offsets[k + 1])
     }
 
-    /// Copies class `(τ1, τ2)` into its own array (one scan of the class).
-    /// Kept for the per-triple reference implementation of step 3 and the
-    /// tests; the production path uses [`ColorPartition::class_slice`].
-    pub(crate) fn extract_class(&self, t1: u64, t2: u64) -> ExtVec<Edge> {
-        let machine = self.edges.machine().clone();
-        let mut out: ExtVec<Edge> = ExtVec::new(&machine);
-        out.extend(self.class_slice(t1, t2).iter());
-        out
-    }
-
-    /// Merges the listed classes (given as ordered colour pairs, duplicates
-    /// ignored) into a single lexicographically sorted edge array — the edge
-    /// set `E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3}` that the per-triple reference
-    /// step 3 feeds to Lemma 2, materialised via the streaming
-    /// [`emalgo::kway_merge`] (sequential cursors instead of per-element
-    /// best-of-k random probes).
-    pub(crate) fn union_sorted(&self, pairs: &[(u64, u64)]) -> ExtVec<Edge> {
-        let machine = self.edges.machine().clone();
-        let mut distinct: Vec<(u64, u64)> = pairs.to_vec();
-        distinct.sort_unstable(); // emlint: allow(uncharged-std, reason = "sorts at most three colour pairs")
-        distinct.dedup();
-
-        let cursors = distinct
-            .iter()
-            .map(|&(a, b)| self.class_slice(a, b).iter())
-            .collect();
-        let mut out: ExtVec<Edge> = ExtVec::new(&machine);
-        out.extend(kway_merge(&machine, cursors, |e: &Edge| (e.u, e.v)));
-        out
-    }
-
     /// The colour-balance statistic
     /// `X_ξ = Σ_{τ1,τ2} C(|E_{τ1,τ2}|, 2)` of equation (1) — the quantity
     /// Lemma 3 bounds by `E·M` in expectation and the derandomization keeps
@@ -156,7 +125,7 @@ mod tests {
         let mut reassembled: Vec<Edge> = Vec::new();
         for t1 in 0..4 {
             for t2 in 0..4 {
-                let class = part.extract_class(t1, t2).load_all();
+                let class = part.class_slice(t1, t2).load();
                 assert_eq!(class.len(), part.class_len(t1, t2));
                 for e in &class {
                     assert_eq!(coloring.color(e.u), t1, "wrong colour of smaller endpoint");
@@ -170,19 +139,8 @@ mod tests {
     }
 
     #[test]
-    fn union_is_sorted_and_deduplicated() {
-        let (_m, _el, part, _col) = setup(3, 5);
-        let u = part
-            .union_sorted(&[(0, 1), (1, 2), (0, 1), (0, 2)])
-            .load_all();
-        assert!(u.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
-        let expected = part.class_len(0, 1) + part.class_len(1, 2) + part.class_len(0, 2);
-        assert_eq!(u.len(), expected);
-    }
-
-    #[test]
     fn class_slices_are_zero_copy_and_agree_with_extraction() {
-        let (m, _el, part, _col) = setup(4, 7);
+        let (m, el, part, coloring) = setup(4, 7);
         m.cold_cache();
         let before = m.io().total();
         let mut covered = 0usize;
@@ -195,11 +153,17 @@ mod tests {
         }
         assert_eq!(m.io().total(), before, "creating views must move no blocks");
         assert_eq!(covered, part.total_edges());
+        let all = el.load_all();
         for t1 in 0..4 {
             for t2 in 0..4 {
+                let expected: Vec<Edge> = all
+                    .iter()
+                    .copied()
+                    .filter(|e| coloring.color(e.u) == t1 && coloring.color(e.v) == t2)
+                    .collect();
                 assert_eq!(
                     part.class_slice(t1, t2).load(),
-                    part.extract_class(t1, t2).load_all(),
+                    expected,
                     "class ({t1},{t2})"
                 );
             }
@@ -234,7 +198,6 @@ mod tests {
                 }
             }
             assert_eq!(part.index_words(), c * c + 1);
-            assert!(part.union_sorted(&[(0, 0)]).is_empty());
         }
     }
 

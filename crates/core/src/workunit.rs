@@ -37,12 +37,11 @@
 use emsim::{BackendKind, EmConfig, ExtVec, IoStats, Machine, PhaseSnapshot, WorkerReport};
 use graphgen::{Graph, Triangle};
 
-use crate::checkpoint::CheckpointSpec;
 use crate::input::ExtGraph;
 use crate::sink::{CollectingSink, TriangleSink};
 use crate::stats::{PhaseRecorder, RunReport};
 use crate::{cache_aware, cache_oblivious, derandomized};
-use crate::{Algorithm, Step3Strategy, TranslatingSink};
+use crate::{Algorithm, TranslatingSink};
 
 /// Default spawn depth of the cache-oblivious driver: subtrees rooted at
 /// depth 2 of the colour-refinement tree become work units (up to `8² = 64`
@@ -142,11 +141,6 @@ impl ShardCursor {
         }
     }
 
-    /// Whether every unit is owned (the sequential degenerate case).
-    pub(crate) fn is_solo(&self) -> bool {
-        self.workers == 1
-    }
-
     /// Ticks the unit counter and answers whether this worker owns the unit
     /// just passed. Pure in-core bookkeeping: charges no I/O and no work, so
     /// a solo cursor leaves the sequential accounting untouched.
@@ -237,15 +231,6 @@ pub enum ShardConfigError {
         /// [`Algorithm::name`] of the rejected algorithm.
         name: &'static str,
     },
-    /// A [`CheckpointSpec`] was supplied: checkpoint frontiers are
-    /// per-machine, and the sharded scheduler does not (yet) compose
-    /// per-worker frontier files into one resumable state. Use
-    /// [`crate::enumerate_triangles_with_recovery`] for crash-safe
-    /// (sequential) runs.
-    CheckpointUnsupported {
-        /// The worker count of the rejected plan.
-        workers: usize,
-    },
 }
 
 impl std::fmt::Display for ShardConfigError {
@@ -254,13 +239,6 @@ impl std::fmt::Display for ShardConfigError {
             ShardConfigError::ZeroWorkers => write!(f, "a sharded run needs at least one worker"),
             ShardConfigError::UnsupportedAlgorithm { name } => {
                 write!(f, "algorithm {name} has no work-unit decomposition; only the paper's drivers run sharded")
-            }
-            ShardConfigError::CheckpointUnsupported { workers } => {
-                write!(
-                    f,
-                    "checkpointing does not compose with {workers}-worker sharding: checkpoint \
-                     frontiers are per-machine; use enumerate_triangles_with_recovery instead"
-                )
             }
         }
     }
@@ -325,7 +303,10 @@ struct WorkerRun {
 /// entry points, which deliver in driver emission order.
 ///
 /// Only the paper's three drivers are supported; baselines return
-/// [`ShardConfigError::UnsupportedAlgorithm`].
+/// [`ShardConfigError::UnsupportedAlgorithm`]. Sharded runs do not
+/// checkpoint (checkpoint frontiers are per-machine); use
+/// [`crate::enumerate_triangles_with_recovery`] for crash-safe sequential
+/// runs.
 pub fn enumerate_triangles_sharded(
     graph: &Graph,
     algorithm: Algorithm,
@@ -333,31 +314,8 @@ pub fn enumerate_triangles_sharded(
     plan: ShardPlan,
     sink: &mut dyn TriangleSink,
 ) -> Result<ShardedReport, ShardConfigError> {
-    enumerate_triangles_sharded_with_checkpoint(graph, algorithm, cfg, plan, sink, None)
-}
-
-/// [`enumerate_triangles_sharded`] with an explicit checkpoint argument —
-/// which the scheduler **rejects** with a typed error whenever a spec is
-/// supplied: checkpoint frontiers are per-machine, and composing `P`
-/// per-worker frontier files into one resumable state is not implemented.
-/// The argument exists so callers migrating from
-/// [`crate::enumerate_triangles_with_recovery`] get a compile-visible,
-/// typed answer instead of a silently ignored spec.
-pub fn enumerate_triangles_sharded_with_checkpoint(
-    graph: &Graph,
-    algorithm: Algorithm,
-    cfg: EmConfig,
-    plan: ShardPlan,
-    sink: &mut dyn TriangleSink,
-    checkpoint: Option<&CheckpointSpec>,
-) -> Result<ShardedReport, ShardConfigError> {
     if plan.workers == 0 {
         return Err(ShardConfigError::ZeroWorkers);
-    }
-    if checkpoint.is_some() {
-        return Err(ShardConfigError::CheckpointUnsupported {
-            workers: plan.workers,
-        });
     }
     if !algorithm.is_paper_algorithm() {
         return Err(ShardConfigError::UnsupportedAlgorithm {
@@ -445,7 +403,6 @@ fn run_worker(
                     &ext,
                     cfg,
                     seed,
-                    Step3Strategy::default(),
                     &mut translating,
                     &mut recorder,
                     &mut cursor,
@@ -467,7 +424,6 @@ fn run_worker(
                     cfg,
                     family_seed,
                     candidates,
-                    Step3Strategy::default(),
                     &mut translating,
                     &mut recorder,
                     &mut cursor,
@@ -729,30 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_spec_is_rejected_with_a_typed_error() {
-        let g = generators::erdos_renyi(50, 200, 1);
-        let cfg = EmConfig::new(256, 32);
-        let spec = CheckpointSpec {
-            path: std::path::PathBuf::from("unused.ckpt"),
-            interval_io: 100,
-        };
-        for workers in [1usize, 4] {
-            let mut sink = CollectingSink::new();
-            let err = enumerate_triangles_sharded_with_checkpoint(
-                &g,
-                Algorithm::CacheObliviousRandomized { seed: 1 },
-                cfg,
-                ShardPlan::new(workers),
-                &mut sink,
-                Some(&spec),
-            )
-            .expect_err("checkpointing must not silently combine with sharding");
-            assert_eq!(err, ShardConfigError::CheckpointUnsupported { workers });
-            assert_eq!(sink.len(), 0, "no partial results on a config error");
-        }
-    }
-
-    #[test]
     fn invalid_plans_are_typed_errors() {
         let g = generators::erdos_renyi(50, 200, 1);
         let cfg = EmConfig::new(256, 32);
@@ -781,10 +713,9 @@ mod tests {
                 name: "hu-tao-chung"
             }
         );
-        let err = ShardConfigError::CheckpointUnsupported { workers: 2 };
-        assert!(err
+        assert!(ShardConfigError::ZeroWorkers
             .to_string()
-            .contains("enumerate_triangles_with_recovery"));
+            .contains("at least one worker"));
     }
 
     #[test]

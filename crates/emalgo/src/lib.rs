@@ -25,10 +25,8 @@
 //! * [`scan_partition`] / [`PartitionWriter`] — a **multi-way single-pass
 //!   partition**: every element is classified once and routed to any subset
 //!   of up to [`MAX_PARTITION_BUCKETS`] output buckets in one scan. The
-//!   writer form keeps the buckets open across many sorted runs, which is how
-//!   the level-synchronous cache-oblivious recursion routes a whole tree
-//!   level (every live node's eight-child split) through one distribution
-//!   sweep.
+//!   writer form keeps the buckets open across many sorted runs, so they
+//!   share one distribution sweep.
 //! * [`kway_merge_tagged`] — the merge with **source tags**: each yielded
 //!   element names the cursor it came from, turning the merge into a
 //!   single-pass join driver over key-aligned files (the batched wedge-join

@@ -28,14 +28,12 @@ pub const MAX_PARTITION_BUCKETS: usize = 32;
 /// An incremental, order-preserving multi-way partition: `k` output buckets
 /// held open while the caller feeds elements one at a time.
 ///
-/// This is the primitive behind the level-synchronous cache-oblivious
-/// recursion: one writer is opened per *level* and every live node's arcs are
-/// routed through it, so the whole level pays for a single distribution sweep
-/// (k open tail blocks) instead of one [`scan_partition`] call — with its own
-/// fresh buckets and its own partial tail blocks — per node. Elements arrive
-/// in whatever order the caller feeds them and every bucket preserves exactly
-/// that order (the partition is *stable*), so sorted runs fed run-by-run come
-/// out as sorted runs, concatenated in feed order.
+/// Several inputs can share one writer, paying for a single distribution
+/// sweep (k open tail blocks) instead of one [`scan_partition`] call — with
+/// its own fresh buckets and its own partial tail blocks — per input.
+/// Elements arrive in whatever order the caller feeds them and every bucket
+/// preserves exactly that order (the partition is *stable*), so sorted runs
+/// fed run-by-run come out as sorted runs, concatenated in feed order.
 ///
 /// The `O(k)` words of in-core routing state are registered on the machine's
 /// [`emsim::MemGauge`] for the writer's lifetime. [`scan_partition`] is the
@@ -245,8 +243,8 @@ mod tests {
 
     #[test]
     fn writer_is_stable_across_multiple_runs_and_reports_lengths() {
-        // The level-synchronous use case: several sorted runs fed through one
-        // open writer come out as sorted runs, delimited by bucket_len deltas.
+        // Several sorted runs fed through one open writer come out as sorted
+        // runs, delimited by bucket_len deltas.
         let machine = m();
         let runs: Vec<Vec<u64>> = vec![vec![0, 2, 4, 6], vec![1, 3, 5], vec![8, 10]];
         let mut writer: PartitionWriter<u64> = PartitionWriter::new(&machine, 2);

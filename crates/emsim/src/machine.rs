@@ -266,15 +266,6 @@ impl Machine {
         Self::with_parts(config, Box::new(FaultyStorage::new(plan)), backend)
     }
 
-    /// Creates a machine with an arbitrary charge gate and data plane.
-    pub fn with_storage_backend(
-        config: EmConfig,
-        storage: Box<dyn Storage>,
-        backend: BackendKind,
-    ) -> Self {
-        Self::with_parts(config, storage, backend)
-    }
-
     fn with_parts(config: EmConfig, storage: Box<dyn Storage>, backend: BackendKind) -> Self {
         let data = match backend {
             BackendKind::InMemory => DataPlane::Mem(LruCache::new(config.frames())),

@@ -12,9 +12,8 @@
 //! keeps frame `s` for the block in the cache's slot `s`. Misses, victims and
 //! dirty write-backs are therefore the simulator's, decision for decision,
 //! which is what makes the E11 `DISK_PARITY` gate — identical charged
-//! transfer counts on both backends — hold; the
-//! `policy_matches_the_simulator_lru_cache` test below and the CI gate are
-//! the witnesses.
+//! transfer counts on both backends — hold; the `tests/disk_backend_parity.rs`
+//! suite and the CI gate are the witnesses.
 //!
 //! **Block handles.** Because frames are indexed by cache slot, a cursor's
 //! [`crate::cache::BlockHandle`] names a frame as well as an LRU node. The
@@ -334,37 +333,6 @@ mod tests {
     /// misses, same dirty write-backs. (This is what makes disk-backend
     /// charged counts identical to the simulator's, the E11 `DISK_PARITY`
     /// gate.)
-    #[test]
-    fn policy_matches_the_simulator_lru_cache() {
-        use crate::cache::LruCache;
-        for capacity in [1usize, 2, 3, 7] {
-            let mut dev = MockDevice::new(1);
-            let mut pool = BufferPool::new(capacity, 1);
-            let mut cache = LruCache::new(capacity);
-            // Deterministic pseudo-random walk over a key space larger than
-            // the capacity, mixing reads and writes.
-            let mut x = 0x9E37_79B9u64;
-            for step in 0..5_000u64 {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let key = (x >> 33) % (capacity as u64 * 3 + 2);
-                let write = x & 1 == 0;
-                let sim = cache.touch(key, write);
-                // `fresh` mirrors the machine: a miss on a block the device
-                // has never seen only happens for fresh appends, which the
-                // machine detects itself; here every first touch is fresh.
-                let fresh = !dev.contains(key) && !pool.resident(key);
-                let real = pool.access(key, write, fresh, &mut dev);
-                assert_eq!(
-                    (sim.miss, sim.writeback),
-                    (real.miss, real.writeback),
-                    "capacity {capacity}, step {step}, key {key}, write {write}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn discard_drops_without_writeback() {
         let mut dev = MockDevice::new(2);

@@ -2,19 +2,15 @@
 //! in-memory oracle over randomly drawn graph *families* (Erdős–Rényi,
 //! power-law, lollipop), a deterministic adversarial corpus, a regression
 //! pin on the cache-oblivious recursion/work counters so the canonical-list
-//! rewrite cannot silently regress, an equivalence suite pinning the
-//! pivot-grouped step 3 of the cache-aware algorithms bit-identical to the
-//! per-triple reference loop it replaced, and an equivalence suite pinning
-//! the cache-oblivious depth-first and level-synchronous drivers to the
-//! identical recursion tree and triangle multiset.
+//! rewrite cannot silently regress, and worker-count invariance of the
+//! sharded drivers.
 
 use emsim::EmConfig;
 use graphgen::{generators, naive, Graph, Triangle};
 use proptest::prelude::*;
 use trienum::{
-    count_triangles, enumerate_triangles, enumerate_triangles_sharded,
-    enumerate_triangles_with_step3, enumerate_triangles_with_strategies, Algorithm, CollectingSink,
-    RecursionStrategy, ShardPlan, Step3Strategy,
+    count_triangles, enumerate_triangles, enumerate_triangles_sharded, Algorithm, CollectingSink,
+    ShardPlan,
 };
 
 /// The three paper algorithms, parameterised by a shared seed.
@@ -55,87 +51,19 @@ proptest! {
         g in arb_family_graph(),
         seed in 0u64..1000,
     ) {
-        let expected = naive::count_triangles(&g);
-        let cfg = EmConfig::new(256, 32);
-        for alg in paper_algorithms(seed) {
-            let (got, report) = count_triangles(&g, alg, cfg);
-            prop_assert_eq!(got, expected, "algorithm {}", alg.name());
-            prop_assert_eq!(report.triangles, expected, "report of {}", alg.name());
-        }
-    }
-
-    #[test]
-    fn pivot_grouped_step3_is_bit_identical_to_the_per_triple_reference(
-        g in arb_family_graph(),
-        seed in 0u64..1000,
-    ) {
-        // Equivalence pin for the step-3 rewrite: across the same graph
-        // families, for the randomized *and* the derandomized driver, the
-        // pivot-grouped loop must produce the same triangle multiset and the
-        // same counts as the pre-rewrite per-triple loop — at a comfortable
-        // memory size and under memory pressure.
-        let drivers = [
-            Algorithm::CacheAwareRandomized { seed },
-            Algorithm::DeterministicCacheAware {
-                family_seed: seed,
-                candidates: Some(12),
-            },
-        ];
+        // The full emitted multiset, not only the count, at a comfortable
+        // memory size and under memory pressure (many colours, deep trees).
+        let mut expected: Vec<Triangle> = naive::enumerate_triangles(&g);
+        expected.sort_unstable();
         for cfg in [EmConfig::new(256, 32), EmConfig::new(128, 16)] {
-            for alg in drivers {
-                let run = |strategy: Step3Strategy| -> (u64, Vec<Triangle>) {
-                    let mut sink = CollectingSink::new();
-                    let report = enumerate_triangles_with_step3(&g, alg, cfg, &mut sink, strategy);
-                    let mut ts = sink.into_triangles();
-                    ts.sort_unstable();
-                    (report.triangles, ts)
-                };
-                let (n_grouped, t_grouped) = run(Step3Strategy::PivotGrouped);
-                let (n_reference, t_reference) = run(Step3Strategy::PerTripleReference);
-                prop_assert_eq!(n_grouped, n_reference, "count for {}", alg.name());
-                prop_assert_eq!(t_grouped, t_reference, "multiset for {}", alg.name());
-            }
-        }
-    }
-
-    #[test]
-    fn depth_first_and_level_synchronous_recursions_are_bit_identical(
-        g in arb_family_graph(),
-        seed in 0u64..1000,
-    ) {
-        // Equivalence pin for the cache-oblivious tree-evaluation orders:
-        // across graph families, at a comfortable memory size and under
-        // memory pressure, the depth-first production driver and the
-        // level-synchronous driver must produce the same triangle multiset
-        // AND the same recursion tree (subproblem count, max depth,
-        // truncation count) — the per-level bit schedule makes the tree a
-        // function of the seed alone, so any divergence is a routing or
-        // base-case bug.
-        for cfg in [EmConfig::new(256, 32), EmConfig::new(128, 16)] {
-            let run = |recursion: RecursionStrategy| {
+            for alg in paper_algorithms(seed) {
                 let mut sink = CollectingSink::new();
-                let report = enumerate_triangles_with_strategies(
-                    &g,
-                    Algorithm::CacheObliviousRandomized { seed },
-                    cfg,
-                    &mut sink,
-                    Step3Strategy::default(),
-                    recursion,
-                );
-                let mut ts = sink.into_triangles();
-                ts.sort_unstable();
-                let tree = (
-                    report.extra("subproblems"),
-                    report.extra("max_recursion_depth"),
-                    report.extra("high_degree_truncations"),
-                );
-                (report.triangles, ts, tree)
-            };
-            let (n_df, t_df, tree_df) = run(RecursionStrategy::DepthFirst);
-            let (n_ls, t_ls, tree_ls) = run(RecursionStrategy::LevelSynchronous);
-            prop_assert_eq!(n_df, n_ls, "triangle count");
-            prop_assert_eq!(t_df, t_ls, "triangle multiset");
-            prop_assert_eq!(tree_df, tree_ls, "recursion tree");
+                let report = enumerate_triangles(&g, alg, cfg, &mut sink);
+                let mut got = sink.into_triangles();
+                got.sort_unstable();
+                prop_assert_eq!(report.triangles, expected.len() as u64, "report of {}", alg.name());
+                prop_assert_eq!(got, expected.clone(), "multiset of {}", alg.name());
+            }
         }
     }
 
@@ -340,42 +268,5 @@ fn cache_oblivious_counters_stay_within_post_rewrite_baseline() {
         report.extra("high_degree_truncations"),
         Some(0.0),
         "the ≤16 high-degree invariant should never need enforcement on ER inputs"
-    );
-}
-
-/// Pass-count pin for the level-synchronous driver: one partition sweep per
-/// tree *level* (O(depth)), against the depth-first driver's one sweep per
-/// internal node (O(#nodes)) — on the same deterministic instance as the
-/// regression pin above, whose recorded tree has 4 933 internal routing
-/// nodes across max depth 6.
-#[test]
-fn level_synchronous_driver_sweeps_once_per_level_not_per_node() {
-    let g = generators::erdos_renyi(500, 4_000, 6);
-    let cfg = EmConfig::new(1 << 12, 64);
-    let run = |recursion: RecursionStrategy| {
-        let mut sink = CollectingSink::new();
-        let report = enumerate_triangles_with_strategies(
-            &g,
-            Algorithm::CacheObliviousRandomized { seed: 0xA11CE },
-            cfg,
-            &mut sink,
-            Step3Strategy::default(),
-            recursion,
-        );
-        (
-            report.extra("partition_sweeps").expect("sweeps reported"),
-            report.extra("max_recursion_depth").expect("depth reported"),
-        )
-    };
-    let (level_sweeps, depth) = run(RecursionStrategy::LevelSynchronous);
-    let (node_sweeps, _) = run(RecursionStrategy::DepthFirst);
-    assert!(
-        level_sweeps <= depth + 1.0,
-        "level-synchronous sweeps ({level_sweeps}) must be bounded by the tree depth ({depth})"
-    );
-    assert!(
-        node_sweeps >= 100.0 * level_sweeps,
-        "expected O(#nodes) sweeps depth-first vs O(depth) level-synchronous \
-         ({node_sweeps} vs {level_sweeps})"
     );
 }
