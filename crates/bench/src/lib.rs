@@ -13,15 +13,16 @@
 #![warn(missing_docs)]
 
 use emsim::{
-    BackendKind, CrashPoint, EmConfig, FaultEvent, FaultPlan, Machine, PhaseSnapshot, RetryPolicy,
+    silence_simulated_crash_panics, BackendKind, CrashPoint, EmConfig, FaultEvent, FaultPlan,
+    Machine, PhaseSnapshot, RetryPolicy,
 };
 use graphgen::{generators, naive, Graph};
 use trienum::checkpoint::atomic_write;
 use trienum::lower_bound::LowerBound;
 use trienum::{
     count_triangles, enumerate_triangles, enumerate_triangles_on, enumerate_triangles_sharded,
-    enumerate_triangles_with_recovery, measure_random_coloring_balance, resume_enumeration,
-    Algorithm, Checkpoint, CheckpointSpec, CollectingSink, ExtGraph, RunReport, ShardPlan,
+    enumerate_triangles_with_recovery, measure_random_coloring_balance, Algorithm, Checkpoint,
+    CheckpointSpec, CollectingSink, ExtGraph, RunReport, ShardPlan,
 };
 
 /// One row of an experiment table: a label plus named numeric columns.
@@ -822,21 +823,6 @@ pub struct E9Outcome {
     pub fault_trace: Vec<FaultEvent>,
 }
 
-/// Installs (once) a panic hook that swallows the [`CrashPoint`] payloads
-/// the chaos sweep raises on purpose; every other panic still reaches the
-/// previously installed hook, so real failures stay loud.
-fn silence_simulated_crash_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CrashPoint>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
 /// A unique scratch directory for one sweep's checkpoint files.
 fn e9_scratch_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -873,7 +859,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     let reference = Machine::new(cfg);
     let mut oracle_sink = CollectingSink::new();
     let ref_report =
-        enumerate_triangles_with_recovery(&g, &reference, seed, &mut oracle_sink, None);
+        enumerate_triangles_with_recovery(&g, &reference, seed, &mut oracle_sink, None, None);
     let ref_transfers = reference.transfers();
     let run_io = ref_report.io.total();
     // `CrashAt` counts charged transfers from machine creation, so crash
@@ -941,7 +927,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
             .with_torn_writes(E9_TORN_WRITE_PER_MILLE)
             .with_retry(e9_retry_policy())
             .with_crash_at(crash_at);
-        let crashed_machine = Machine::with_faults(cfg, plan);
+        let crashed_machine = Machine::with_faults(cfg, plan, BackendKind::InMemory);
         let mut collected = CollectingSink::new();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             enumerate_triangles_with_recovery(
@@ -950,6 +936,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
                 seed,
                 &mut collected,
                 Some(&spec),
+                None,
             )
         }));
         let payload = match outcome {
@@ -982,36 +969,39 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
             .with_read_faults(E9_READ_FAULT_PER_MILLE)
             .with_torn_writes(E9_TORN_WRITE_PER_MILLE)
             .with_retry(e9_retry_policy());
-        let resume_machine = Machine::with_faults(cfg, resume_plan);
+        let resume_machine = Machine::with_faults(cfg, resume_plan, BackendKind::InMemory);
         let resumed = ckpt_path.exists();
         let committed = collected.len() as u64;
-        if resumed {
-            let ck = Checkpoint::load(&ckpt_path).expect("loading the surviving checkpoint");
-            if ck.hwm != committed {
-                record(
-                    &mut exactness,
-                    format!(
-                        "crash@{crash_at}: checkpoint high-water mark {} disagrees with the \
-                         {committed} triangles actually committed",
-                        ck.hwm
-                    ),
-                );
-            }
-            resume_enumeration(&g, &resume_machine, &ck, &mut collected, None);
-        } else {
-            if committed != 0 {
-                record(
-                    &mut exactness,
-                    format!(
-                        "crash@{crash_at}: {committed} triangles committed although no \
-                         checkpoint was ever written"
-                    ),
-                );
-            }
-            // Crashed before the first checkpoint: nothing durable exists,
-            // so recovery is a plain fresh run.
-            enumerate_triangles_with_recovery(&g, &resume_machine, seed, &mut collected, None);
+        let ck = resumed
+            .then(|| Checkpoint::load(&ckpt_path).expect("loading the surviving checkpoint"));
+        match &ck {
+            Some(ck) if ck.hwm != committed => record(
+                &mut exactness,
+                format!(
+                    "crash@{crash_at}: checkpoint high-water mark {} disagrees with the \
+                     {committed} triangles actually committed",
+                    ck.hwm
+                ),
+            ),
+            None if committed != 0 => record(
+                &mut exactness,
+                format!(
+                    "crash@{crash_at}: {committed} triangles committed although no \
+                     checkpoint was ever written"
+                ),
+            ),
+            _ => {}
         }
+        // Without a checkpoint nothing durable exists, so recovery is a
+        // plain fresh run.
+        enumerate_triangles_with_recovery(
+            &g,
+            &resume_machine,
+            seed,
+            &mut collected,
+            None,
+            ck.as_ref(),
+        );
         let resume_stats = resume_machine.stats();
         let resume_transfers = resume_machine.transfers();
         if resume_machine.gauge().in_use() != 0 {

@@ -43,22 +43,12 @@ pub(crate) struct ColoredRunOutcome {
     pub step3_chunk_passes: u64,
 }
 
-/// Runs the cache-aware randomized algorithm.
+/// Runs the cache-aware randomized algorithm under `shard`: the worker
+/// executes only the step-1 vertices and step-3 pivot pairs it owns (a solo
+/// cursor owns them all). The colouring depends on `seed` alone — never on
+/// the worker — so every worker agrees on the classes and the unit
+/// numbering.
 pub(crate) fn run_cache_aware_randomized(
-    graph: &ExtGraph,
-    cfg: EmConfig,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-) -> ColoredRunOutcome {
-    run_cache_aware_randomized_sharded(graph, cfg, seed, sink, recorder, &mut ShardCursor::solo())
-}
-
-/// [`run_cache_aware_randomized`] under a shard cursor: the worker executes
-/// only the step-1 vertices and step-3 pivot pairs it owns. The colouring
-/// depends on `seed` alone — never on the worker — so every worker agrees on
-/// the classes and the unit numbering.
-pub(crate) fn run_cache_aware_randomized_sharded(
     graph: &ExtGraph,
     cfg: EmConfig,
     seed: u64,
@@ -279,7 +269,14 @@ mod tests {
         let before = machine.io().total();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(&eg, cfg, seed, &mut sink, &mut rec);
+        let out = run_cache_aware_randomized(
+            &eg,
+            cfg,
+            seed,
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+        );
         (out.triangles, machine.io().total() - before, out)
     }
 
@@ -445,7 +442,8 @@ mod tests {
         let eg = ExtGraph::load(&machine, &g);
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(&eg, cfg, 1, &mut sink, &mut rec);
+        let out =
+            run_cache_aware_randomized(&eg, cfg, 1, &mut sink, &mut rec, &mut ShardCursor::solo());
         assert_eq!(out.triangles, 0);
     }
 
@@ -505,7 +503,8 @@ mod tests {
         machine.gauge().reset_peak();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(&eg, cfg, 2, &mut sink, &mut rec);
+        let out =
+            run_cache_aware_randomized(&eg, cfg, 2, &mut sink, &mut rec, &mut ShardCursor::solo());
         assert_eq!(out.triangles, naive::count_triangles(&g));
         assert!(
             machine.gauge().peak() <= 2 * cfg.mem_words as u64,

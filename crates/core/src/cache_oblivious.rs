@@ -97,14 +97,14 @@ use graphgen::{Edge, Triangle, VertexId};
 use kwise::{FourWise, RefinedColoring};
 
 use crate::checkpoint::{
-    Checkpoint, CheckpointSpec, FrameDescriptor, NodeDescriptor, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointSpec, FrameDescriptor, NodeDescriptor, Recovery, CHECKPOINT_VERSION,
 };
 use crate::input::ExtGraph;
 use crate::lemma1::enumerate_through_vertex;
 use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::util::{remove_incident_edges, SortKind};
-use crate::workunit::{ShardCursor, WorkUnitKind};
+use crate::workunit::{ShardCursor, WorkUnitKind, DEFAULT_SPAWN_DEPTH};
 
 /// Subproblems of at most this many edges are joined in core directly. A
 /// fixed constant — the cache-oblivious model forbids dependence on `M`/`B`,
@@ -230,12 +230,6 @@ struct CoContext<'a> {
     /// The unit→worker assignment of a sharded run; a solo cursor (every
     /// claim succeeds, pure counter ticks) on sequential runs.
     shard: &'a mut ShardCursor,
-    /// Depth of the refinement tree at which whole subtrees become work
-    /// units. The tree strictly above is replicated on every worker, with
-    /// its leaf and high-degree *emissions* individually sharded;
-    /// `usize::MAX` on sequential runs, making every node "above" the spawn
-    /// depth and every claim a solo-cursor no-op.
-    spawn_depth: usize,
 }
 
 /// The run-global files of the batched oversized-leaf base case: wedges and
@@ -275,79 +269,36 @@ pub(crate) struct CacheObliviousStats {
 }
 
 /// Runs the cache-oblivious randomized algorithm on `graph` with the given
-/// random seed; returns the number of triangles emitted and recursion
-/// statistics.
+/// random seed under `shard`; returns the number of triangles emitted and
+/// recursion statistics.
+///
+/// Every worker replicates the top of the refinement tree (strictly above
+/// [`DEFAULT_SPAWN_DEPTH`]) — the per-level bits are a function of `seed`
+/// and the level alone, so all workers expand the identical tree — and each
+/// node *at* the spawn depth is one whole subtree unit processed only by its
+/// owner. Leaf and high-degree emissions of the replicated top are
+/// individually sharded so their triangles are emitted exactly once across
+/// the pool. A solo cursor owns every unit and its claims charge nothing, so
+/// the sequential run is this same code.
+///
+/// When `recovery.spec` is given the depth-first driver writes an atomic
+/// checkpoint at each subproblem boundary that crosses the I/O interval
+/// (committing the sink via [`TriangleSink::on_checkpoint`] right after each
+/// write); when `recovery.resume` is given the run starts from that
+/// checkpoint instead of the root — replaying the batched-leaf log,
+/// rebuilding the stack frontier by filter scans of the re-sorted root, and
+/// continuing the exactly-once emission numbering at the checkpoint's
+/// high-water mark. With both `None` the checkpoint plumbing costs nothing.
+/// Sharded runs never checkpoint.
 pub(crate) fn run_cache_oblivious(
     graph: &ExtGraph,
     seed: u64,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
-) -> (u64, CacheObliviousStats) {
-    run_cache_oblivious_recoverable(graph, seed, sink, recorder, None, None)
-}
-
-/// [`run_cache_oblivious`] under a shard cursor: every worker replicates the
-/// top of the refinement tree (strictly above `spawn_depth`) — the per-level
-/// bits are a function of `seed` and the level alone, so all workers expand
-/// the identical tree — and each node *at* the spawn depth is one whole
-/// subtree unit processed only by its owner. Leaf and high-degree emissions
-/// of the replicated top are individually sharded so their triangles are
-/// emitted exactly once across the pool. Sharded runs never checkpoint.
-pub(crate) fn run_cache_oblivious_sharded(
-    graph: &ExtGraph,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
     shard: &mut ShardCursor,
-    spawn_depth: usize,
+    recovery: Recovery<'_>,
 ) -> (u64, CacheObliviousStats) {
-    run_cache_oblivious_inner(graph, seed, sink, recorder, None, None, shard, spawn_depth)
-}
-
-/// [`run_cache_oblivious`] with crash-safety armed: when `spec` is given the
-/// depth-first driver writes an atomic checkpoint at each subproblem boundary
-/// that crosses the I/O interval (committing the sink via
-/// [`TriangleSink::on_checkpoint`] right after each write); when `resume` is
-/// given the run starts from that checkpoint instead of the root — replaying
-/// the batched-leaf log, rebuilding the stack frontier by filter scans of the
-/// re-sorted root, and continuing the exactly-once emission numbering at the
-/// checkpoint's high-water mark.
-///
-/// With both options `None` this is byte-for-byte the ordinary run: the
-/// checkpoint plumbing is pay-for-what-you-use.
-pub(crate) fn run_cache_oblivious_recoverable(
-    graph: &ExtGraph,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-    spec: Option<&CheckpointSpec>,
-    resume: Option<&Checkpoint>,
-) -> (u64, CacheObliviousStats) {
-    // A solo cursor and an unreachable spawn depth: every claim succeeds
-    // without charging anything, so this is the sequential driver verbatim.
-    run_cache_oblivious_inner(
-        graph,
-        seed,
-        sink,
-        recorder,
-        spec,
-        resume,
-        &mut ShardCursor::solo(),
-        usize::MAX,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cache_oblivious_inner(
-    graph: &ExtGraph,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-    spec: Option<&CheckpointSpec>,
-    resume: Option<&Checkpoint>,
-    shard: &mut ShardCursor,
-    spawn_depth: usize,
-) -> (u64, CacheObliviousStats) {
+    let Recovery { spec, resume } = recovery;
     let machine = graph.machine().clone();
     let e = graph.edge_count();
     if e < 3 {
@@ -400,7 +351,6 @@ fn run_cache_oblivious_inner(
         leaf_log: Vec::new(),
         log_leaves: spec.is_some(),
         shard,
-        spawn_depth,
     };
     let stack = match resume {
         None => vec![Frame::Node(PendingNode {
@@ -962,9 +912,9 @@ fn process_node(
     // depth and are never gated — they exist only on the owner's stack);
     // every other worker drops it here, before any charged access. Dead
     // nodes (< 3 edges) return above on every worker alike, so the claim
-    // stream stays aligned across the pool. On sequential runs the spawn
-    // depth is `usize::MAX` and no node ever claims here.
-    if depth == ctx.spawn_depth
+    // stream stays aligned across the pool. On sequential runs the solo
+    // cursor owns every claim.
+    if depth == DEFAULT_SPAWN_DEPTH
         && !ctx
             .shard
             .claim(WorkUnitKind::RefinementSubtree { depth, target })
@@ -975,7 +925,7 @@ fn process_node(
     // and the *emissions* (leaves, oversized leaves, high-degree Lemma 1
     // passes) are individually sharded so each triangle is emitted exactly
     // once across the pool.
-    let gated = depth < ctx.spawn_depth;
+    let gated = depth < DEFAULT_SPAWN_DEPTH;
     if e_here <= BASE_CASE_EDGES {
         if gated
             && !ctx
@@ -1122,7 +1072,14 @@ mod tests {
         let before = machine.io().total();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (n, stats) = run_cache_oblivious(&eg, seed, &mut sink, &mut rec);
+        let (n, stats) = run_cache_oblivious(
+            &eg,
+            seed,
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+            Recovery::default(),
+        );
         (n, machine.io().total() - before, stats)
     }
 
@@ -1304,7 +1261,15 @@ mod tests {
             machine.cold_cache();
             let mut sink = CollectingSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let (n, _) = run_cache_oblivious_recoverable(&eg, 9, &mut sink, &mut rec, spec, None);
+            let recovery = Recovery { spec, resume: None };
+            let (n, _) = run_cache_oblivious(
+                &eg,
+                9,
+                &mut sink,
+                &mut rec,
+                &mut ShardCursor::solo(),
+                recovery,
+            );
             let stats = machine.stats();
             (n, sink.into_triangles(), stats.io, stats.work_ops)
         };
@@ -1332,7 +1297,7 @@ mod tests {
         // checkpoint on a fresh machine, and require the union of committed
         // triangles to be the oracle set, each exactly once.
         use crate::sink::{CollectingSink, DurableSink};
-        use emsim::{CrashPoint, FaultPlan};
+        use emsim::{BackendKind, CrashPoint, FaultPlan};
 
         let g = generators::erdos_renyi(160, 1400, 33);
         let machine_probe = Machine::new(EmConfig::new(512, 32));
@@ -1342,7 +1307,14 @@ mod tests {
         let expected = {
             let mut sink = StrictSink::new();
             let mut rec = PhaseRecorder::new(machine_probe.gauge());
-            let (n, _) = run_cache_oblivious(&eg, 4, &mut sink, &mut rec);
+            let (n, _) = run_cache_oblivious(
+                &eg,
+                4,
+                &mut sink,
+                &mut rec,
+                &mut ShardCursor::solo(),
+                Recovery::default(),
+            );
             assert!(n > 0);
             (n, sink.seen().clone())
         };
@@ -1365,13 +1337,24 @@ mod tests {
             let machine = Machine::with_faults(
                 EmConfig::new(512, 32),
                 FaultPlan::new(1).with_crash_at(crash_at),
+                BackendKind::InMemory,
             );
             let eg = ExtGraph::load(&machine, &g);
             machine.cold_cache();
             let mut durable = DurableSink::new(&mut collected);
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let _ =
-                run_cache_oblivious_recoverable(&eg, 4, &mut durable, &mut rec, Some(&spec), None);
+            let recovery = Recovery {
+                spec: Some(&spec),
+                resume: None,
+            };
+            let _ = run_cache_oblivious(
+                &eg,
+                4,
+                &mut durable,
+                &mut rec,
+                &mut ShardCursor::solo(),
+                recovery,
+            );
         }));
         let payload = crashed.expect_err("the fault plan kills this run");
         assert!(payload.downcast_ref::<CrashPoint>().is_some());
@@ -1389,8 +1372,18 @@ mod tests {
         machine.cold_cache();
         let mut durable = DurableSink::resume_from(&mut collected, hwm);
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (total, _) =
-            run_cache_oblivious_recoverable(&eg, 4, &mut durable, &mut rec, None, Some(&ck));
+        let recovery = Recovery {
+            spec: None,
+            resume: Some(&ck),
+        };
+        let (total, _) = run_cache_oblivious(
+            &eg,
+            4,
+            &mut durable,
+            &mut rec,
+            &mut ShardCursor::solo(),
+            recovery,
+        );
         durable.commit();
         assert_eq!(total, expected.0);
         let got: std::collections::HashSet<Triangle> =
@@ -1412,7 +1405,14 @@ mod tests {
         let eg = ExtGraph::load(&machine, &g);
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let _ = run_cache_oblivious(&eg, 3, &mut sink, &mut rec);
+        let _ = run_cache_oblivious(
+            &eg,
+            3,
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+            Recovery::default(),
+        );
         assert_eq!(machine.gauge().in_use(), 0);
         assert!(machine.gauge().peak() > 0, "memoised bits were accounted");
     }

@@ -40,6 +40,15 @@ pub struct CheckpointSpec {
     pub interval_io: u64,
 }
 
+/// The crash-safety arguments of a run: where and how often to checkpoint,
+/// and the checkpoint to resume from. Both `None` (the default) is the
+/// ordinary run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Recovery<'a> {
+    pub spec: Option<&'a CheckpointSpec>,
+    pub resume: Option<&'a Checkpoint>,
+}
+
 /// One pending subproblem of the depth-first stack (or one batched oversized
 /// leaf): enough to reconstruct its edge list from the root by a single
 /// compatibility-and-removal filter scan.

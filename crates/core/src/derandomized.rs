@@ -40,29 +40,9 @@ pub(crate) struct DerandInfo {
     pub level_bounds: Vec<f64>,
 }
 
-/// Runs the deterministic cache-aware algorithm. `candidate_override`, when
-/// set, fixes the per-level candidate-family size (otherwise the
-/// `O(log² V)`-style recommendation of Lemma 6 is used).
-pub(crate) fn run_derandomized(
-    graph: &ExtGraph,
-    cfg: EmConfig,
-    family_seed: u64,
-    candidate_override: Option<usize>,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-) -> (ColoredRunOutcome, DerandInfo) {
-    run_derandomized_sharded(
-        graph,
-        cfg,
-        family_seed,
-        candidate_override,
-        sink,
-        recorder,
-        &mut ShardCursor::solo(),
-    )
-}
-
-/// [`run_derandomized`] under a shard cursor.
+/// Runs the deterministic cache-aware algorithm under `shard`.
+/// `candidate_override`, when set, fixes the per-level candidate-family size
+/// (otherwise the `O(log² V)`-style recommendation of Lemma 6 is used).
 ///
 /// The greedy per-level bit selection (step 0) is **replicated** on every
 /// worker rather than sharded: each refinement level consumes the colouring
@@ -73,7 +53,7 @@ pub(crate) fn run_derandomized(
 /// derives the identical colouring and then shares `run_colored`'s unit
 /// stream (high-degree vertices + pivot pairs), which is where the actual
 /// enumeration cost lives.
-pub(crate) fn run_derandomized_sharded(
+pub(crate) fn run_derandomized(
     graph: &ExtGraph,
     cfg: EmConfig,
     family_seed: u64,
@@ -160,7 +140,15 @@ mod tests {
         let eg = ExtGraph::load(&machine, g);
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (out, info) = run_derandomized(&eg, cfg, 1, Some(24), &mut sink, &mut rec);
+        let (out, info) = run_derandomized(
+            &eg,
+            cfg,
+            1,
+            Some(24),
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+        );
         (out.triangles, out, info)
     }
 
@@ -217,7 +205,15 @@ mod tests {
             let eg = ExtGraph::load(&machine, &g);
             let mut sink = StrictSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let (out, _) = run_derandomized(&eg, cfg, 1, Some(16), &mut sink, &mut rec);
+            let (out, _) = run_derandomized(
+                &eg,
+                cfg,
+                1,
+                Some(16),
+                &mut sink,
+                &mut rec,
+                &mut ShardCursor::solo(),
+            );
             assert_eq!(out.triangles, naive::count_triangles(&g));
             out.step3_chunk_passes
         };

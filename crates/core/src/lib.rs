@@ -32,6 +32,23 @@
 //! assert_eq!(report.triangles, sink.count());
 //! println!("{} triangles using {}", report.triangles, report.io);
 //! ```
+//!
+//! ## Entry points
+//!
+//! * [`enumerate_triangles`] — any [`Algorithm`] on a fresh in-memory
+//!   machine; [`count_triangles`] wraps it with a [`CountingSink`].
+//! * [`enumerate_triangles_on`] — the same on a caller-built [`Machine`]
+//!   (backend selection, fault plans).
+//! * [`enumerate_triangles_with_recovery`] — the cache-oblivious driver with
+//!   checkpointing armed, started fresh or resumed from a [`Checkpoint`].
+//! * [`enumerate_triangles_sharded`] — the paper's three drivers across `P`
+//!   worker machines (see [`workunit`]).
+//!
+//! All of them run through one private pipeline: load the graph, make the
+//! cache cold, dispatch on the algorithm, and build the [`RunReport`]. The
+//! sequential entry points hand it a solo shard cursor that owns every work
+//! unit; each sharded worker hands it its own cursor. Every report carries
+//! `retry_io` and `retry_work` rows, which read 0 without a fault plan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,8 +84,10 @@ pub use workunit::{
 // machine).
 pub use emsim::{BackendKind, EmConfig, Machine};
 
+use checkpoint::Recovery;
 use graphgen::{Graph, Triangle};
 use stats::PhaseRecorder;
+use workunit::ShardCursor;
 
 /// The triangle-enumeration algorithms available in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,118 +226,14 @@ pub fn enumerate_triangles_on(
     algorithm: Algorithm,
     sink: &mut dyn TriangleSink,
 ) -> RunReport {
-    let cfg = machine.config();
-    let ext = ExtGraph::load(machine, graph);
-    // Start from a cold cache and a clean slate of counters for the run
-    // itself (the load cost is excluded, as in the model).
-    machine.cold_cache();
-    machine.gauge().reset_peak();
-    let before = machine.stats();
-
-    let mut recorder = PhaseRecorder::new(machine.gauge());
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let mut extra: Vec<(String, f64)> = Vec::new();
-    let triangles = {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: sink,
-        };
-        match algorithm {
-            Algorithm::CacheAwareRandomized { seed } => {
-                let out = cache_aware::run_cache_aware_randomized(
-                    &ext,
-                    cfg,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("colors".into(), out.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push((
-                    "high_degree_vertices".into(),
-                    out.high_degree_vertices as f64,
-                ));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-                out.triangles
-            }
-            Algorithm::DeterministicCacheAware {
-                family_seed,
-                candidates,
-            } => {
-                let (out, info) = derandomized::run_derandomized(
-                    &ext,
-                    cfg,
-                    family_seed,
-                    candidates,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("colors".into(), info.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push(("greedy_levels".into(), info.levels as f64));
-                extra.push(("candidates_per_level".into(), info.candidates as f64));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-                out.triangles
-            }
-            Algorithm::CacheObliviousRandomized { seed } => {
-                let (n, stats) = cache_oblivious::run_cache_oblivious(
-                    &ext,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("subproblems".into(), stats.subproblems as f64));
-                extra.push(("max_recursion_depth".into(), stats.max_depth as f64));
-                extra.push((
-                    "high_degree_truncations".into(),
-                    stats.high_degree_truncations as f64,
-                ));
-                extra.push(("partition_sweeps".into(), stats.partition_sweeps as f64));
-                n
-            }
-            Algorithm::HuTaoChung => {
-                let io0 = machine.io();
-                let n = baselines::hu_tao_chung::run_hu_tao_chung(&ext, cfg, &mut translating);
-                recorder.record("pivot_join", io0, machine.io());
-                n
-            }
-            Algorithm::SortBased => {
-                let io0 = machine.io();
-                let n = baselines::dementiev::sort_based_enumeration(
-                    ext.edges(),
-                    util::SortKind::Aware,
-                    |_| true,
-                    &mut translating,
-                );
-                recorder.record("wedge_sort_join", io0, machine.io());
-                n
-            }
-            Algorithm::BlockNestedLoop => {
-                let io0 = machine.io();
-                let n = baselines::nested_loop::run_block_nested_loop(&ext, cfg, &mut translating);
-                recorder.record("nested_loops", io0, machine.io());
-                n
-            }
-        }
-    };
-
-    let after = machine.stats();
-    let delta = after.since(&before);
-    let (phases, phase_peaks) = recorder.into_parts();
-    RunReport {
-        algorithm: algorithm.name().to_string(),
-        config: cfg,
-        edges: ext.edge_count(),
-        vertices: ext.vertex_count(),
-        triangles,
-        io: delta.io,
-        phases,
-        phase_peaks,
-        peak_mem_words: after.peak_mem_words,
-        peak_disk_words: after.peak_disk_words,
-        work_ops: delta.work_ops,
-        extra,
-    }
+    run_pipeline(
+        machine,
+        graph,
+        algorithm,
+        sink,
+        &mut ShardCursor::solo(),
+        Recovery::default(),
+    )
 }
 
 /// Convenience wrapper: enumerate and return only the triangle count and the
@@ -329,17 +244,25 @@ pub fn count_triangles(graph: &Graph, algorithm: Algorithm, cfg: EmConfig) -> (u
     (sink.count(), report)
 }
 
-/// Crash-safe cache-oblivious enumeration on a caller-built machine.
+/// Crash-safe cache-oblivious enumeration on a caller-built machine, fresh
+/// or resumed.
 ///
 /// Unlike [`enumerate_triangles`], the machine is supplied by the caller —
 /// typically [`Machine::with_faults`] under a chaos harness — and emissions
 /// reach `sink` only at checkpoint boundaries (and at successful
 /// completion), buffered through a [`DurableSink`]. When `spec` is `Some`,
 /// the run writes an atomic checkpoint to `spec.path` at each subproblem
-/// boundary that crosses `spec.interval_io` simulated I/Os; a later
-/// [`resume_enumeration`] against that file (and the same `graph`/`seed`,
-/// on a fresh machine) replays to the bit-identical triangle multiset with
-/// exactly-once delivery across the crash boundary.
+/// boundary that crosses `spec.interval_io` simulated I/Os.
+///
+/// When `resume` is `Some`, the run continues from that checkpoint on a
+/// fresh `machine` instead of starting at the root. `sink` must then be the
+/// same sink (or one holding the same state) the crashed run committed
+/// into: the checkpoint's high-water mark says how many triangles it already
+/// holds, and the resumed run delivers exactly the remainder, so the
+/// triangle multiset is bit-identical to an uninterrupted run. `graph` and
+/// `seed` must be the crashed run's; a checkpoint describing another run
+/// panics. Passing `spec` keeps checkpointing armed across the resume, so
+/// repeated crashes stay recoverable.
 ///
 /// A `CrashAt` fault surfaces as a panic carrying [`emsim::CrashPoint`];
 /// the harness catches it, discards the dead machine (uncommitted buffered
@@ -350,88 +273,153 @@ pub fn enumerate_triangles_with_recovery(
     seed: u64,
     sink: &mut dyn TriangleSink,
     spec: Option<&CheckpointSpec>,
-) -> RunReport {
-    run_recoverable(graph, machine, seed, sink, spec, None)
-}
-
-/// Resumes a crashed [`enumerate_triangles_with_recovery`] run from its last
-/// checkpoint, on a fresh `machine`. `sink` must be the same sink (or one
-/// holding the same state) the crashed run committed into: the checkpoint's
-/// high-water mark says how many triangles it already holds, and the resumed
-/// run delivers exactly the remainder. Passing `spec` keeps checkpointing
-/// armed across the resume, so repeated crashes stay recoverable.
-pub fn resume_enumeration(
-    graph: &Graph,
-    machine: &Machine,
-    checkpoint: &Checkpoint,
-    sink: &mut dyn TriangleSink,
-    spec: Option<&CheckpointSpec>,
-) -> RunReport {
-    run_recoverable(
-        graph,
-        machine,
-        checkpoint.seed,
-        sink,
-        spec,
-        Some(checkpoint),
-    )
-}
-
-fn run_recoverable(
-    graph: &Graph,
-    machine: &Machine,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    spec: Option<&CheckpointSpec>,
     resume: Option<&Checkpoint>,
+) -> RunReport {
+    let mut durable = DurableSink::resume_from(sink, resume.map_or(0, |c| c.hwm));
+    let report = run_pipeline(
+        machine,
+        graph,
+        Algorithm::CacheObliviousRandomized { seed },
+        &mut durable,
+        &mut ShardCursor::solo(),
+        Recovery { spec, resume },
+    );
+    // The run completed: deliver the tail buffered since the last
+    // checkpoint. (On a crash this line is never reached and the tail dies
+    // with the buffer — exactly what resume replays.)
+    durable.commit();
+    debug_assert_eq!(durable.committed(), report.triangles);
+    report
+}
+
+/// The one load → dispatch → report body under every run entry point:
+/// [`enumerate_triangles_on`] (solo cursor), the recovery entry point (solo
+/// cursor, durable sink, checkpoint arguments) and each sharded worker (its
+/// own cursor and machine).
+///
+/// Loading the input is not charged: the cache is made cold and the gauge
+/// peak reset after the load, and the report covers everything from there
+/// on. `recovery` reaches only the cache-oblivious driver, the one that
+/// checkpoints; `shard` reaches only the paper's three drivers (the
+/// baselines have no work-unit decomposition and are never sharded).
+pub(crate) fn run_pipeline(
+    machine: &Machine,
+    graph: &Graph,
+    algorithm: Algorithm,
+    sink: &mut dyn TriangleSink,
+    shard: &mut ShardCursor,
+    recovery: Recovery<'_>,
 ) -> RunReport {
     let cfg = machine.config();
     let ext = ExtGraph::load(machine, graph);
+    // Start from a cold cache and a clean slate of counters for the run
+    // itself (the load cost is excluded, as in the model).
     machine.cold_cache();
     machine.gauge().reset_peak();
     let before = machine.stats();
 
     let mut recorder = PhaseRecorder::new(machine.gauge());
-    let mut durable = DurableSink::resume_from(sink, resume.map_or(0, |c| c.hwm));
-    let (triangles, stats) = {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: &mut durable,
-        };
-        cache_oblivious::run_cache_oblivious_recoverable(
-            &ext,
-            seed,
-            &mut translating,
-            &mut recorder,
-            spec,
-            resume,
-        )
+    let mut translating = TranslatingSink {
+        graph: &ext,
+        inner: sink,
     };
-    // The run completed: deliver the tail buffered since the last
-    // checkpoint. (On a crash this line is never reached and the tail dies
-    // with the buffer — exactly what resume replays.)
-    durable.commit();
-    debug_assert_eq!(durable.committed(), triangles);
+    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
+    let mut extra: Vec<(String, f64)> = Vec::new();
+    let triangles = match algorithm {
+        Algorithm::CacheAwareRandomized { seed } => {
+            let out = cache_aware::run_cache_aware_randomized(
+                &ext,
+                cfg,
+                seed,
+                &mut translating,
+                &mut recorder,
+                shard,
+            );
+            extra.extend([
+                ("colors".into(), out.colors as f64),
+                ("x_statistic".into(), out.x_statistic as f64),
+                (
+                    "high_degree_vertices".into(),
+                    out.high_degree_vertices as f64,
+                ),
+                ("step3_chunk_passes".into(), out.step3_chunk_passes as f64),
+            ]);
+            out.triangles
+        }
+        Algorithm::DeterministicCacheAware {
+            family_seed,
+            candidates,
+        } => {
+            let (out, info) = derandomized::run_derandomized(
+                &ext,
+                cfg,
+                family_seed,
+                candidates,
+                &mut translating,
+                &mut recorder,
+                shard,
+            );
+            extra.extend([
+                ("colors".into(), info.colors as f64),
+                ("x_statistic".into(), out.x_statistic as f64),
+                ("greedy_levels".into(), info.levels as f64),
+                ("candidates_per_level".into(), info.candidates as f64),
+                ("step3_chunk_passes".into(), out.step3_chunk_passes as f64),
+            ]);
+            out.triangles
+        }
+        Algorithm::CacheObliviousRandomized { seed } => {
+            let (n, stats) = cache_oblivious::run_cache_oblivious(
+                &ext,
+                seed,
+                &mut translating,
+                &mut recorder,
+                shard,
+                recovery,
+            );
+            extra.extend([
+                ("subproblems".into(), stats.subproblems as f64),
+                ("max_recursion_depth".into(), stats.max_depth as f64),
+                (
+                    "high_degree_truncations".into(),
+                    stats.high_degree_truncations as f64,
+                ),
+                ("partition_sweeps".into(), stats.partition_sweeps as f64),
+            ]);
+            n
+        }
+        Algorithm::HuTaoChung => {
+            let io0 = machine.io();
+            let n = baselines::hu_tao_chung::run_hu_tao_chung(&ext, cfg, &mut translating);
+            recorder.record("pivot_join", io0, machine.io());
+            n
+        }
+        Algorithm::SortBased => {
+            let io0 = machine.io();
+            let n = baselines::dementiev::sort_based_enumeration(
+                ext.edges(),
+                util::SortKind::Aware,
+                |_| true,
+                &mut translating,
+            );
+            recorder.record("wedge_sort_join", io0, machine.io());
+            n
+        }
+        Algorithm::BlockNestedLoop => {
+            let io0 = machine.io();
+            let n = baselines::nested_loop::run_block_nested_loop(&ext, cfg, &mut translating);
+            recorder.record("nested_loops", io0, machine.io());
+            n
+        }
+    };
 
     let after = machine.stats();
     let delta = after.since(&before);
+    extra.push(("retry_io".into(), delta.retry_io as f64));
+    extra.push(("retry_work".into(), delta.retry_work as f64));
     let (phases, phase_peaks) = recorder.into_parts();
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let extra: Vec<(String, f64)> = vec![
-        ("subproblems".into(), stats.subproblems as f64),
-        ("max_recursion_depth".into(), stats.max_depth as f64),
-        (
-            "high_degree_truncations".into(),
-            stats.high_degree_truncations as f64,
-        ),
-        ("partition_sweeps".into(), stats.partition_sweeps as f64),
-        ("retry_io".into(), delta.retry_io as f64),
-        ("retry_work".into(), delta.retry_work as f64),
-    ];
     RunReport {
-        algorithm: Algorithm::CacheObliviousRandomized { seed }
-            .name()
-            .to_string(),
+        algorithm: algorithm.name().to_string(),
         config: cfg,
         edges: ext.edge_count(),
         vertices: ext.vertex_count(),
@@ -528,9 +516,10 @@ mod tests {
         );
         let machine = Machine::new(cfg);
         let mut safe_sink = CollectingSink::new();
-        let safe = enumerate_triangles_with_recovery(&g, &machine, 6, &mut safe_sink, None);
+        let safe = enumerate_triangles_with_recovery(&g, &machine, 6, &mut safe_sink, None, None);
         assert_eq!(plain.triangles, safe.triangles);
         assert_eq!(plain.io, safe.io);
+        assert_eq!(plain.phases, safe.phases);
         assert_eq!(plain.work_ops, safe.work_ops);
         assert_eq!(plain.peak_disk_words, safe.peak_disk_words);
         assert_eq!(plain_sink.triangles(), safe_sink.triangles());

@@ -9,8 +9,8 @@
 //!
 //! * Every driver exposes its independent pieces as **work units** — the
 //!   Lemma 1 high-degree vertices and the non-empty pivot colour pairs
-//!   `(τ2, τ3)` of the cache-aware step 3, and the top-of-tree subtrees (at a
-//!   configurable spawn depth) plus the top-of-tree leaf/high-degree
+//!   `(τ2, τ3)` of the cache-aware step 3, and the top-of-tree subtrees (at
+//!   [`DEFAULT_SPAWN_DEPTH`]) plus the top-of-tree leaf/high-degree
 //!   emissions of the cache-oblivious refinement. Units are numbered by a
 //!   single cursor ticking in the driver's deterministic execution order, so
 //!   the numbering is identical on every worker and *independent of `P`*.
@@ -19,31 +19,34 @@
 //!   partition, and with it every downstream result, is worker-count
 //!   invariant by construction.
 //! * Each worker thread builds its **own** [`Machine`] from the shared
-//!   `Copy` [`EmConfig`] (a [`Machine`] is deliberately `!Send`), replays
-//!   the driver with its shard cursor, and buffers its triangles. All
-//!   randomness is derived from `(seed, unit id)`-equivalent state — the
-//!   colouring seed and the per-level refinement bits — never from the
-//!   worker id or arrival order, so all workers expand the *same* recursion
-//!   tree and skip the parts they do not own.
+//!   `Copy` [`EmConfig`] (a [`Machine`] is deliberately `!Send`) and runs
+//!   the crate's one run pipeline — load, dispatch, report — with its own
+//!   shard cursor, buffering its triangles. Each paper driver has one run
+//!   function taking a cursor; the sequential entry points pass a solo
+//!   cursor that owns every unit. All randomness is derived from
+//!   `(seed, unit id)`-equivalent state — the colouring seed and the
+//!   per-level refinement bits — never from the worker id or arrival
+//!   order, so all workers expand the *same* recursion tree and skip the
+//!   parts they do not own.
 //! * The per-worker buffers are merged by [`emalgo::kway_merge_tagged`] into
 //!   one globally sorted triangle stream, so the delivered multiset (and its
 //!   order) is bit-identical regardless of `P` and scheduling.
 //!
 //! With `P = 1` every unit is owned, the claim calls degenerate to counter
 //! increments charged to nothing, and the worker performs *exactly* the
-//! sequential driver's operation sequence — the refactor is zero-cost, and
-//! the E10 gate pins `sum_io` at `P = 1` to the sequential driver's I/O.
+//! sequential driver's operation sequence — the refactor is zero-cost: the
+//! E10 gate pins `sum_io` at `P = 1` to the sequential driver's I/O, and a
+//! unit test pins the phases, peaks, work and extra rows as well.
 
 use emsim::{BackendKind, EmConfig, ExtVec, IoStats, Machine, PhaseSnapshot, WorkerReport};
 use graphgen::{Graph, Triangle};
 
-use crate::input::ExtGraph;
+use crate::checkpoint::Recovery;
 use crate::sink::{CollectingSink, TriangleSink};
-use crate::stats::{PhaseRecorder, RunReport};
-use crate::{cache_aware, cache_oblivious, derandomized};
-use crate::{Algorithm, TranslatingSink};
+use crate::stats::RunReport;
+use crate::{run_pipeline, Algorithm};
 
-/// Default spawn depth of the cache-oblivious driver: subtrees rooted at
+/// Spawn depth of the cache-oblivious driver: subtrees rooted at
 /// depth 2 of the colour-refinement tree become work units (up to `8² = 64`
 /// of them — comfortably more than the worker counts E10 sweeps, so the
 /// round-robin assignment balances well), while the two levels above are
@@ -167,10 +170,6 @@ impl ShardCursor {
 pub struct ShardPlan {
     /// Number of workers `P` (threads, each with its own [`Machine`]).
     pub workers: usize,
-    /// Depth of the cache-oblivious refinement tree at which whole subtrees
-    /// become work units (ignored by the cache-aware drivers). The tree
-    /// above this depth is replicated on every worker.
-    pub spawn_depth: usize,
     /// When set, each worker records the units it owned; they come back in
     /// [`ShardedReport::worker_units`]. Off by default (the log is
     /// proportional to the unit count).
@@ -184,20 +183,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan with `workers` workers and the default spawn depth.
+    /// An in-memory plan with `workers` workers.
     pub fn new(workers: usize) -> ShardPlan {
         ShardPlan {
             workers,
-            spawn_depth: DEFAULT_SPAWN_DEPTH,
             log_units: false,
             backend: BackendKind::InMemory,
         }
-    }
-
-    /// Overrides the cache-oblivious spawn depth.
-    pub fn with_spawn_depth(mut self, spawn_depth: usize) -> ShardPlan {
-        self.spawn_depth = spawn_depth;
-        self
     }
 
     /// Turns on per-worker unit logging.
@@ -274,20 +266,13 @@ pub struct ShardedReport {
     pub worker_units: Vec<Vec<WorkUnit>>,
 }
 
-/// What one worker thread brings home.
+/// What one worker thread brings home: its run report, its buffered
+/// triangles and (when logging) the units it owned.
 struct WorkerRun {
     worker: usize,
+    report: RunReport,
     triangles: Vec<Triangle>,
-    io: IoStats,
-    work_ops: u64,
-    peak_mem_words: u64,
-    peak_disk_words: u64,
-    phases: Vec<(String, IoStats)>,
-    phase_peaks: Vec<PhaseSnapshot>,
-    extra: Vec<(String, f64)>,
     units: Vec<WorkUnit>,
-    edges: usize,
-    vertices: usize,
 }
 
 /// Enumerates every triangle of `graph` across `plan.workers` worker
@@ -326,8 +311,8 @@ pub fn enumerate_triangles_sharded(
     let runs = run_worker_pool(graph, algorithm, cfg, plan);
     let (triangles, merge_io) = merge_worker_triangles(cfg, &runs, sink);
     // emlint: allow(unleased, reason = "P per-worker stat rows of scheduler bookkeeping, not algorithm memory")
-    let workers = WorkerReport::from_per_worker(runs.iter().map(|r| r.io).collect());
-    let report = merged_report(algorithm, cfg, &runs, &workers, merge_io, triangles);
+    let workers = WorkerReport::from_per_worker(runs.iter().map(|r| r.report.io).collect());
+    let report = merged_report(&runs, &workers, merge_io, triangles);
     // emlint: allow(unleased, reason = "unit-log handover to the report, scheduler bookkeeping")
     let worker_units = runs.into_iter().map(|r| r.units).collect();
     Ok(ShardedReport {
@@ -371,9 +356,8 @@ fn run_worker_pool(
     })
 }
 
-/// One worker: its own machine from the shared `Copy` config, its own graph
-/// load (uncharged, as in the model), its own gauge/recorder, and the
-/// driver replayed under this worker's shard cursor.
+/// One worker: its own machine from the shared `Copy` config and the run
+/// pipeline under this worker's shard cursor.
 fn run_worker(
     graph: &Graph,
     algorithm: Algorithm,
@@ -382,98 +366,21 @@ fn run_worker(
     worker: usize,
 ) -> WorkerRun {
     let machine = Machine::with_backend(cfg, plan.backend);
-    let ext = ExtGraph::load(&machine, graph);
-    machine.cold_cache();
-    machine.gauge().reset_peak();
-    let before = machine.stats();
-
-    let mut recorder = PhaseRecorder::new(machine.gauge());
     let mut cursor = ShardCursor::new(worker, plan.workers, plan.log_units);
     let mut collected = CollectingSink::new();
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let mut extra: Vec<(String, f64)> = Vec::new();
-    {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: &mut collected,
-        };
-        match algorithm {
-            Algorithm::CacheAwareRandomized { seed } => {
-                let out = cache_aware::run_cache_aware_randomized_sharded(
-                    &ext,
-                    cfg,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                );
-                extra.push(("colors".into(), out.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push((
-                    "high_degree_vertices".into(),
-                    out.high_degree_vertices as f64,
-                ));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-            }
-            Algorithm::DeterministicCacheAware {
-                family_seed,
-                candidates,
-            } => {
-                let (out, info) = derandomized::run_derandomized_sharded(
-                    &ext,
-                    cfg,
-                    family_seed,
-                    candidates,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                );
-                extra.push(("colors".into(), info.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push(("greedy_levels".into(), info.levels as f64));
-                extra.push(("candidates_per_level".into(), info.candidates as f64));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-            }
-            Algorithm::CacheObliviousRandomized { seed } => {
-                let (_, stats) = cache_oblivious::run_cache_oblivious_sharded(
-                    &ext,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                    plan.spawn_depth,
-                );
-                extra.push(("subproblems".into(), stats.subproblems as f64));
-                extra.push(("max_recursion_depth".into(), stats.max_depth as f64));
-                extra.push((
-                    "high_degree_truncations".into(),
-                    stats.high_degree_truncations as f64,
-                ));
-                extra.push(("partition_sweeps".into(), stats.partition_sweeps as f64));
-            }
-            // Rejected by validation before the pool spawns.
-            Algorithm::HuTaoChung | Algorithm::SortBased | Algorithm::BlockNestedLoop => {
-                unreachable!("baselines are rejected before the pool starts")
-            }
-        }
-    }
-
-    let after = machine.stats();
-    let delta = after.since(&before);
-    let (phases, phase_peaks) = recorder.into_parts();
+    let report = run_pipeline(
+        &machine,
+        graph,
+        algorithm,
+        &mut collected,
+        &mut cursor,
+        Recovery::default(),
+    );
     WorkerRun {
         worker,
+        report,
         triangles: collected.into_triangles(),
-        io: delta.io,
-        work_ops: delta.work_ops,
-        peak_mem_words: after.peak_mem_words,
-        peak_disk_words: after.peak_disk_words,
-        phases,
-        phase_peaks,
-        extra,
         units: cursor.into_log(),
-        edges: ext.edge_count(),
-        vertices: ext.vertex_count(),
     }
 }
 
@@ -513,8 +420,6 @@ fn merge_worker_triangles(
 /// worker-index-sorted runs, and phase rows keep worker 0's phase order, so
 /// serialising the report is byte-stable across runs and join orders.
 fn merged_report(
-    algorithm: Algorithm,
-    cfg: EmConfig,
     runs: &[WorkerRun],
     workers: &WorkerReport,
     merge_io: IoStats,
@@ -525,13 +430,13 @@ fn merged_report(
     // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
     let mut phase_peaks: Vec<PhaseSnapshot> = Vec::new();
     for run in runs {
-        for (name, io) in &run.phases {
+        for (name, io) in &run.report.phases {
             match phases.iter_mut().find(|(n, _)| n == name) {
                 Some((_, sum)) => *sum += *io,
                 None => phases.push((name.clone(), *io)),
             }
         }
-        for snap in &run.phase_peaks {
+        for snap in &run.report.phase_peaks {
             match phase_peaks.iter_mut().find(|s| s.name == snap.name) {
                 Some(max) => {
                     if snap.peak_words > max.peak_words {
@@ -545,7 +450,7 @@ fn merged_report(
     // Worker 0's extras stand for the run (the seed-derived rows — colours,
     // X_ξ, greedy levels — are identical on every worker; the per-worker
     // counters are in `ShardedReport::workers`), followed by the aggregates.
-    let mut extra = runs[0].extra.clone();
+    let mut extra = runs[0].report.extra.clone();
     extra.push(("workers".into(), runs.len() as f64));
     extra.push(("max_worker_io".into(), workers.max_io as f64));
     extra.push(("sum_worker_io".into(), workers.sum_io as f64));
@@ -553,17 +458,25 @@ fn merged_report(
     extra.push(("merge_io".into(), merge_io.total() as f64));
 
     RunReport {
-        algorithm: algorithm.name().to_string(),
-        config: cfg,
-        edges: runs[0].edges,
-        vertices: runs[0].vertices,
+        algorithm: runs[0].report.algorithm.clone(),
+        config: runs[0].report.config,
+        edges: runs[0].report.edges,
+        vertices: runs[0].report.vertices,
         triangles,
-        io: IoStats::merge(runs.iter().map(|r| r.io)),
+        io: IoStats::merge(runs.iter().map(|r| r.report.io)),
         phases,
         phase_peaks,
-        peak_mem_words: runs.iter().map(|r| r.peak_mem_words).max().unwrap_or(0),
-        peak_disk_words: runs.iter().map(|r| r.peak_disk_words).max().unwrap_or(0),
-        work_ops: runs.iter().map(|r| r.work_ops).sum(),
+        peak_mem_words: runs
+            .iter()
+            .map(|r| r.report.peak_mem_words)
+            .max()
+            .unwrap_or(0),
+        peak_disk_words: runs
+            .iter()
+            .map(|r| r.report.peak_disk_words)
+            .max()
+            .unwrap_or(0),
+        work_ops: runs.iter().map(|r| r.report.work_ops).sum(),
         extra,
     }
 }
@@ -573,12 +486,16 @@ mod tests {
     use super::*;
     use graphgen::{generators, naive};
 
-    fn sorted_sequential(g: &Graph, algorithm: Algorithm, cfg: EmConfig) -> (Vec<Triangle>, u64) {
+    fn sorted_sequential(
+        g: &Graph,
+        algorithm: Algorithm,
+        cfg: EmConfig,
+    ) -> (Vec<Triangle>, RunReport) {
         let mut sink = CollectingSink::new();
         let report = crate::enumerate_triangles(g, algorithm, cfg, &mut sink);
         let mut ts = sink.into_triangles();
         ts.sort_unstable();
-        (ts, report.io.total())
+        (ts, report)
     }
 
     #[test]
@@ -627,7 +544,8 @@ mod tests {
                 candidates: Some(12),
             },
         ] {
-            let (_, sequential_io) = sorted_sequential(&g, algorithm, cfg);
+            let (_, sequential) = sorted_sequential(&g, algorithm, cfg);
+            let sequential_io = sequential.io.total();
             let mut sink = CollectingSink::new();
             let report =
                 enumerate_triangles_sharded(&g, algorithm, cfg, ShardPlan::new(1), &mut sink)
@@ -637,6 +555,22 @@ mod tests {
                 "{algorithm:?}: P=1 must be a zero-cost refactor"
             );
             assert_eq!(report.workers.max_io, sequential_io);
+            // Both paths run the same pipeline, so the whole report agrees:
+            // phases, phase peaks, peaks, work and every sequential extra row.
+            let sharded = &report.report;
+            assert_eq!(sharded.phases, sequential.phases, "{algorithm:?}");
+            let peaks = |r: &RunReport| -> Vec<(String, u64)> {
+                r.phase_peaks
+                    .iter()
+                    .map(|p| (p.name.clone(), p.peak_words))
+                    .collect()
+            };
+            assert_eq!(peaks(sharded), peaks(&sequential), "{algorithm:?}");
+            assert_eq!(sharded.peak_mem_words, sequential.peak_mem_words);
+            assert_eq!(sharded.work_ops, sequential.work_ops, "{algorithm:?}");
+            for (name, value) in &sequential.extra {
+                assert_eq!(sharded.extra(name), Some(*value), "{algorithm:?}: {name}");
+            }
         }
     }
 

@@ -22,11 +22,9 @@
 //!   algorithms' step 3.
 //! * [`merge_sorted`], [`scan_filter`], [`is_sorted_by_key`], [`dedup_sorted`]
 //!   — scanning utilities with the obvious `O(n/B)` costs.
-//! * [`scan_partition`] / [`PartitionWriter`] — a **multi-way single-pass
-//!   partition**: every element is classified once and routed to any subset
-//!   of up to [`MAX_PARTITION_BUCKETS`] output buckets in one scan. The
-//!   writer form keeps the buckets open across many sorted runs, so they
-//!   share one distribution sweep.
+//! * [`scan_partition`] — a **multi-way single-pass partition**: every
+//!   element is classified once and routed to any subset of up to
+//!   [`MAX_PARTITION_BUCKETS`] output buckets in one scan.
 //! * [`kway_merge_tagged`] — the merge with **source tags**: each yielded
 //!   element names the cursor it came from, turning the merge into a
 //!   single-pass join driver over key-aligned files (the batched wedge-join
@@ -48,7 +46,7 @@ pub use merge::{
     KWayMerge, KWayMergeTagged,
 };
 pub use oblivious::oblivious_sort_by_key;
-pub use partition::{scan_partition, PartitionWriter, MAX_PARTITION_BUCKETS};
+pub use partition::{scan_partition, MAX_PARTITION_BUCKETS};
 pub use sort::{external_sort_by_key, external_sort_by_key_with_stats, SortStats};
 
 #[cfg(test)]

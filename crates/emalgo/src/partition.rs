@@ -19,86 +19,11 @@
 //! registered on the machine's [`emsim::MemGauge`] for the duration of the
 //! scan.
 
-use emsim::{ExtVec, Machine, MemLease, Record};
+use emsim::{ExtVec, Record};
 
 /// Maximum number of output buckets of [`scan_partition`] (the routing mask
 /// is a `u32`).
 pub const MAX_PARTITION_BUCKETS: usize = 32;
-
-/// An incremental, order-preserving multi-way partition: `k` output buckets
-/// held open while the caller feeds elements one at a time.
-///
-/// Several inputs can share one writer, paying for a single distribution
-/// sweep (k open tail blocks) instead of one [`scan_partition`] call — with
-/// its own fresh buckets and its own partial tail blocks — per input.
-/// Elements arrive in whatever order the caller feeds them and every bucket
-/// preserves exactly that order (the partition is *stable*), so sorted runs
-/// fed run-by-run come out as sorted runs, concatenated in feed order.
-///
-/// The `O(k)` words of in-core routing state are registered on the machine's
-/// [`emsim::MemGauge`] for the writer's lifetime. [`scan_partition`] is the
-/// one-shot wrapper over this type.
-pub struct PartitionWriter<T: Record> {
-    machine: Machine,
-    out: Vec<ExtVec<T>>,
-    live: u32,
-    _lease: MemLease,
-}
-
-impl<T: Record> PartitionWriter<T> {
-    /// Opens a writer with `buckets` output arrays on `machine`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is `0` or exceeds [`MAX_PARTITION_BUCKETS`].
-    pub fn new(machine: &Machine, buckets: usize) -> Self {
-        assert!(
-            (1..=MAX_PARTITION_BUCKETS).contains(&buckets),
-            "bucket count {buckets} outside 1..={MAX_PARTITION_BUCKETS}"
-        );
-        let lease = machine.gauge().lease(buckets as u64);
-        let live = if buckets == MAX_PARTITION_BUCKETS {
-            u32::MAX
-        } else {
-            (1u32 << buckets) - 1
-        };
-        Self {
-            machine: machine.clone(),
-            out: (0..buckets).map(|_| ExtVec::new(machine)).collect(),
-            live,
-            _lease: lease,
-        }
-    }
-
-    /// Appends a copy of `value` to every bucket named by `mask` (bit `i` set
-    /// means "append to bucket `i`"; bits at positions `≥ buckets` are
-    /// ignored, a zero mask routes nowhere). One unit of work per call.
-    pub fn push(&mut self, value: T, mask: u32) {
-        self.machine.work(1);
-        let mut mask = mask & self.live;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            self.out[i].push(value);
-            mask &= mask - 1;
-        }
-    }
-
-    /// Current length of bucket `i` — how callers delimit the per-run output
-    /// ranges of a stable multi-run feed.
-    pub fn bucket_len(&self, i: usize) -> usize {
-        self.out[i].len()
-    }
-
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Closes the writer and returns the buckets.
-    pub fn finish(self) -> Vec<ExtVec<T>> {
-        self.out
-    }
-}
 
 /// Routes every element of `input` into up to `buckets` output arrays in a
 /// single scan.
@@ -107,7 +32,8 @@ impl<T: Record> PartitionWriter<T> {
 /// set means "append a copy to bucket `i`". An element may be sent to
 /// several buckets or (mask `0`) to none. Bits at positions `≥ buckets` are
 /// ignored. Relative input order is preserved within every bucket, so sorted
-/// inputs produce sorted buckets.
+/// inputs produce sorted buckets. One unit of work per element; the `O(k)`
+/// words of routing state are leased on the gauge for the scan.
 ///
 /// # Panics
 ///
@@ -117,12 +43,28 @@ where
     T: Record,
     F: FnMut(&T) -> u32,
 {
-    let mut writer = PartitionWriter::new(input.machine(), buckets);
+    assert!(
+        (1..=MAX_PARTITION_BUCKETS).contains(&buckets),
+        "bucket count {buckets} outside 1..={MAX_PARTITION_BUCKETS}"
+    );
+    let machine = input.machine();
+    let _lease = machine.gauge().lease(buckets as u64);
+    let live = if buckets == MAX_PARTITION_BUCKETS {
+        u32::MAX
+    } else {
+        (1u32 << buckets) - 1
+    };
+    let mut out: Vec<ExtVec<T>> = (0..buckets).map(|_| ExtVec::new(machine)).collect();
     for x in input.iter() {
-        let mask = route(&x);
-        writer.push(x, mask);
+        let mut mask = route(&x) & live;
+        machine.work(1);
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            out[i].push(x);
+            mask &= mask - 1;
+        }
     }
-    writer.finish()
+    out
 }
 
 #[cfg(test)]
@@ -239,82 +181,5 @@ mod tests {
         let machine = m();
         let v = ExtVec::from_slice(&machine, &[1u64]);
         let _ = scan_partition(&v, 0, |_| 0);
-    }
-
-    #[test]
-    fn writer_is_stable_across_multiple_runs_and_reports_lengths() {
-        // Several sorted runs fed through one open writer come out as sorted
-        // runs, delimited by bucket_len deltas.
-        let machine = m();
-        let runs: Vec<Vec<u64>> = vec![vec![0, 2, 4, 6], vec![1, 3, 5], vec![8, 10]];
-        let mut writer: PartitionWriter<u64> = PartitionWriter::new(&machine, 2);
-        assert_eq!(writer.buckets(), 2);
-        let mut marks = Vec::new();
-        for run in &runs {
-            let before = (writer.bucket_len(0), writer.bucket_len(1));
-            for &x in run {
-                writer.push(x, if x % 4 == 0 { 0b01 } else { 0b10 });
-            }
-            marks.push((before, (writer.bucket_len(0), writer.bucket_len(1))));
-        }
-        let out = writer.finish();
-        assert_eq!(out[0].load_all(), vec![0, 4, 8]);
-        assert_eq!(out[1].load_all(), vec![2, 6, 1, 3, 5, 10]);
-        // Per-run ranges reconstruct each run's contribution exactly.
-        assert_eq!(marks[0], ((0, 0), (2, 2)));
-        assert_eq!(marks[1], ((2, 2), (2, 5)));
-        assert_eq!(marks[2], ((2, 5), (3, 6)));
-    }
-
-    #[test]
-    fn writer_state_is_gauge_accounted_for_its_lifetime() {
-        let machine = m();
-        machine.gauge().reset_peak();
-        let writer: PartitionWriter<u64> = PartitionWriter::new(&machine, 8);
-        assert_eq!(machine.gauge().in_use(), 8);
-        let _ = writer.finish();
-        assert_eq!(machine.gauge().in_use(), 0, "lease released on finish");
-        assert!(machine.gauge().peak() >= 8);
-    }
-
-    #[test]
-    fn one_writer_per_level_beats_one_scan_partition_per_node_on_tiny_runs() {
-        // The I/O rationale for the writer: 64 nodes of 4 elements each,
-        // routed to 4 buckets. Per-node scan_partition pays fresh partial
-        // tail blocks for every node; the shared writer packs every bucket
-        // densely.
-        let machine = Machine::new(EmConfig::new(1 << 10, 64));
-        let nodes: Vec<Vec<u64>> = (0..64u64).map(|n| (4 * n..4 * n + 4).collect()).collect();
-        let inputs: Vec<ExtVec<u64>> = nodes
-            .iter()
-            .map(|n| ExtVec::from_slice(&machine, n))
-            .collect();
-
-        machine.cold_cache();
-        let before = machine.io().total();
-        let per_node_out: Vec<_> = inputs
-            .iter()
-            .map(|v| scan_partition(v, 4, |x| 1 << (x % 4)))
-            .collect();
-        machine.cold_cache();
-        let per_node_io = machine.io().total() - before;
-        drop(per_node_out);
-
-        machine.cold_cache();
-        let before = machine.io().total();
-        let mut writer: PartitionWriter<u64> = PartitionWriter::new(&machine, 4);
-        for v in &inputs {
-            for x in v.iter() {
-                writer.push(x, 1 << (x % 4));
-            }
-        }
-        let out = writer.finish();
-        machine.cold_cache();
-        let level_io = machine.io().total() - before;
-        assert_eq!(out.iter().map(ExtVec::len).sum::<usize>(), 256);
-        assert!(
-            2 * level_io < per_node_io,
-            "shared writer should at least halve the I/O (per-node {per_node_io}, level {level_io})"
-        );
     }
 }

@@ -535,7 +535,7 @@ impl<T: Record> ExactSizeIterator for ScanReader<'_, T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EmConfig;
+    use crate::{BackendKind, EmConfig};
 
     fn machine() -> Machine {
         Machine::new(EmConfig::new(512, 64))
@@ -791,7 +791,7 @@ mod tests {
         // A 100% read-fault schedule exhausts every retry on the first
         // uncached read.
         let plan = crate::FaultPlan::new(4).with_read_faults(1000);
-        let m = Machine::with_faults(EmConfig::new(128, 64), plan);
+        let m = Machine::with_faults(EmConfig::new(128, 64), plan, BackendKind::InMemory);
         let mut v: ExtVec<u64> = ExtVec::new(&m);
         for i in 0..64 * 4u64 {
             v.push(i);

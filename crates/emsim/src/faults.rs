@@ -121,6 +121,30 @@ pub struct CrashPoint {
     pub io: u64,
 }
 
+/// Installs a process-wide panic hook that keeps the [`CrashPoint`] panics a
+/// chaos harness raises on purpose off stderr.
+///
+/// The hook is safe to share between harnesses in one process:
+/// * it is installed once, guarded by a [`std::sync::Once`], so repeated
+///   calls never stack hooks;
+/// * it swallows only panics whose payload is a [`CrashPoint`];
+/// * it passes every other panic to the hook that was installed before it,
+///   so real failures stay loud.
+///
+/// The hook only decides what is printed: a swallowed crash still unwinds
+/// and is caught by the harness's `catch_unwind`.
+pub fn silence_simulated_crash_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<CrashPoint>().is_none() {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// A [`Storage`] backend injecting the faults of a [`FaultPlan`] and
 /// recording every injected fault in a trace.
 ///

@@ -34,8 +34,8 @@ fn machines(cfg: EmConfig, seed: u64) -> Vec<(Machine, Machine)> {
             Machine::with_backend(cfg, backend),
         ));
         out.push((
-            Machine::with_faults_and_backend(cfg, plan, backend),
-            Machine::with_faults_and_backend(cfg, plan, backend),
+            Machine::with_faults(cfg, plan, backend),
+            Machine::with_faults(cfg, plan, backend),
         ));
     }
     out
@@ -334,8 +334,8 @@ fn a_failed_read_charge_leaves_the_cursor_handle_stale() {
         .with_retry(RetryPolicy::new(1, 1));
     for backend in [BackendKind::InMemory, BackendKind::Disk] {
         let cfg = EmConfig::new(8, 4);
-        let hm = Machine::with_faults_and_backend(cfg, plan, backend);
-        let wm = Machine::with_faults_and_backend(cfg, plan, backend);
+        let hm = Machine::with_faults(cfg, plan, backend);
+        let wm = Machine::with_faults(cfg, plan, backend);
         let (hs, ws) = (filled(&hm, 12), filled(&wm, 12));
         hm.cold_cache();
         wm.cold_cache();

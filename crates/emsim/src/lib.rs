@@ -119,7 +119,9 @@ pub mod storage;
 
 pub use config::EmConfig;
 pub use extvec::{ExtSlice, ExtVec, ScanReader};
-pub use faults::{CrashPoint, FaultEvent, FaultKind, FaultPlan, FaultyStorage};
+pub use faults::{
+    silence_simulated_crash_panics, CrashPoint, FaultEvent, FaultKind, FaultPlan, FaultyStorage,
+};
 pub use gauge::{MemGauge, MemLease, PhaseSnapshot};
 pub use machine::{BackendKind, Machine};
 pub use pool::{BufferPool, PoolTouch};

@@ -234,18 +234,6 @@ impl Machine {
         Self::with_parts(config, Box::new(MemStorage), BackendKind::InMemory)
     }
 
-    /// Creates a machine whose storage executes the given fault plan: reads
-    /// and writes fail per the plan's seeded schedule, retries are charged
-    /// to the `retry_io`/`retry_work` counters, and the `CrashAt` kill
-    /// switch (if armed) panics with a [`CrashPoint`] payload mid-run.
-    pub fn with_faults(config: EmConfig, plan: FaultPlan) -> Self {
-        Self::with_parts(
-            config,
-            Box::new(FaultyStorage::new(plan)),
-            BackendKind::InMemory,
-        )
-    }
-
     /// Creates a fault-free machine on the chosen data plane.
     ///
     /// # Panics
@@ -255,14 +243,17 @@ impl Machine {
         Self::with_parts(config, Box::new(MemStorage), backend)
     }
 
-    /// Creates a machine combining a fault plan (the charge gate) with a
-    /// data plane — e.g. transient faults injected over the real disk
-    /// backend.
-    pub fn with_faults_and_backend(
-        config: EmConfig,
-        plan: FaultPlan,
-        backend: BackendKind,
-    ) -> Self {
+    /// Creates a machine whose storage executes the given fault plan on the
+    /// chosen data plane: reads and writes fail per the plan's seeded
+    /// schedule, retries are charged to the `retry_io`/`retry_work`
+    /// counters, and the `CrashAt` kill switch (if armed) panics with a
+    /// [`CrashPoint`] payload mid-run. The schedule is the same on either
+    /// plane, so faults over the real disk backend account like memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the disk plane's backing file cannot be created.
+    pub fn with_faults(config: EmConfig, plan: FaultPlan, backend: BackendKind) -> Self {
         Self::with_parts(config, Box::new(FaultyStorage::new(plan)), backend)
     }
 
@@ -779,7 +770,7 @@ mod tests {
             .with_read_faults(150)
             .with_torn_writes(100);
         let run = || {
-            let m = Machine::with_faults(EmConfig::new(256, 64), plan);
+            let m = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::InMemory);
             thrash(&m);
             (m.stats(), m.fault_trace())
         };
@@ -805,7 +796,7 @@ mod tests {
     #[test]
     fn crash_at_panics_with_a_typed_payload() {
         let plan = crate::FaultPlan::new(0).with_crash_at(10);
-        let m = Machine::with_faults(EmConfig::new(256, 64), plan);
+        let m = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::InMemory);
         let m2 = m.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || thrash(&m2)));
         let payload = result.expect_err("the kill switch must fire");
@@ -856,7 +847,7 @@ mod tests {
         // After catching the unwind, the machine handle still answers:
         // counters, trace, and further I/O all work (the "disk" survived).
         let plan = crate::FaultPlan::new(0).with_crash_at(5);
-        let m = Machine::with_faults(EmConfig::new(256, 64), plan);
+        let m = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::InMemory);
         let m2 = m.clone();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || thrash(&m2)));
         assert!(m.stats().io.total() <= 5);
@@ -947,10 +938,9 @@ mod tests {
         let plan = crate::FaultPlan::new(4242)
             .with_read_faults(120)
             .with_torn_writes(80);
-        let mem = Machine::with_faults(EmConfig::new(256, 64), plan);
+        let mem = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::InMemory);
         let mem_words = exercise(&mem);
-        let disk =
-            Machine::with_faults_and_backend(EmConfig::new(256, 64), plan, BackendKind::Disk);
+        let disk = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::Disk);
         let disk_words = exercise(&disk);
         assert_eq!(mem_words, disk_words);
         assert_eq!(mem.stats(), disk.stats(), "same faults, same accounting");
@@ -961,7 +951,7 @@ mod tests {
     #[test]
     fn crash_on_the_disk_plane_still_unlinks_the_file() {
         let plan = crate::FaultPlan::new(0).with_crash_at(6);
-        let m = Machine::with_faults_and_backend(EmConfig::new(256, 64), plan, BackendKind::Disk);
+        let m = Machine::with_faults(EmConfig::new(256, 64), plan, BackendKind::Disk);
         let path = m.disk_file().unwrap();
         let m2 = m.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || thrash(&m2)));

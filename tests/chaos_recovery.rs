@@ -8,27 +8,13 @@
 //! graph-load preamble — and assert that recovery still delivers the
 //! oracle's triangle multiset exactly once.
 
-use emsim::{CrashPoint, EmConfig, FaultPlan, Machine, RetryPolicy};
+use emsim::{
+    silence_simulated_crash_panics, BackendKind, CrashPoint, EmConfig, FaultPlan, Machine,
+    RetryPolicy,
+};
 use graphgen::{generators, naive, Graph, Triangle};
 use proptest::prelude::*;
-use trienum::{
-    enumerate_triangles_with_recovery, resume_enumeration, Checkpoint, CheckpointSpec,
-    CollectingSink,
-};
-
-/// Swallows the `CrashPoint` panics the sweep raises on purpose (hundreds of
-/// them) while letting every real panic through to the previous hook.
-fn silence_simulated_crash_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CrashPoint>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
+use trienum::{enumerate_triangles_with_recovery, Checkpoint, CheckpointSpec, CollectingSink};
 
 fn transient_plan(seed: u64, read_per_mille: u32, torn_per_mille: u32) -> FaultPlan {
     FaultPlan::new(seed)
@@ -45,9 +31,9 @@ fn faulty_run(
     alg_seed: u64,
     plan: FaultPlan,
 ) -> (Vec<Triangle>, u64, u64, u64, Vec<emsim::FaultEvent>) {
-    let machine = Machine::with_faults(cfg, plan);
+    let machine = Machine::with_faults(cfg, plan, BackendKind::InMemory);
     let mut sink = CollectingSink::new();
-    enumerate_triangles_with_recovery(g, &machine, alg_seed, &mut sink, None);
+    enumerate_triangles_with_recovery(g, &machine, alg_seed, &mut sink, None, None);
     let stats = machine.stats();
     (
         sink.into_triangles(),
@@ -111,7 +97,7 @@ fn kill_at_every_block_resumes_to_the_exact_multiset() {
     // Reference: fault-free, same entry point.
     let reference = Machine::new(cfg);
     let mut oracle_sink = CollectingSink::new();
-    enumerate_triangles_with_recovery(&g, &reference, alg_seed, &mut oracle_sink, None);
+    enumerate_triangles_with_recovery(&g, &reference, alg_seed, &mut oracle_sink, None, None);
     let total_transfers = reference.transfers();
     let mut oracle = oracle_sink.into_triangles();
     oracle.sort_unstable();
@@ -131,10 +117,17 @@ fn kill_at_every_block_resumes_to_the_exact_multiset() {
             interval_io,
         };
         let plan = FaultPlan::new(crash_at).with_crash_at(crash_at);
-        let crashed = Machine::with_faults(cfg, plan);
+        let crashed = Machine::with_faults(cfg, plan, BackendKind::InMemory);
         let mut collected = CollectingSink::new();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            enumerate_triangles_with_recovery(&g, &crashed, alg_seed, &mut collected, Some(&spec))
+            enumerate_triangles_with_recovery(
+                &g,
+                &crashed,
+                alg_seed,
+                &mut collected,
+                Some(&spec),
+                None,
+            )
         }));
         let payload = outcome.expect_err("the kill switch must fire inside the run");
         if payload.downcast_ref::<CrashPoint>().is_none() {
@@ -147,22 +140,30 @@ fn kill_at_every_block_resumes_to_the_exact_multiset() {
         );
 
         let resume_machine = Machine::new(cfg);
-        if ckpt_path.exists() {
-            let ck = Checkpoint::load(&ckpt_path).expect("loading the surviving checkpoint");
+        let ck = ckpt_path
+            .exists()
+            .then(|| Checkpoint::load(&ckpt_path).expect("loading the surviving checkpoint"));
+        if let Some(ck) = &ck {
             assert_eq!(
                 ck.hwm,
                 collected.len() as u64,
                 "kill@{crash_at}: checkpoint high-water mark disagrees with the committed count"
             );
             resumed_from_checkpoint += 1;
-            resume_enumeration(&g, &resume_machine, &ck, &mut collected, None);
         } else {
             assert!(
                 collected.is_empty(),
                 "kill@{crash_at}: triangles committed although no checkpoint was written"
             );
-            enumerate_triangles_with_recovery(&g, &resume_machine, alg_seed, &mut collected, None);
         }
+        enumerate_triangles_with_recovery(
+            &g,
+            &resume_machine,
+            alg_seed,
+            &mut collected,
+            None,
+            ck.as_ref(),
+        );
         assert_eq!(
             resume_machine.gauge().in_use(),
             0,

@@ -141,9 +141,10 @@ fn transient_faults_over_the_disk_backend_account_like_memory() {
         .with_read_faults(60)
         .with_torn_writes(40);
     let run = |backend: BackendKind| {
-        let machine = Machine::with_faults_and_backend(cfg, plan, backend);
+        let machine = Machine::with_faults(cfg, plan, backend);
         let mut sink = CollectingSink::new();
-        let report = enumerate_triangles_with_recovery(&g, &machine, 0xA11CE, &mut sink, None);
+        let report =
+            enumerate_triangles_with_recovery(&g, &machine, 0xA11CE, &mut sink, None, None);
         let mut triangles = sink.into_triangles();
         triangles.sort_unstable();
         (triangles, report.io, machine.stats(), machine.fault_trace())
