@@ -19,6 +19,7 @@ use emsim::{
 use graphgen::{generators, naive, Graph};
 use trienum::checkpoint::atomic_write;
 use trienum::lower_bound::LowerBound;
+pub use trienum::{cache_oblivious_phase_budget, CACHE_OBLIVIOUS_WORDS_PER_LEVEL};
 use trienum::{
     count_triangles, enumerate_triangles, enumerate_triangles_on, enumerate_triangles_sharded,
     enumerate_triangles_with_recovery, measure_random_coloring_balance, Algorithm, Checkpoint,
@@ -82,26 +83,10 @@ pub fn cache_aware_phase_budget(cfg: EmConfig) -> u64 {
     2 * cfg.mem_words as u64
 }
 
-/// Per-phase gauge budget for the cache-oblivious algorithm, in **words per
-/// edge**. The algorithm never reads `M`, so its resident footprint is a
-/// function of `E` alone and the budget must be too.
-///
-/// Recorded 2026-08-08 when the per-phase snapshots were introduced. The
-/// `recursion` phase dominates: 1.14 words/edge at `E = 4000` and 0.97 at
-/// `E = 12000` (falling with `E`), almost all of it the memoised colour
-/// bits (`bit_cache_lease`) plus one subproblem's edge list; `root_sort`
-/// peaks at 0 (the pre-sorted input takes the early exit without leasing)
-/// and `leaf_batch` only carries the memo words forward. A regression that
-/// holds a whole level of the recursion tree resident (the failure mode the
-/// depth-first order exists to avoid) costs a multiple of this and trips
-/// the gate immediately, while honest noise has ≥ 30% headroom at the
-/// `--quick` size.
-pub const CACHE_OBLIVIOUS_PHASE_PEAK_PER_EDGE: f64 = 1.5;
-
-/// The cache-oblivious per-phase budget for an `E`-edge input, in words.
-pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
-    (CACHE_OBLIVIOUS_PHASE_PEAK_PER_EDGE * e as f64) as u64
-}
+// The cache-oblivious per-phase budget (`cache_oblivious_phase_budget`,
+// re-exported above) is derived next to the tree it bounds:
+// `CACHE_OBLIVIOUS_WORDS_PER_LEVEL` words for each of the `⌈log₄ E⌉ + 1`
+// tree levels. Like the algorithm, it never reads `M` or `B`.
 
 /// Checks every gated [`PhasePeakRow`] against its declared budget; returns
 /// a description of the first offending phase, if any.

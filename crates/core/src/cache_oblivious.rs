@@ -56,6 +56,19 @@
 //! high-degree set, at the cost of one extra scan only when a plausible
 //! candidate exists.
 //!
+//! ## Colour resolution
+//!
+//! The colouring is the paper's `O(depth)`-word function: `⌈log₄ E⌉` bit
+//! functions and nothing per vertex. Every edge inside the node of vector
+//! `(c0, c1, c2)` is compatible with it, so its smaller endpoint's colour is
+//! `c0` or `c1` and its larger endpoint's `c1` or `c2`, and
+//! [`RefinedColoring::resolve`] picks between two candidates with one bit
+//! evaluation. The routing scan computes each child colour as
+//! `2·resolve(…) − b_d(v)`, at most two evaluations per endpoint instead of
+//! `d + 1`, and the properness filter resolves triangle vertices the same
+//! way. Only the checkpoint's root filter scan, whose edges are not yet
+//! known to be compatible, pays the full [`RefinedColoring::color_at`].
+//!
 //! ## Base cases
 //!
 //! * `E ≤ `[`BASE_CASE_EDGES`]: the subproblem is **constant-sized**, so it
@@ -124,6 +137,27 @@ const MAX_LOCAL_HIGH_DEGREE: usize = 16;
 /// Fan-out of the colour refinement (2³ child colour vectors per node).
 const CHILDREN: usize = 8;
 
+/// Gauge words one level of the refinement tree may hold, derived from the
+/// named constants: a routing node's child summaries (`CHILDREN` ×
+/// `HeavyHitters::WORDS` = 264), held for its whole subtree, an in-core
+/// leaf's edge list (`BASE_CASE_EDGES` = 24) and one bit function
+/// ([`FourWise::WORDS`] = 4). At most `⌈log₄ E⌉` nodes on a root-to-leaf
+/// path route, so the spare level covers the transient leases (root summary
+/// 33, high-degree counts ≤ 32, routing state 8, sort base case ≤ 64).
+pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
+    CHILDREN as u64 * HeavyHitters::WORDS + BASE_CASE_EDGES as u64 + FourWise::WORDS;
+
+/// The recursion depth limit `⌈log₄ E⌉`, a function of the input size only.
+fn depth_limit(e: usize) -> usize {
+    ((e as f64).ln() / 4f64.ln()).ceil() as usize
+}
+
+/// The gauge budget of one cache-oblivious run phase on `e` edges:
+/// [`CACHE_OBLIVIOUS_WORDS_PER_LEVEL`] for each of the `⌈log₄ E⌉ + 1` levels.
+pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
+    CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1)
+}
+
 /// A colour vector `(c0, c1, c2)` of a subproblem.
 type ColorVector = (u64, u64, u64);
 
@@ -146,7 +180,9 @@ type LeafRecord = (u32, u32, u32, u32);
 /// in the summary can never be high-degree.
 #[derive(Default)]
 struct HeavyHitters {
-    counters: Vec<(VertexId, u64)>,
+    keys: [VertexId; MAX_LOCAL_HIGH_DEGREE],
+    counts: [u64; MAX_LOCAL_HIGH_DEGREE],
+    len: usize,
     decrements: u64,
 }
 
@@ -155,19 +191,36 @@ impl HeavyHitters {
     const WORDS: u64 = 2 * MAX_LOCAL_HIGH_DEGREE as u64 + 1;
 
     fn feed(&mut self, v: VertexId) {
-        if let Some(c) = self.counters.iter_mut().find(|(x, _)| *x == v) {
-            c.1 += 1;
+        let len = self.len;
+        if let Some(i) = self.keys[..len].iter().position(|&x| x == v) {
+            self.counts[i] += 1;
             return;
         }
-        if self.counters.len() < MAX_LOCAL_HIGH_DEGREE {
-            self.counters.push((v, 1));
+        if len < MAX_LOCAL_HIGH_DEGREE {
+            self.keys[len] = v;
+            self.counts[len] = 1;
+            self.len += 1;
             return;
         }
+        // Decrement every counter, compacting out the ones that reach zero.
         self.decrements += 1;
-        for c in &mut self.counters {
-            c.1 -= 1;
+        let mut kept = 0;
+        for i in 0..len {
+            if self.counts[i] > 1 {
+                self.keys[kept] = self.keys[i];
+                self.counts[kept] = self.counts[i] - 1;
+                kept += 1;
+            }
         }
-        self.counters.retain(|&(_, n)| n > 0);
+        self.len = kept;
+    }
+
+    /// The tracked `(vertex, counter)` pairs.
+    fn counters(&self) -> impl Iterator<Item = (VertexId, u64)> + '_ {
+        self.keys[..self.len]
+            .iter()
+            .copied()
+            .zip(self.counts[..self.len].iter().copied())
     }
 
     fn feed_edge(&mut self, e: &Edge) {
@@ -193,10 +246,9 @@ impl HeavyHitters {
     /// scan.
     fn possible_high(&self, e_here: usize) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = self
-            .counters
-            .iter()
-            .filter(|&&(_, n)| 8 * (n + self.decrements) >= e_here as u64)
-            .map(|&(v, _)| v)
+            .counters()
+            .filter(|&(_, n)| 8 * (n + self.decrements) >= e_here as u64)
+            .map(|(v, _)| v)
             .collect();
         out.sort_unstable(); // emlint: allow(uncharged-std, reason = "O(1)-bounded candidate list; negligible next to the charged scan that fed the summary")
         out
@@ -216,8 +268,6 @@ struct CoContext<'a> {
     high_degree_truncations: u64,
     /// Number of multi-way partition sweeps performed: one per internal node.
     partition_sweeps: u64,
-    /// Gauge lease tracking the colouring's memoised bit evaluations.
-    bit_cache_lease: MemLease,
     /// The run-global files of the batched oversized-leaf wedge join.
     leaf_batch: LeafBatch,
     /// Descriptors of every oversized leaf batched so far, in leaf-id order.
@@ -312,8 +362,7 @@ pub(crate) fn run_cache_oblivious(
             },
         );
     }
-    // Depth limit log₄ E (a function of the input size only).
-    let depth_limit = ((e as f64).ln() / 4f64.ln()).ceil() as usize;
+    let depth_limit = depth_limit(e);
     if let Some(ck) = resume {
         assert_eq!(
             (ck.seed, ck.edges, ck.depth_limit),
@@ -330,12 +379,12 @@ pub(crate) fn run_cache_oblivious(
     recorder.record("root_sort", io0, machine.io());
 
     // The per-level refinement bits: one 4-wise independent function per tree
-    // depth, derived from the seed by a fixed splitmix sequence. Memoised —
-    // the recursion queries every endpoint's colour at every level, and the
-    // memo's in-core footprint is tracked on the gauge through
-    // `ctx.bit_cache_lease`.
+    // depth, derived from the seed by a fixed splitmix sequence. These
+    // `depth_limit` functions are the colouring's whole in-core state, leased
+    // for the rest of the run.
+    let _coloring_lease = machine.gauge().lease(FourWise::WORDS * depth_limit as u64);
     let mut bit_seed = seed;
-    let mut coloring = RefinedColoring::memoised();
+    let mut coloring = RefinedColoring::identity();
     coloring.push_batch((0..depth_limit).map(|_| FourWise::new(splitmix(&mut bit_seed))));
 
     let mut ctx = CoContext {
@@ -346,20 +395,19 @@ pub(crate) fn run_cache_oblivious(
         max_depth: 0,
         high_degree_truncations: 0,
         partition_sweeps: 0,
-        bit_cache_lease: machine.gauge().lease(0),
         leaf_batch: LeafBatch::new(&machine),
         leaf_log: Vec::new(),
         log_leaves: spec.is_some(),
         shard,
     };
     let stack = match resume {
-        None => vec![Frame::Node(PendingNode {
+        None => vec![Frame::Node(Box::new(PendingNode {
             edges: root,
             summary: None,
             target: (1, 1, 1),
             depth: 0,
             removed: None,
-        })],
+        }))],
         Some(ck) => {
             let io0 = machine.io();
             let stack = rebuild_stack_from_checkpoint(&mut ctx, &machine, &coloring, &root, ck);
@@ -398,23 +446,22 @@ fn pair_compatible(cu: u64, cv: u64, target: ColorVector) -> bool {
 }
 
 /// Whether edge `e` is compatible with colour vector `target` under the full
-/// depth of `coloring` (paper: not *incompatible*, i.e. its ordered colour
-/// pair appears among the pairs a proper triangle would use). The production
-/// path computes prefix colours once per edge and calls [`pair_compatible`]
-/// directly; this wrapper is the reference definition the partition-routing
-/// test checks against.
+/// depth of `coloring`: the reference definition the partition-routing test
+/// checks the resolved colours of the routing scan against.
 #[cfg_attr(not(test), allow(dead_code))]
 fn compatible(e: &Edge, coloring: &RefinedColoring, target: ColorVector) -> bool {
     pair_compatible(coloring.color(e.u), coloring.color(e.v), target)
 }
 
 /// Whether triangle `t` is proper for `target` under the depth-`depth`
-/// prefix of `coloring`.
+/// prefix of `coloring`. `t`'s edges lie in the node of `target`, so `t.a`'s
+/// colour is `c0` or `c1` and `t.b`'s and `t.c`'s are `c1` or `c2`.
 fn proper_at(t: &Triangle, coloring: &RefinedColoring, depth: usize, target: ColorVector) -> bool {
+    let (c0, c1, c2) = target;
     (
-        coloring.color_at(t.a, depth),
-        coloring.color_at(t.b, depth),
-        coloring.color_at(t.c, depth),
+        coloring.resolve(t.a, depth, c0, c1),
+        coloring.resolve(t.b, depth, c1, c2),
+        coloring.resolve(t.c, depth, c1, c2),
     ) == target
 }
 
@@ -723,7 +770,7 @@ struct PendingNode {
 /// dropped a parent's child-summaries gauge lease (after its whole subtree),
 /// keeping the gauge accounting identical frame for frame.
 enum Frame {
-    Node(PendingNode),
+    Node(Box<PendingNode>),
     Release(MemLease),
 }
 
@@ -831,13 +878,13 @@ fn rebuild_stack_from_checkpoint(
                         parent: None,
                     }))
                 };
-                stack.push(Frame::Node(PendingNode {
+                stack.push(Frame::Node(Box::new(PendingNode {
                     edges,
                     summary: None,
                     target: desc.target,
                     depth: desc.depth,
                     removed,
-                }));
+                })));
             }
         }
     }
@@ -880,7 +927,7 @@ fn drive_depth_first(
         }
         match stack.pop().expect("loop guard: stack is non-empty") {
             Frame::Release(lease) => drop(lease),
-            Frame::Node(node) => process_node(ctx, machine, coloring, node, &mut stack),
+            Frame::Node(node) => process_node(ctx, machine, coloring, *node, &mut stack),
         }
     }
 }
@@ -998,12 +1045,13 @@ fn process_node(
     // ---- Steps 2–3: all eight children in one routing scan (this node's
     // own partition sweep), child degree summaries fed en passant. ----
     ctx.partition_sweeps += 1;
+    let (c0, c1, c2) = target;
     let children = child_vectors(target);
     // The summaries stay resident until the last child consumes its own, so
     // the lease must span the whole subtree below this node: it rides the
     // stack as a Release frame underneath the eight children.
     let summary_lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
-    let mut summaries: Vec<HeavyHitters> = (0..CHILDREN).map(|_| HeavyHitters::default()).collect();
+    let mut summaries: [HeavyHitters; CHILDREN] = Default::default();
     let buckets = {
         let summaries = &mut summaries;
         let mut prev: Option<Edge> = None;
@@ -1015,8 +1063,9 @@ fn process_node(
                 "edge segment lost its inherited sort order"
             );
             prev = Some(*e);
-            let cu = coloring.color_at(e.u, depth + 1);
-            let cv = coloring.color_at(e.v, depth + 1);
+            // See "Colour resolution" in the module docs.
+            let cu = 2 * coloring.resolve(e.u, depth, c0, c1) - u64::from(coloring.bit(depth, e.u));
+            let cv = 2 * coloring.resolve(e.v, depth, c1, c2) - u64::from(coloring.bit(depth, e.v));
             let mut mask = 0u32;
             for (i, &child) in children.iter().enumerate() {
                 if pair_compatible(cu, cv, child) {
@@ -1028,7 +1077,6 @@ fn process_node(
         })
     };
     drop(current);
-    ctx.bit_cache_lease.resize(coloring.cached_bits() as u64);
 
     stack.push(Frame::Release(summary_lease));
     for ((bucket, &child_target), summary) in buckets
@@ -1037,13 +1085,13 @@ fn process_node(
         .zip(summaries)
         .rev()
     {
-        stack.push(Frame::Node(PendingNode {
+        stack.push(Frame::Node(Box::new(PendingNode {
             edges: bucket,
             summary: Some(summary),
             target: child_target,
             depth: depth + 1,
             removed: removed.clone(),
-        }));
+        })));
     }
 }
 
@@ -1399,7 +1447,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_cache_lease_is_released_after_the_run() {
+    fn gauge_peak_stays_within_the_depth_budget_and_no_lease_survives() {
         let g = generators::erdos_renyi(150, 1200, 2);
         let machine = Machine::new(EmConfig::new(1 << 10, 32));
         let eg = ExtGraph::load(&machine, &g);
@@ -1414,6 +1462,77 @@ mod tests {
             Recovery::default(),
         );
         assert_eq!(machine.gauge().in_use(), 0);
-        assert!(machine.gauge().peak() > 0, "memoised bits were accounted");
+        let peak = machine.gauge().peak();
+        assert!(peak > 0, "the stacked summaries were accounted");
+        assert!(
+            peak <= cache_oblivious_phase_budget(1200),
+            "peak {peak} exceeds the depth budget {}",
+            cache_oblivious_phase_budget(1200)
+        );
+    }
+
+    /// The `Vec`-backed Misra–Gries summary the fixed-array one replaced,
+    /// kept as the reference it must agree with.
+    #[derive(Default)]
+    struct VecHeavyHitters {
+        counters: Vec<(VertexId, u64)>,
+        decrements: u64,
+    }
+
+    impl VecHeavyHitters {
+        fn feed(&mut self, v: VertexId) {
+            if let Some(c) = self.counters.iter_mut().find(|(x, _)| *x == v) {
+                c.1 += 1;
+                return;
+            }
+            if self.counters.len() < MAX_LOCAL_HIGH_DEGREE {
+                self.counters.push((v, 1));
+                return;
+            }
+            self.decrements += 1;
+            for c in &mut self.counters {
+                c.1 -= 1;
+            }
+            self.counters.retain(|&(_, n)| n > 0);
+        }
+    }
+
+    #[test]
+    fn fixed_array_summary_tracks_the_vec_reference_after_every_feed() {
+        let mut state = 17u64;
+        let random: Vec<VertexId> = (0..4000)
+            .map(|_| (splitmix(&mut state) % 64) as VertexId)
+            .collect();
+        // More than 16 distinct keys in a row: every feed past the 16th
+        // decrements and empties the summary.
+        let distinct: Vec<VertexId> = (0..200).collect();
+        let hub: Vec<VertexId> = std::iter::repeat_n(7, 300).collect();
+        // A hub alternating with fresh keys, edge by edge and in blocks.
+        let alternating: Vec<VertexId> = (0..2000u32)
+            .map(|i| if i % 3 == 0 { 7 } else { 1000 + i })
+            .collect();
+        let blocks: Vec<VertexId> = (0..10u32)
+            .flat_map(|b| {
+                if b % 2 == 0 {
+                    (0..40).map(|_| 3).collect::<Vec<_>>()
+                } else {
+                    (0..40).map(|i| 500 + 40 * b + i).collect()
+                }
+            })
+            .collect();
+        for stream in [random, distinct, hub, alternating, blocks] {
+            let mut fixed = HeavyHitters::default();
+            let mut reference = VecHeavyHitters::default();
+            for (i, &v) in stream.iter().enumerate() {
+                fixed.feed(v);
+                reference.feed(v);
+                let mut got: Vec<(VertexId, u64)> = fixed.counters().collect();
+                let mut want = reference.counters.clone();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "feed {i}");
+                assert_eq!(fixed.decrements, reference.decrements, "feed {i}");
+            }
+        }
     }
 }

@@ -70,6 +70,7 @@ mod util;
 pub mod workunit;
 
 pub use cache_aware::measure_random_coloring_balance;
+pub use cache_oblivious::{cache_oblivious_phase_budget, CACHE_OBLIVIOUS_WORDS_PER_LEVEL};
 pub use checkpoint::{Checkpoint, CheckpointSpec};
 pub use input::ExtGraph;
 pub use sink::{CollectingSink, CountingSink, DurableSink, FnSink, StrictSink, TriangleSink};

@@ -291,7 +291,7 @@ impl MemLease {
 
     /// Grows or shrinks the lease to exactly `words` — convenient for
     /// tracking a buffer whose size is re-measured periodically (e.g. the
-    /// memoised colour bits of the cache-oblivious recursion).
+    /// edge and endpoint buffers of the Lemma 2 join).
     pub fn resize(&mut self, words: u64) {
         if words > self.words {
             self.grow(words - self.words);

@@ -1,8 +1,5 @@
 //! Vertex colourings built from limited-independence hash functions.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use crate::fourwise::FourWise;
 
 /// A random colouring `ξ : V → {0, …, c−1}` drawn from a 4-wise independent
@@ -41,89 +38,21 @@ impl RandomColoring {
 ///
 /// The refinement starts from the constant colouring `ξ_0 ≡ 1`; after `i`
 /// refinements the colour of a vertex lies in `[2^i·base − (2^i − 1), 2^i·base]`.
-/// Only the chosen bit functions are stored (`O(i)` words), so no per-vertex
-/// table is ever *required* — a vertex colour is always recomputable from the
-/// `O(depth)` stored coefficients.
+/// Only the chosen bit functions are stored (`O(i)` words) and every colour
+/// is recomputed from them, so the colouring keeps no per-vertex state.
 ///
-/// A memoised colouring (built with [`RefinedColoring::memoised`])
-/// additionally caches, per level, the bits it has already evaluated
-/// (`vertex → bit`), so repeated `color`/`bit` queries for the same vertex —
-/// the cache-oblivious recursion asks for every endpoint's colour at every
-/// level — cost a table lookup instead of re-running the whole degree-3
-/// polynomial chain. The memo is a transparent cache over a pure function of
-/// the stored coefficients: dropping it (or overflowing [`BIT_CACHE_LIMIT`],
-/// which clears the level) never changes any colour. Memoisation is
-/// **opt-in** because the memo is real in-core state: a caller on a
-/// simulated machine must account its footprint (via
-/// [`RefinedColoring::cached_bits`]) on the memory gauge, and callers that
-/// cannot afford a per-vertex table (the derandomized cache-aware driver)
-/// stay on the default recompute-from-`O(depth)`-words behaviour.
+/// A caller that already knows a vertex's colour is one of two candidates
+/// asks [`RefinedColoring::resolve`], which costs at most one bit evaluation
+/// instead of the `depth` that [`RefinedColoring::color_at`] pays.
 #[derive(Debug, Clone, Default)]
 pub struct RefinedColoring {
-    levels: Vec<BitLevel>,
-    memoise: bool,
-}
-
-/// Entries per level above which a level's memo is cleared (bounds the
-/// in-core footprint; correctness never depends on the memo's contents).
-const BIT_CACHE_LIMIT: usize = 1 << 17;
-
-/// One refinement level: the chosen bit function plus its optional
-/// evaluation memo.
-#[derive(Debug, Clone)]
-struct BitLevel {
-    f: FourWise,
-    // emlint: allow(uncharged-std, reason = "opt-in evaluation memo, bounded by BIT_CACHE_LIMIT and leased by the cache-aware caller; correctness never depends on it")
-    memo: Option<RefCell<HashMap<u32, bool>>>,
-}
-
-impl BitLevel {
-    fn new(f: FourWise, memoise: bool) -> Self {
-        Self {
-            f,
-            memo: memoise.then(|| RefCell::new(HashMap::new())), // emlint: allow(uncharged-std, reason = "see the BitLevel::memo waiver — bounded, opt-in, caller-leased")
-        }
-    }
-
-    fn bit(&self, v: u32) -> bool {
-        let Some(memo) = &self.memo else {
-            return self.f.eval_bit(u64::from(v));
-        };
-        let mut memo = memo.borrow_mut();
-        if let Some(&b) = memo.get(&v) {
-            return b;
-        }
-        let b = self.f.eval_bit(u64::from(v));
-        if memo.len() >= BIT_CACHE_LIMIT {
-            memo.clear();
-        }
-        memo.insert(v, b);
-        b
-    }
-
-    fn cached(&self) -> usize {
-        self.memo.as_ref().map_or(0, |m| m.borrow().len())
-    }
+    levels: Vec<FourWise>,
 }
 
 impl RefinedColoring {
     /// The identity (depth-0) refinement: every vertex keeps its base colour.
-    /// Colours are recomputed from the stored coefficients on every query.
     pub fn identity() -> Self {
-        Self {
-            levels: Vec::new(),
-            memoise: false,
-        }
-    }
-
-    /// The identity refinement with per-level bit memoisation enabled for
-    /// every subsequently pushed level (see the type-level docs for the
-    /// accounting obligation this creates).
-    pub fn memoised() -> Self {
-        Self {
-            levels: Vec::new(),
-            memoise: true,
-        }
+        Self::default()
     }
 
     /// Number of refinement levels applied.
@@ -131,25 +60,21 @@ impl RefinedColoring {
         self.levels.len()
     }
 
-    /// Appends one refinement level using bit function `b` (with a fresh,
-    /// empty evaluation memo when this colouring is memoised).
+    /// Appends one refinement level using bit function `b`.
     pub fn push(&mut self, b: FourWise) {
-        self.levels.push(BitLevel::new(b, self.memoise));
+        self.levels.push(b);
     }
 
-    /// Appends a whole batch of refinement levels at once — how a
-    /// level-synchronous consumer installs its per-level bit schedule up
-    /// front (one shared bit function per tree depth) instead of
-    /// pushing/popping per node. Prefix queries then go through
-    /// [`RefinedColoring::color_at`].
+    /// Appends a whole batch of refinement levels at once — how a consumer
+    /// installs its per-level bit schedule up front (one shared bit function
+    /// per tree depth) instead of pushing/popping per node. Prefix queries
+    /// then go through [`RefinedColoring::color_at`].
     pub fn push_batch(&mut self, bits: impl IntoIterator<Item = FourWise>) {
-        for b in bits {
-            self.push(b);
-        }
+        self.levels.extend(bits);
     }
 
     /// Removes the most recent refinement level (used when backtracking out
-    /// of a recursion level), discarding its memoised bits.
+    /// of a recursion level).
     pub fn pop(&mut self) {
         self.levels.pop();
     }
@@ -159,11 +84,7 @@ impl RefinedColoring {
     /// With `ξ_0(v) = base` and `ξ_i(v) = 2ξ_{i−1}(v) − b_{i−1}(v)` this is
     /// the value after applying every stored refinement level in order.
     pub fn color_of(&self, base: u64, v: u32) -> u64 {
-        let mut c = base;
-        for level in &self.levels {
-            c = 2 * c - u64::from(level.bit(v));
-        }
-        c
+        refine(base, &self.levels, v)
     }
 
     /// The colour of vertex `v` starting from the paper's constant base
@@ -175,39 +96,61 @@ impl RefinedColoring {
     /// The colour of vertex `v` after only the first `depth ≤ depth()`
     /// refinement levels, from the constant base colouring `ξ_0 ≡ 1`.
     ///
-    /// This is the query shape of the level-synchronous recursion: all
-    /// `log₄ E` bit functions are installed once (see
-    /// [`RefinedColoring::push_batch`]) and every tree level `d` asks for the
-    /// depth-`d` prefix colour, so sibling subproblems share both the bit
-    /// functions and the per-level memo instead of re-pushing their own.
+    /// Tree level `d` of a refinement tree whose bit functions are installed
+    /// once asks for this prefix colour; it costs `depth` bit evaluations.
     ///
     /// # Panics
     ///
     /// Panics if `depth` exceeds the number of stored levels.
     pub fn color_at(&self, v: u32, depth: usize) -> u64 {
-        assert!(
-            depth <= self.levels.len(),
-            "prefix depth {depth} exceeds stored depth {}",
-            self.levels.len()
-        );
-        let mut c = 1u64;
-        for level in &self.levels[..depth] {
-            c = 2 * c - u64::from(level.bit(v));
-        }
+        refine(1, &self.levels[..depth], v)
+    }
+
+    /// The depth-`depth` prefix colour of `v` (as [`RefinedColoring::color_at`]),
+    /// given that it is one of the candidates `a` and `b`, at the cost of at
+    /// most one bit evaluation.
+    ///
+    /// From `ξ_0 ≡ 1`, `ξ_d(v) − 1` is the complement of the bit string
+    /// `b_0(v) … b_{d−1}(v)` read with `b_0` most significant. Two candidates
+    /// therefore first differ at level `d − 1 − ⌊log₂((a−1) ⊕ (b−1))⌋`, and
+    /// `v`'s bit at that level picks one; equal candidates need no
+    /// evaluation. Callers that cannot guarantee the candidates use
+    /// [`RefinedColoring::color_at`].
+    ///
+    /// # Panics
+    ///
+    /// Debug builds check the result against [`RefinedColoring::color_at`]
+    /// and panic if `v`'s colour is neither candidate (release builds return
+    /// one of them). Panics if the candidates differ and `depth` exceeds the
+    /// number of stored levels or is too shallow for both to occur.
+    pub fn resolve(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
+        let diff = (a - 1) ^ (b - 1);
+        let c = if diff == 0 {
+            a
+        } else {
+            let k = diff.ilog2() as usize;
+            // Bit k of a − 1 is the complement of a's bit at that level.
+            if self.bit(depth - 1 - k, v) == ((a - 1) >> k & 1 == 0) {
+                a
+            } else {
+                b
+            }
+        };
+        debug_assert_eq!(c, self.color_at(v, depth), "{v}: neither {a} nor {b}");
         c
     }
 
     /// The bit chosen for vertex `v` at refinement level `i` (0-based).
     pub fn bit(&self, i: usize, v: u32) -> bool {
-        self.levels[i].bit(v)
+        self.levels[i].eval_bit(u64::from(v))
     }
+}
 
-    /// Total number of memoised bit evaluations across all levels — the
-    /// in-core footprint (in entries ≈ words) a simulator-side caller should
-    /// register on its memory gauge. Always 0 for a non-memoised colouring.
-    pub fn cached_bits(&self) -> usize {
-        self.levels.iter().map(BitLevel::cached).sum()
-    }
+/// `ξ` after applying `levels` in order to the base colour `base`.
+fn refine(base: u64, levels: &[FourWise], v: u32) -> u64 {
+    levels
+        .iter()
+        .fold(base, |c, f| 2 * c - u64::from(f.eval_bit(u64::from(v))))
 }
 
 #[cfg(test)]
@@ -267,50 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn non_memoised_coloring_keeps_no_per_vertex_state() {
-        let fam = crate::BitFunctionFamily::new(2, 33);
-        let mut plain = RefinedColoring::identity();
-        let mut memo = RefinedColoring::memoised();
-        for i in 0..2 {
-            plain.push(fam.function(i));
-            memo.push(fam.function(i));
-        }
-        for v in 0..100u32 {
-            assert_eq!(plain.color(v), memo.color(v), "vertex {v}");
-        }
-        assert_eq!(plain.cached_bits(), 0, "identity() must not grow a table");
-        assert_eq!(memo.cached_bits(), 200);
-    }
-
-    #[test]
-    fn memoised_bits_agree_with_direct_evaluation_and_are_counted() {
-        let fam = crate::BitFunctionFamily::new(3, 21);
-        let mut r = RefinedColoring::memoised();
-        for i in 0..3 {
-            r.push(fam.function(i));
-        }
-        assert_eq!(r.cached_bits(), 0);
-        for v in 0..50u32 {
-            // First query populates the memo, second must hit it; both agree
-            // with evaluating the raw bit functions directly.
-            let first = r.color(v);
-            let second = r.color(v);
-            assert_eq!(first, second);
-            let mut expected = 1u64;
-            for i in 0..3 {
-                expected = 2 * expected - u64::from(fam.function(i).eval_bit(u64::from(v)));
-            }
-            assert_eq!(first, expected, "vertex {v}");
-        }
-        assert_eq!(r.cached_bits(), 150, "50 vertices x 3 levels");
-        r.pop();
-        assert_eq!(r.cached_bits(), 100, "popping a level drops its memo");
-    }
-
-    #[test]
     fn prefix_colors_agree_with_incremental_refinement() {
         let fam = crate::BitFunctionFamily::new(4, 77);
-        let mut full = RefinedColoring::memoised();
+        let mut full = RefinedColoring::identity();
         full.push_batch((0..4).map(|i| fam.function(i)));
         assert_eq!(full.depth(), 4);
 
@@ -331,6 +233,29 @@ mod tests {
         for v in 0..64u32 {
             assert_eq!(full.color_at(v, 4), full.color(v));
             assert_eq!(full.color_at(v, 0), 1);
+        }
+    }
+
+    #[test]
+    fn resolve_agrees_with_the_prefix_colour_for_every_candidate_pair() {
+        // Random bit schedules, every depth up to 8, and every candidate
+        // pair that contains the vertex's true depth-d colour, in both
+        // orders.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..4 {
+            let mut r = RefinedColoring::identity();
+            r.push_batch((0..8).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=8usize {
+                for _ in 0..32 {
+                    let v: u32 = rng.random_range(0..u32::MAX);
+                    let c = r.color_at(v, depth);
+                    for other in 1..=1u64 << depth {
+                        assert_eq!(r.resolve(v, depth, c, other), c, "v={v} d={depth}");
+                        assert_eq!(r.resolve(v, depth, other, c), c, "v={v} d={depth}");
+                    }
+                }
+            }
         }
     }
 

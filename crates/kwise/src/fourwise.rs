@@ -29,6 +29,9 @@ fn reduce(x: u128) -> u64 {
 }
 
 impl FourWise {
+    /// In-core footprint in words: the four coefficients.
+    pub const WORDS: u64 = 4;
+
     /// Draws a function from the family using `seed`.
     pub fn new(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -8,9 +8,9 @@ use std::cell::RefCell;
 /// the partition sort alone asks for both endpoint colours on every key
 /// comparison — and for the derandomized colouring each evaluation walks a
 /// chain of degree-3 polynomials. The memo caches `vertex → colour` so
-/// repeated queries cost a table lookup, mirroring the per-level bit memo of
-/// [`crate::RefinedColoring`]: it is a transparent cache over a pure
-/// function, so a miss (or a collision eviction) never changes any colour.
+/// repeated queries cost a table lookup: it is a transparent cache over a
+/// pure function, so a miss (or a collision eviction) never changes any
+/// colour.
 ///
 /// The table is **direct-mapped**: `capacity` slots, vertex `v` hashes to
 /// slot `v % capacity`, a collision simply overwrites the slot. Unlike a
