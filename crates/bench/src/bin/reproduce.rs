@@ -164,7 +164,7 @@ fn main() {
         match peak_verdict {
             Ok(()) => println!(
                 "phase-peak gate: every cache-oblivious phase within \
-                 {CACHE_OBLIVIOUS_WORDS_PER_LEVEL} words per tree level"
+                 {CACHE_OBLIVIOUS_WORDS_PER_LEVEL} words per tree level plus one leaf"
             ),
             Err(msg) => failures.push(format!("E3 phase-peak gate: {msg}")),
         }

@@ -86,7 +86,8 @@ pub fn cache_aware_phase_budget(cfg: EmConfig) -> u64 {
 // The cache-oblivious per-phase budget (`cache_oblivious_phase_budget`,
 // re-exported above) is derived next to the tree it bounds:
 // `CACHE_OBLIVIOUS_WORDS_PER_LEVEL` words for each of the `⌈log₄ E⌉ + 1`
-// tree levels. Like the algorithm, it never reads `M` or `B`.
+// tree levels, plus one in-core leaf's edge list. Like the algorithm, it
+// never reads `M` or `B`.
 
 /// Checks every gated [`PhasePeakRow`] against its declared budget; returns
 /// a description of the first offending phase, if any.
@@ -418,14 +419,15 @@ pub fn experiment_e7(sizes: &[usize]) -> (Vec<Row>, Vec<PhasePeakRow>) {
 /// Work-budget ceiling for the cache-oblivious algorithm: `reproduce` fails
 /// (and CI with it) if any E7 row reports `work/E^{1.5}` above this value.
 ///
-/// Recorded 2026-07-30 after the canonical-edge-list rewrite (PR 5):
-/// measured ratios are 6.10 at `E = 4000` (the `--quick` size), 5.92 at
-/// `E = 8000` and 4.55 at `E = 16000` — the ratio falls with `E`. The
-/// PR 2–4 incidence-list implementation sat at 9.75–10.3 and the pre-PR 2
-/// one at ≈ 52.7, so a regression to either (re-materialised reverse
-/// orientations, per-leaf wedge sorts, per-child filter scans) trips the
-/// gate immediately while leaving honest noise ~30% headroom.
-pub const CACHE_OBLIVIOUS_WORK_CEILING: f64 = 8.0;
+/// Recorded after the in-core base case grew from 24 to 96 edges: measured
+/// ratios are 3.50 at `E = 4000` (the `--quick` size), 3.04 at `E = 8000`
+/// and 2.50 at `E = 16000` — the ratio falls with `E`. The 24-edge base
+/// case sat at 6.10, 5.92 and 4.55, the incidence-list implementation at
+/// 9.75–10.3 and the one before it at ≈ 52.7, so a regression to any of
+/// them (a smaller base case, re-materialised reverse orientations,
+/// per-leaf wedge sorts, per-child filter scans) trips the gate while the
+/// worst current row keeps ~14% headroom.
+pub const CACHE_OBLIVIOUS_WORK_CEILING: f64 = 4.0;
 
 /// Checks an E7 table against [`CACHE_OBLIVIOUS_WORK_CEILING`]; returns a
 /// description of the first offending row, if any.
@@ -455,15 +457,14 @@ pub fn check_e7_work_budget(rows: &[Row]) -> Result<(), String> {
 /// `reproduce` fails (and CI with it) if any E3 row reports `io/bound`
 /// (measured I/O over the paper's `E^{3/2}/(√M·B)`) above this value.
 ///
-/// Recorded 2026-07-30 after the canonical-edge-list rewrite (PR 5): the
-/// normalised I/O sits at 19.7–58.1 across the full `(M, B)` sweep at
-/// `E = 12000` (worst row `M = 512, B = 32`) and at 15.8–37.4 on the
-/// `--quick` sweep at `E = 4000`. The PR 2–4 incidence-list implementation
-/// sat at 79.8–146.0, so a regression toward any of its removed costs (the
-/// 2× reverse-orientation routing volume, the root sort, per-leaf wedge
-/// files) trips the gate immediately while honest noise has ~12% headroom
-/// above the worst recorded row.
-pub const CACHE_OBLIVIOUS_IO_CEILING: f64 = 65.0;
+/// Recorded after the in-core base case grew from 24 to 96 edges: the
+/// normalised I/O sits at 19.72–39.97 across the full `(M, B)` sweep at
+/// `E = 12000` (worst row `M = 512, B = 32`) and at 15.82–36.52 on the
+/// `--quick` sweep at `E = 4000`. The 24-edge base case's worst row was
+/// 58.13 and the incidence-list implementation sat at 79.8–146.0, so a
+/// regression toward either trips the gate while honest noise has ~12%
+/// headroom above the worst recorded row.
+pub const CACHE_OBLIVIOUS_IO_CEILING: f64 = 45.0;
 
 /// Checks an E3 table against [`CACHE_OBLIVIOUS_IO_CEILING`]; returns a
 /// description of the first offending row, if any.
@@ -1607,6 +1608,14 @@ mod tests {
         let err = check_e7_work_budget(&incidence_regression).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
 
+        // So must a return to the 24-edge in-core base case (6.10 quick).
+        let small_leaf_regression = vec![Row::new("E=4000 cache-oblivious")
+            .col("work_ops", 1.542e6)
+            .col("E^1.5", 2.530e5)
+            .col("work/E^1.5", 6.10)];
+        let err = check_e7_work_budget(&small_leaf_regression).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+
         let unrelated = vec![Row::new("E=4000 hu-tao-chung").col("work/E^1.5", 1e9)];
         check_e7_work_budget(&unrelated).expect("gate only watches the cache-oblivious rows");
     }
@@ -1638,6 +1647,14 @@ mod tests {
             .col("io", 2.559e4)
             .col("io/bound", 79.75)];
         let err = check_e3_io_budget(&best_row_regression).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+
+        // So must a return to the 24-edge in-core base case (58.13 at
+        // M=512 B=32).
+        let small_leaf_regression = vec![Row::new("M=512 B=32")
+            .col("io", 1.055e5)
+            .col("io/bound", 58.13)];
+        let err = check_e3_io_budget(&small_leaf_regression).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
 
         let missing_column = vec![Row::new("M=512 B=32").col("io", 1.0)];

@@ -71,11 +71,15 @@
 //!
 //! ## Base cases
 //!
-//! * `E ≤ `[`BASE_CASE_EDGES`]: the subproblem is **constant-sized**, so it
-//!   is joined entirely in core (the edge list is leased on the memory
-//!   gauge, wedges are probed against it by binary search) — no wedge file,
-//!   no sort, no extra I/O beyond the one segment read. This matches the
-//!   paper's O(1)-size base case, which assumes constant working storage.
+//! * `E ≤ `[`BASE_CASE_EDGES`] (96): the subproblem is **constant-sized**,
+//!   so it is joined entirely in core (the edge list is leased on the
+//!   memory gauge, wedges are probed against it by binary search) — no
+//!   wedge file, no sort, no extra I/O beyond the one segment read. This
+//!   matches the paper's O(1)-size base case, which assumes constant
+//!   working storage. The constant only sets where the tree stops: a
+//!   subproblem this small is finished in one read, where routing it would
+//!   pay a summary check, possibly a degree-counting scan and Lemma 1
+//!   passes, and eight child lists.
 //! * **oversized depth-limit leaves** (`E > `[`BASE_CASE_EDGES`] at depth
 //!   `log₄ E`, rare): these are *batched across the whole run* — each
 //!   appends its wedges and its (already sorted) edges, tagged by leaf id,
@@ -122,8 +126,11 @@ use crate::workunit::{ShardCursor, WorkUnitKind, DEFAULT_SPAWN_DEPTH};
 /// Subproblems of at most this many edges are joined in core directly. A
 /// fixed constant — the cache-oblivious model forbids dependence on `M`/`B`,
 /// not on constants (and the paper's base case likewise assumes constant
-/// working storage).
-const BASE_CASE_EDGES: usize = 24;
+/// working storage). Chosen by a sweep over {24, 48, 96, 192} (EXPERIMENTS.md
+/// "Base-case sweep"): 96 halves the work and lowers every E3 row against
+/// 24. 192 is lower still, but it would turn the K16/K17 high-degree
+/// boundary instances into single root leaves.
+const BASE_CASE_EDGES: usize = 96;
 
 /// The paper's bound on the number of local high-degree vertices: since each
 /// has degree ≥ E/8 and the degrees sum to 2E, there can be at most 16. The
@@ -139,13 +146,13 @@ const CHILDREN: usize = 8;
 
 /// Gauge words one level of the refinement tree may hold, derived from the
 /// named constants: a routing node's child summaries (`CHILDREN` ×
-/// `HeavyHitters::WORDS` = 264), held for its whole subtree, an in-core
-/// leaf's edge list (`BASE_CASE_EDGES` = 24) and one bit function
-/// ([`FourWise::WORDS`] = 4). At most `⌈log₄ E⌉` nodes on a root-to-leaf
-/// path route, so the spare level covers the transient leases (root summary
-/// 33, high-degree counts ≤ 32, routing state 8, sort base case ≤ 64).
+/// `HeavyHitters::WORDS` = 264), held for its whole subtree, and one bit
+/// function ([`FourWise::WORDS`] = 4). At most `⌈log₄ E⌉` nodes on a
+/// root-to-leaf path route, so the spare level covers the transient leases
+/// (root summary 33, high-degree counts ≤ 32, routing state 8, sort base
+/// case ≤ 64).
 pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
-    CHILDREN as u64 * HeavyHitters::WORDS + BASE_CASE_EDGES as u64 + FourWise::WORDS;
+    CHILDREN as u64 * HeavyHitters::WORDS + FourWise::WORDS;
 
 /// The recursion depth limit `⌈log₄ E⌉`, a function of the input size only.
 fn depth_limit(e: usize) -> usize {
@@ -153,9 +160,11 @@ fn depth_limit(e: usize) -> usize {
 }
 
 /// The gauge budget of one cache-oblivious run phase on `e` edges:
-/// [`CACHE_OBLIVIOUS_WORDS_PER_LEVEL`] for each of the `⌈log₄ E⌉ + 1` levels.
+/// [`CACHE_OBLIVIOUS_WORDS_PER_LEVEL`] for each of the `⌈log₄ E⌉ + 1` levels,
+/// plus one in-core leaf's edge list (`BASE_CASE_EDGES`), counted once
+/// because only one leaf is ever live.
 pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
-    CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1)
+    CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1) + BASE_CASE_EDGES as u64
 }
 
 /// A colour vector `(c0, c1, c2)` of a subproblem.
@@ -1153,9 +1162,12 @@ mod tests {
         let (got, _, _) = run(&star, EmConfig::new(256, 32), 1);
         assert_eq!(got, 0);
 
-        let lolli = generators::lollipop(10, 40);
-        let (got, _, _) = run(&lolli, EmConfig::new(256, 32), 2);
+        // K10 plus an 80-edge path: 125 edges, above BASE_CASE_EDGES, so
+        // the root routes instead of being one in-core leaf.
+        let lolli = generators::lollipop(10, 80);
+        let (got, _, stats) = run(&lolli, EmConfig::new(256, 32), 2);
         assert_eq!(got, 120);
+        assert!(stats.partition_sweeps >= 1, "the lollipop must route");
     }
 
     #[test]
@@ -1267,9 +1279,52 @@ mod tests {
         // 16 vertices are local high-degree — the maximum the invariant
         // allows. The run must stay exact without any truncation.
         let g = generators::clique(16);
+        assert!(
+            g.edge_count() > BASE_CASE_EDGES,
+            "K16 must reach step 1, not the in-core leaf"
+        );
         let (got, _, stats) = run(&g, EmConfig::new(256, 32), 5);
         assert_eq!(got, 560); // C(16, 3)
         assert_eq!(stats.high_degree_truncations, 0);
+        // The root's Lemma 1 passes consume every edge, so nothing routes.
+        assert_eq!((stats.subproblems, stats.partition_sweeps), (1, 0));
+    }
+
+    #[test]
+    fn base_case_boundary_is_one_leaf_at_the_constant_and_routes_above_it() {
+        use crate::sink::CollectingSink;
+        use crate::{enumerate_triangles, Algorithm};
+        let dense = generators::erdos_renyi(24, 150, 8);
+        assert!(
+            dense.edge_count() > BASE_CASE_EDGES,
+            "grow the source graph"
+        );
+        for (e, leaf) in [(BASE_CASE_EDGES, true), (BASE_CASE_EDGES + 1, false)] {
+            let mut g = graphgen::Graph::empty(24);
+            for edge in &dense.edges()[..e] {
+                g.add_edge(edge.u, edge.v);
+            }
+            assert_eq!(g.edge_count(), e);
+            let mut sink = CollectingSink::new();
+            let report = enumerate_triangles(
+                &g,
+                Algorithm::CacheObliviousRandomized { seed: 1 },
+                EmConfig::new(256, 32),
+                &mut sink,
+            );
+            let mut got = sink.into_triangles();
+            got.sort_unstable();
+            let mut expected = naive::enumerate_triangles(&g);
+            expected.sort_unstable();
+            assert!(!expected.is_empty(), "E = {e}");
+            assert_eq!(got, expected, "E = {e}");
+            let stat = |name: &str| report.extra(name).expect("reported");
+            if leaf {
+                assert_eq!((stat("subproblems"), stat("partition_sweeps")), (1.0, 0.0));
+            } else {
+                assert!(stat("partition_sweeps") >= 1.0, "E = {e} must route");
+            }
+        }
     }
 
     #[test]
@@ -1462,6 +1517,10 @@ mod tests {
             Recovery::default(),
         );
         assert_eq!(machine.gauge().in_use(), 0);
+        // One in-core leaf on top of the per-level words: the quick and
+        // full E3 budgets.
+        assert_eq!(cache_oblivious_phase_budget(4_000), 268 * 7 + 96);
+        assert_eq!(cache_oblivious_phase_budget(12_000), 268 * 8 + 96);
         let peak = machine.gauge().peak();
         assert!(peak > 0, "the stacked summaries were accounted");
         assert!(
