@@ -492,15 +492,14 @@ pub fn check_e3_io_budget(rows: &[Row]) -> Result<(), String> {
 /// `aware_io / (E^{3/2}/(√M·B))` above this value, or a measured gain over
 /// Hu–Tao–Chung below 1.0 at `E/M ≥` [`CACHE_AWARE_CROSSOVER_FROM`].
 ///
-/// Recorded 2026-07-30 after the adaptive Lemma 2 chunking +
-/// endpoint-range pruning rewrite: the normalised I/O sits at 12.1–14.7
-/// across `E/M ∈ {4, …, 64}` and *falls* with `E/M` (the runs are fully
-/// deterministic). The pivot-grouped-but-fixed-divisor implementation sat
-/// at 21.2–23.6 and the per-triple loop before it at 36.7, so the ceiling
-/// catches a regression toward either: a fixed `α = 1/8` chunk constant or
-/// unpruned cone scans trips it immediately while honest noise has ~10%
-/// headroom.
-pub const CACHE_AWARE_IO_CEILING: f64 = 16.0;
+/// Re-recorded after step 1 became one counting scan over the
+/// degree-ordered input: the normalised I/O sits at 7.3–9.4 across
+/// `E/M ∈ {4, …, 64}` (quick sweep worst 8.24; the runs are fully
+/// deterministic). Step 1's old sort of the `2E` endpoints sat at
+/// 12.1–14.7, the pivot-grouped-but-fixed-divisor step 3 at 21.2–23.6 and
+/// the per-triple loop before it at 36.7, so the ceiling catches a
+/// regression toward any of them while honest noise has ~15% headroom.
+pub const CACHE_AWARE_IO_CEILING: f64 = 11.0;
 
 /// The `E/M` ratio from which the measured gain over Hu–Tao–Chung must stay
 /// ≥ 1.0. The adaptive-chunking sweep crosses over already at `E/M = 4`
@@ -1553,7 +1552,16 @@ mod tests {
         let (rows, _) = experiment_e2(&[4, 8, 16]);
         check_e2_io_budget(&rows).expect("current implementation must satisfy the ceiling");
 
-        // A regression all the way back to the per-triple step-3 loop…
+        // A return to sorting the 2E endpoints in step 1 (the worst row of
+        // the old E2 sweep)…
+        let endpoint_sort_regression = vec![Row::new("E/M=8")
+            .col("aware_io", 5.313e3)
+            .col("aware_io/bound", 14.68)
+            .col("measured_gain", 1.56)];
+        let err = check_e2_io_budget(&endpoint_sort_regression).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+
+        // …a regression all the way back to the per-triple step-3 loop…
         let over_budget = vec![Row::new("E/M=32")
             .col("aware_io", 1.063e5)
             .col("aware_io/bound", 36.7)
@@ -1561,8 +1569,8 @@ mod tests {
         let err = check_e2_io_budget(&over_budget).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
 
-        // …and the subtler one back to the fixed α = 1/8 chunk divisor
-        // (the pre-adaptive normalised 21.6) must both trip the ceiling.
+        // …and the one back to the fixed α = 1/8 chunk divisor (the
+        // pre-adaptive normalised 21.6) must all trip the ceiling.
         let fixed_divisor_regression = vec![Row::new("E/M=32")
             .col("aware_io", 6.262e4)
             .col("aware_io/bound", 21.62)
@@ -1571,15 +1579,15 @@ mod tests {
         assert!(err.contains("exceeds"), "{err}");
 
         let lost_crossover = vec![Row::new("E/M=8")
-            .col("aware_io", 1.3e4)
-            .col("aware_io/bound", 14.0)
+            .col("aware_io", 7.4e3)
+            .col("aware_io/bound", 8.0)
             .col("measured_gain", 0.97)];
         let err = check_e2_io_budget(&lost_crossover).unwrap_err();
         assert!(err.contains("crossover"), "{err}");
 
         let below_crossover_threshold = vec![Row::new("E/M=4")
-            .col("aware_io", 3.0e3)
-            .col("aware_io/bound", 14.4)
+            .col("aware_io", 1.0e3)
+            .col("aware_io/bound", 8.0)
             .col("measured_gain", 0.95)];
         check_e2_io_budget(&below_crossover_threshold).expect(
             "the crossover requirement only applies from E/M = CACHE_AWARE_CROSSOVER_FROM on",

@@ -15,7 +15,7 @@ use emsim::ExtVec;
 use graphgen::{Edge, Triangle};
 
 use crate::sink::TriangleSink;
-use crate::util::{sort_edges_by, SortKind};
+use crate::util::{sort_by_key, SortKind};
 
 /// Enumerates every triangle of `edges` (canonical edge list) that passes
 /// `filter`, using only sorts and scans. Returns the number emitted.
@@ -39,7 +39,7 @@ pub(crate) fn sort_based_enumeration(
     let sorted = if emalgo::is_sorted_by_key(edges, |e| (e.u, e.v)) {
         edges
     } else {
-        sorted_owned = sort_edges_by(edges, kind, |e| (e.u, e.v));
+        sorted_owned = sort_by_key(edges, kind, |e| (e.u, e.v));
         &sorted_owned
     };
 
@@ -77,10 +77,7 @@ pub(crate) fn sort_based_enumeration(
     }
 
     // ---- Sort wedges by missing edge and merge against the edge list. ----
-    let wedges_sorted = match kind {
-        SortKind::Aware => emalgo::external_sort_by_key(&wedges, |&(v, w, _)| (v, w)),
-        SortKind::Oblivious => emalgo::oblivious_sort_by_key(&wedges, |&(v, w, _)| (v, w)),
-    };
+    let wedges_sorted = sort_by_key(&wedges, kind, |&(v, w, _)| (v, w));
     drop(wedges);
 
     let mut emitted = 0u64;

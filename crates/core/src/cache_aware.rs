@@ -1,8 +1,11 @@
 //! The cache-aware randomized algorithm (paper Section 2, Theorem 4).
 //!
-//! 1. Let `V_h = {v : deg(v) > √(E·M)}` (there are fewer than `√(E/M)` such
-//!    vertices). Enumerate every triangle with at least one vertex in `V_h`
-//!    by running Lemma 1 once per high-degree vertex.
+//! 1. Let `V_h = {v : deg(v) > √(E·M)}` (there are fewer than `2√(E/M)`
+//!    such vertices). The input numbers vertices in degree order, so `V_h`
+//!    is a suffix of the id range, read off in one counting scan of `E`
+//!    over the top ids (`E/B` I/Os, no sort). Enumerate every triangle with
+//!    at least one vertex in `V_h` by running Lemma 1 once per high-degree
+//!    vertex.
 //! 2. Colour the remaining vertices with `ξ` drawn from a 4-wise independent
 //!    family with `c = √(E/M)` colours, and partition the low-degree edges
 //!    `E_l` into the `c²` classes `E_{τ1,τ2}`.
@@ -14,6 +17,8 @@
 //! statistic `X_ξ` that drives the analysis is exposed so the experiments can
 //! validate Lemma 3 (`E[X_ξ] ≤ E·M`) directly.
 
+use std::ops::{Deref, Range};
+
 use emsim::{EmConfig, IoStats};
 use graphgen::{Edge, Triangle, VertexId};
 use kwise::{ColorMemo, RandomColoring};
@@ -24,9 +29,7 @@ use crate::lemma2::{enumerate_multi_cone, ChunkPolicy, ConeClasses};
 use crate::partition::ColorPartition;
 use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
-use crate::util::{
-    degree_table, isqrt_u128, remove_incident_edges, vertices_with_degree, SortKind,
-};
+use crate::util::{isqrt_u128, SortKind};
 use crate::workunit::{ShardCursor, WorkUnitKind};
 
 use emsim::ExtVec;
@@ -86,22 +89,80 @@ pub(crate) fn high_degree_threshold(edges: usize, mem_words: usize) -> u32 {
     isqrt_u128(prod).min(u128::from(u32::MAX)) as u32
 }
 
+/// The low-degree edge set `E_l` of step 1: the graph's own edge array when
+/// `V_h = ∅` (no copy), otherwise a filtered copy.
+pub(crate) enum LowDegreeEdges<'a> {
+    All(&'a ExtVec<Edge>),
+    Filtered(ExtVec<Edge>),
+}
+
+impl Deref for LowDegreeEdges<'_> {
+    type Target = ExtVec<Edge>;
+
+    fn deref(&self) -> &ExtVec<Edge> {
+        match self {
+            Self::All(edges) => edges,
+            Self::Filtered(edges) => edges,
+        }
+    }
+}
+
 /// The shared Step-1/Step-2 scaffolding of the cache-aware algorithms:
-/// computes the Lemma 1 threshold `⌊√(E·M)⌋`, the degree table, the
-/// high-degree vertex set `V_h` (ascending by id) and the low-degree edge
-/// set `E_l = E \ E(V_h)`. Used by [`run_colored`], the derandomized greedy
-/// selection and [`measure_random_coloring_balance`], so the three can never
-/// drift apart on which edges count as low-degree.
+/// the high-degree vertex set `V_h = {v : deg(v) > T}` with
+/// `T = ⌊√(E·M)⌋`, and the low-degree edge set `E_l = E \ E(V_h)`. Used by
+/// [`run_colored`], the derandomized greedy selection and
+/// [`measure_random_coloring_balance`], so the three can never drift apart
+/// on which edges count as low-degree.
+///
+/// The canonical input numbers the vertices in non-decreasing degree order,
+/// so `V_h` is a suffix of the id range; and since the degrees sum to `2E`,
+/// at most `⌊2E/(T+1)⌋` vertices exceed `T`. One scan of `E` counts the
+/// degrees of the top `⌊2E/(T+1)⌋ + 1` ids in a leased in-core window, and
+/// `V_h` is the window's suffix whose count exceeds `T` — `E/B` I/Os and no
+/// sort. `E_l` is one more filter scan keeping the edges with
+/// `e.v < min V_h`, skipped (no copy) when `V_h = ∅`.
 pub(crate) fn split_high_low_degree(
-    edges: &ExtVec<Edge>,
+    graph: &ExtGraph,
     mem_words: usize,
-) -> (Vec<VertexId>, ExtVec<Edge>) {
+) -> (Range<VertexId>, LowDegreeEdges<'_>) {
+    let machine = graph.machine();
+    let edges = graph.edges();
     let threshold = high_degree_threshold(edges.len(), mem_words);
-    let degrees = degree_table(edges, SortKind::Aware);
-    let high = vertices_with_degree(&degrees, |d| d > threshold);
-    drop(degrees);
-    let el = remove_incident_edges(edges, &high);
-    (high, el)
+    let vertices = graph.vertex_count() as VertexId;
+    let window = (2 * edges.len() as u64 / (u64::from(threshold) + 1) + 1).min(u64::from(vertices));
+    let lo = vertices - window as VertexId;
+    let first_high = {
+        let _window_lease = machine.gauge().lease(window);
+        let mut degree = vec![0u32; window as usize];
+        for e in edges.iter() {
+            machine.work(1);
+            // u < v, so only v can be in the window when u is not.
+            if e.v >= lo {
+                degree[(e.v - lo) as usize] += 1;
+            }
+            if e.u >= lo {
+                degree[(e.u - lo) as usize] += 1;
+            }
+        }
+        debug_assert!(
+            degree.windows(2).all(|w| w[0] <= w[1]),
+            "the canonical input must number vertices in degree order"
+        );
+        lo + degree.partition_point(|&d| d <= threshold) as VertexId
+    };
+    let el = if first_high == vertices {
+        LowDegreeEdges::All(edges)
+    } else {
+        let mut el = ExtVec::new(machine);
+        for e in edges.iter() {
+            machine.work(1);
+            if e.v < first_high {
+                el.push(e);
+            }
+        }
+        LowDegreeEdges::Filtered(el)
+    };
+    (first_high..vertices, el)
 }
 
 /// Shared driver for the randomized (Section 2) and derandomized (Section 4)
@@ -133,46 +194,39 @@ pub(crate) fn run_colored(
 
     // ---- Step 1: triangles with a high-degree vertex (Lemma 1 per vertex). ----
     let before: IoStats = machine.io();
-    let (high, el) = split_high_low_degree(edges, cfg.mem_words);
-    let _high_lease = machine.gauge().lease(high.len() as u64);
-    {
-        // Emit a triangle through high-degree vertex v only if v is the
-        // first high-degree vertex of that triangle, so that triangles with
-        // several high-degree vertices are emitted exactly once.
-        for &v in &high {
-            if !shard.claim(WorkUnitKind::HighDegreeVertex { v }) {
-                continue;
-            }
-            let high_ref = &high;
-            triangles += enumerate_through_vertex(
-                edges,
-                v,
-                SortKind::Aware,
-                |t: Triangle| {
-                    let first_high = [t.a, t.b, t.c]
-                        .into_iter()
-                        .find(|x| high_ref.binary_search(x).is_ok());
-                    first_high == Some(v)
-                },
-                sink,
-            );
+    let (high, el) = split_high_low_degree(graph, cfg.mem_words);
+    // Emit a triangle through high-degree vertex v only if v is the first
+    // high-degree vertex of that triangle, so that triangles with several
+    // high-degree vertices are emitted exactly once.
+    for v in high.clone() {
+        if !shard.claim(WorkUnitKind::HighDegreeVertex { v }) {
+            continue;
         }
+        triangles += enumerate_through_vertex(
+            edges,
+            v,
+            SortKind::Aware,
+            |t: Triangle| [t.a, t.b, t.c].into_iter().find(|x| high.contains(x)) == Some(v),
+            sink,
+        );
     }
     recorder.record("step1_high_degree", before, machine.io());
 
     // ---- Step 2: colour and partition the low-degree edges. ----
     let before: IoStats = machine.io();
-    // Memoise the colouring in an in-core table for the partition sort's key
-    // evaluations (for the derandomized colouring each raw evaluation walks
-    // a whole chain of degree-3 polynomials). Capacity is M/8 entries — at
-    // two words per entry the table is leased at ≤ M/4 for every M, so the
-    // memo can never act as hidden extra memory.
-    let memo = ColorMemo::new(color, (cfg.mem_words / 8).max(1));
-    let _memo_lease = machine
-        .gauge()
-        .lease(memo.capacity() as u64 * ColorMemo::WORDS_PER_ENTRY);
-    let memo_color = |v: VertexId| memo.color(v);
-    let partition = ColorPartition::build(&el, c, &memo_color);
+    let partition = {
+        // Memoise the colouring in an in-core table for the partition sort's
+        // key evaluations (for the derandomized colouring each raw evaluation
+        // walks a whole chain of degree-3 polynomials). Capacity is M/8
+        // entries — at two words per entry the table is leased at ≤ M/4 for
+        // every M, so the memo can never act as hidden extra memory. Step 3
+        // never reads a colour, so the memo and its lease end with the build.
+        let memo = ColorMemo::new(color, (cfg.mem_words / 8).max(1));
+        let _memo_lease = machine
+            .gauge()
+            .lease(memo.capacity() as u64 * ColorMemo::WORDS_PER_ENTRY);
+        ColorPartition::build(&el, c, &|v| memo.color(v))
+    };
     drop(el);
     let _index_lease = machine.gauge().lease(partition.index_words());
     let x_statistic = partition.x_statistic();
@@ -243,7 +297,7 @@ pub fn measure_random_coloring_balance(graph: &ExtGraph, cfg: EmConfig, seed: u6
     let e = graph.edge_count();
     let c = number_of_colors(e, cfg.mem_words);
     let coloring = RandomColoring::new(c, seed);
-    let (_high, el) = split_high_low_degree(graph.edges(), cfg.mem_words);
+    let (_high, el) = split_high_low_degree(graph, cfg.mem_words);
     let partition = ColorPartition::build(&el, c, &|v| coloring.color(v));
     (c, partition.x_statistic())
 }
@@ -347,6 +401,39 @@ mod tests {
         assert_eq!(high_degree_threshold(1 << 40, 1 << 40), u32::MAX);
     }
 
+    /// Checks the step-1 split of `g` at memory `mem` against degrees the
+    /// test computes in memory from the canonical graph; returns `|V_h|`.
+    fn assert_split_matches_in_memory_degrees(g: &graphgen::Graph, mem: usize) -> usize {
+        let (canonical, _) = g.degree_ordered();
+        let deg = canonical.degrees();
+        let threshold = high_degree_threshold(canonical.edge_count(), mem);
+        let expected_high: Vec<u32> = (0..deg.len() as u32)
+            .filter(|&v| deg[v as usize] > threshold)
+            .collect();
+        let expected_low: Vec<Edge> = canonical
+            .edges()
+            .iter()
+            .copied()
+            .filter(|e| deg[e.u as usize] <= threshold && deg[e.v as usize] <= threshold)
+            .collect();
+
+        let machine = Machine::new(EmConfig::new(64, 16));
+        let eg = ExtGraph::load(&machine, g);
+        let (high, el) = split_high_low_degree(&eg, mem);
+        assert_eq!(
+            high.clone().collect::<Vec<_>>(),
+            expected_high,
+            "V_h at M = {mem}"
+        );
+        assert_eq!(el.load_all(), expected_low, "E_l at M = {mem}");
+        assert_eq!(
+            matches!(el, LowDegreeEdges::All(_)),
+            high.is_empty(),
+            "E_l is the input itself exactly when V_h is empty"
+        );
+        high.len()
+    }
+
     #[test]
     fn split_high_low_degree_is_the_step1_partition() {
         // A hub of degree 300 over ~600 edges: with M = 64 the threshold is
@@ -358,39 +445,102 @@ mod tests {
         for v in 1..300u32 {
             g.add_edge(v, v + 1);
         }
-        let cfg = EmConfig::new(64, 16);
+        assert_eq!(assert_split_matches_in_memory_degrees(&g, 64), 1);
+    }
+
+    #[test]
+    fn split_finds_the_hubs_of_skewed_graphs() {
+        // Power-law hubs, swept over M so the cut lands at many places in
+        // the degree sequence.
+        let g = generators::chung_lu_power_law(400, 2500, 2.2, 4);
+        let mut saw_hubs = false;
+        for mem in [1, 2, 4, 8, 16, 64, 512] {
+            saw_hubs |= assert_split_matches_in_memory_degrees(&g, mem) > 0;
+        }
+        assert!(saw_hubs, "some M must cut the power-law hubs");
+
+        // A star with a pendant clique: the centre is the only hub.
+        let mut g = generators::star(300);
+        for a in 1..=12u32 {
+            for b in a + 1..=12 {
+                g.add_edge(a, b);
+            }
+        }
+        assert_eq!(assert_split_matches_in_memory_degrees(&g, 64), 1);
+    }
+
+    #[test]
+    fn split_is_exact_when_the_window_is_tight_or_clipped() {
+        // K5 at M = 1: E = 10, T = ⌊√10⌋ = 3, and all five vertices have
+        // degree 4 > T — exactly ⌊2E/(T+1)⌋ = 5 high-degree vertices, the
+        // most the window bound allows. With 15 isolated vertices the window
+        // of 6 ids holds one degree-0 vertex below them…
+        let mut g = graphgen::Graph::empty(20);
+        for a in 15..20u32 {
+            for b in a + 1..20 {
+                g.add_edge(a, b);
+            }
+        }
+        assert_eq!(high_degree_threshold(10, 1), 3);
+        assert_eq!(assert_split_matches_in_memory_degrees(&g, 1), 5);
+        // …and without them V = 5 is smaller than the window.
+        assert_eq!(
+            assert_split_matches_in_memory_degrees(&generators::clique(5), 1),
+            5
+        );
+        // A perfect matching at M = 0 (T = 0): every vertex is high and the
+        // window covers all 2E of them plus the one isolated vertex.
+        let mut g = graphgen::Graph::empty(21);
+        for v in (1..21u32).step_by(2) {
+            g.add_edge(v, v + 1);
+        }
+        assert_eq!(assert_split_matches_in_memory_degrees(&g, 0), 20);
+    }
+
+    #[test]
+    fn split_of_an_edgeless_graph_is_empty() {
+        assert_eq!(
+            assert_split_matches_in_memory_degrees(&graphgen::Graph::empty(7), 64),
+            0
+        );
+        assert_eq!(
+            assert_split_matches_in_memory_degrees(&graphgen::Graph::empty(0), 64),
+            0
+        );
+    }
+
+    #[test]
+    fn step1_without_high_degree_vertices_costs_one_read_of_the_input() {
+        // T = ⌊√(2000·512)⌋ = 1011 exceeds every degree: step 1 is the one
+        // counting scan — ⌈E/B⌉ reads, no writes, no disk words.
+        let g = generators::erdos_renyi(300, 2000, 4);
+        let cfg = EmConfig::new(512, 32);
         let machine = Machine::new(cfg);
         let eg = ExtGraph::load(&machine, &g);
-        let (high, el) = split_high_low_degree(eg.edges(), cfg.mem_words);
-        let threshold = high_degree_threshold(eg.edge_count(), cfg.mem_words);
-        // The split agrees with the graph's own degree sequence.
-        let deg = {
-            let canon = eg.edges().load_all();
-            let mut d = vec![0u32; eg.vertex_count()];
-            for e in &canon {
-                d[e.u as usize] += 1;
-                d[e.v as usize] += 1;
-            }
-            d
-        };
-        let expected_high: Vec<u32> = (0..eg.vertex_count() as u32)
-            .filter(|&v| deg[v as usize] > threshold)
-            .collect();
-        assert_eq!(high, expected_high);
-        assert!(!high.is_empty(), "the hub must be detected as high-degree");
-        for e in el.iter() {
-            assert!(deg[e.u as usize] <= threshold && deg[e.v as usize] <= threshold);
-        }
-        assert_eq!(
-            el.len(),
-            eg.edge_count()
-                - eg
-                    .edges()
-                    .iter()
-                    .filter(|e| high.binary_search(&e.u).is_ok()
-                        || high.binary_search(&e.v).is_ok())
-                    .count()
-        );
+        machine.cold_cache();
+        let (io0, disk0) = (machine.io(), machine.stats());
+        let (high, el) = split_high_low_degree(&eg, cfg.mem_words);
+        let (io1, disk1) = (machine.io(), machine.stats());
+        assert!(high.is_empty());
+        assert!(matches!(el, LowDegreeEdges::All(_)));
+        assert_eq!(io1.reads - io0.reads, 2000u64.div_ceil(32));
+        assert_eq!(io1.writes, io0.writes);
+        assert_eq!(disk1.disk_words, disk0.disk_words);
+        assert_eq!(disk1.peak_disk_words, disk0.peak_disk_words);
+        drop(el);
+
+        // The driver's recorded step-1 phase is exactly that scan.
+        machine.cold_cache();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let mut sink = StrictSink::new();
+        run_cache_aware_randomized(&eg, cfg, 1, &mut sink, &mut rec, &mut ShardCursor::solo());
+        let (phases, _) = rec.into_parts();
+        let step1 = phases
+            .iter()
+            .find(|(name, _)| name == "step1_high_degree")
+            .expect("step 1 recorded")
+            .1;
+        assert_eq!((step1.reads, step1.writes), (2000u64.div_ceil(32), 0));
     }
 
     #[test]
@@ -414,7 +564,7 @@ mod tests {
         let machine = Machine::new(EmConfig::new(mem, 16));
         let eg = ExtGraph::load(&machine, &g);
         assert_eq!(eg.edge_count(), 100);
-        let (high, el) = split_high_low_degree(eg.edges(), mem);
+        let (high, el) = split_high_low_degree(&eg, mem);
         assert!(
             high.is_empty(),
             "degree == ⌊√(E·M)⌋ exactly must NOT be high-degree (strict >)"
@@ -426,7 +576,7 @@ mod tests {
         assert_eq!(high_degree_threshold(101, mem), 40);
         let machine = Machine::new(EmConfig::new(mem, 16));
         let eg = ExtGraph::load(&machine, &g);
-        let (high, el) = split_high_low_degree(eg.edges(), mem);
+        let (high, el) = split_high_low_degree(&eg, mem);
         assert_eq!(
             high.len(),
             1,

@@ -75,7 +75,7 @@ pub(crate) fn run_derandomized(
     // The greedy selection operates on the low-degree edge set E_l, exactly
     // like the colouring it replaces.
     let before: IoStats = machine.io();
-    let (_high, el) = split_high_low_degree(graph.edges(), cfg.mem_words);
+    let (_high, el) = split_high_low_degree(graph, cfg.mem_words);
     let el_len = el.len() as f64;
 
     let alpha = if levels == 0 {

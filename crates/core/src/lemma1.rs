@@ -16,7 +16,7 @@ use emsim::ExtVec;
 use graphgen::{Edge, Triangle, VertexId};
 
 use crate::sink::TriangleSink;
-use crate::util::{sort_edges_by, sort_vertices, SortKind};
+use crate::util::{sort_by_key, SortKind};
 
 /// Enumerates every triangle of `edges` that contains `v`, passing each
 /// candidate through `filter` before emitting it to `sink`.
@@ -50,7 +50,7 @@ pub(crate) fn enumerate_through_vertex(
     if gamma_raw.is_empty() {
         return 0;
     }
-    let gamma = sort_vertices(&gamma_raw, kind);
+    let gamma = sort_by_key(&gamma_raw, kind, |v| *v);
     drop(gamma_raw);
 
     // Step 2: E_v = edges whose smaller endpoint is in Γ_v
@@ -75,7 +75,7 @@ pub(crate) fn enumerate_through_vertex(
 
     // Step 3: sort E_v by larger endpoint and keep edges whose larger
     // endpoint is also in Γ_v.
-    let e_v_by_larger = sort_edges_by(&e_v, kind, |e| e.v);
+    let e_v_by_larger = sort_by_key(&e_v, kind, |e| e.v);
     drop(e_v);
     let mut emitted = 0u64;
     {

@@ -1,7 +1,7 @@
 //! Shared external-memory helpers for the enumeration algorithms.
 
 use emalgo::{external_sort_by_key, oblivious_sort_by_key};
-use emsim::ExtVec;
+use emsim::{ExtVec, Record};
 use graphgen::{Edge, VertexId};
 
 /// Which sorting primitive a (sub)algorithm is allowed to use.
@@ -17,78 +17,17 @@ pub(crate) enum SortKind {
     Oblivious,
 }
 
-/// Sorts an edge array by an arbitrary key with the chosen sort kind.
-pub(crate) fn sort_edges_by<K, F>(edges: &ExtVec<Edge>, kind: SortKind, key: F) -> ExtVec<Edge>
+/// Sorts an external array by an arbitrary key with the chosen sort kind.
+pub(crate) fn sort_by_key<T, K, F>(items: &ExtVec<T>, kind: SortKind, key: F) -> ExtVec<T>
 where
+    T: Record,
     K: Ord + Copy,
-    F: Fn(&Edge) -> K,
+    F: Fn(&T) -> K,
 {
     match kind {
-        SortKind::Aware => external_sort_by_key(edges, key),
-        SortKind::Oblivious => oblivious_sort_by_key(edges, key),
+        SortKind::Aware => external_sort_by_key(items, key),
+        SortKind::Oblivious => oblivious_sort_by_key(items, key),
     }
-}
-
-/// Sorts a vertex-id array with the chosen sort kind.
-pub(crate) fn sort_vertices(ids: &ExtVec<u32>, kind: SortKind) -> ExtVec<u32> {
-    match kind {
-        SortKind::Aware => external_sort_by_key(ids, |v| *v),
-        SortKind::Oblivious => oblivious_sort_by_key(ids, |v| *v),
-    }
-}
-
-/// Computes the degree table of an edge array: an external array of
-/// `(vertex, degree)` pairs sorted by vertex, covering every vertex with
-/// degree ≥ 1.
-///
-/// Implemented as the paper would: write both endpoints of every edge,
-/// sort the `2E` endpoints, and count run lengths in one scan —
-/// `O(sort(E))` I/Os.
-pub(crate) fn degree_table(edges: &ExtVec<Edge>, kind: SortKind) -> ExtVec<(u32, u32)> {
-    let machine = edges.machine().clone();
-    let mut endpoints: ExtVec<u32> = ExtVec::new(&machine);
-    for e in edges.iter() {
-        endpoints.push(e.u);
-        endpoints.push(e.v);
-    }
-    let sorted = sort_vertices(&endpoints, kind);
-    drop(endpoints);
-
-    let mut out: ExtVec<(u32, u32)> = ExtVec::new(&machine);
-    let mut current: Option<(u32, u32)> = None;
-    for v in sorted.iter() {
-        machine.work(1);
-        match current {
-            Some((cv, cnt)) if cv == v => current = Some((cv, cnt + 1)),
-            Some(run) => {
-                out.push(run);
-                current = Some((v, 1));
-            }
-            None => current = Some((v, 1)),
-        }
-    }
-    if let Some(last) = current {
-        out.push(last);
-    }
-    out
-}
-
-/// Scans a degree table and returns, in core, the vertices whose degree
-/// satisfies `pred` (ascending by vertex id). The caller is responsible for
-/// bounding the size of the result (the paper's high-degree sets are provably
-/// small) and for leasing it on the memory gauge.
-pub(crate) fn vertices_with_degree(
-    degrees: &ExtVec<(u32, u32)>,
-    mut pred: impl FnMut(u32) -> bool,
-) -> Vec<VertexId> {
-    // emlint: allow(unleased, reason = "documented contract: the caller bounds the result (provably small high-degree sets) and leases it")
-    let mut out = Vec::new();
-    for (v, d) in degrees.iter() {
-        if pred(d) {
-            out.push(v);
-        }
-    }
-    out
 }
 
 /// Exact floor integer square root of a `u128` (Newton's method).
@@ -128,9 +67,7 @@ pub(crate) fn remove_incident_edges(edges: &ExtVec<Edge>, forbidden: &[VertexId]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::ExtGraph;
     use emsim::{EmConfig, Machine};
-    use graphgen::generators;
 
     fn load(edges: &[(u32, u32)]) -> (Machine, ExtVec<Edge>) {
         let machine = Machine::new(EmConfig::new(1 << 10, 64));
@@ -142,49 +79,6 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         (machine, v)
-    }
-
-    #[test]
-    fn degree_table_counts_both_endpoints() {
-        let (_m, edges) = load(&[(0, 1), (0, 2), (0, 3), (2, 3)]);
-        for kind in [SortKind::Aware, SortKind::Oblivious] {
-            let table = degree_table(&edges, kind).load_all();
-            assert_eq!(table, vec![(0, 3), (1, 1), (2, 2), (3, 2)]);
-        }
-    }
-
-    #[test]
-    fn degree_table_matches_graphgen_degrees() {
-        let g = generators::erdos_renyi(80, 400, 5);
-        let machine = Machine::new(EmConfig::new(1 << 12, 64));
-        let eg = ExtGraph::load(&machine, &g);
-        let table = degree_table(eg.edges(), SortKind::Aware).load_all();
-        let mut expected: Vec<(u32, u32)> = Vec::new();
-        // The loaded graph is degree-ordered, so recompute degrees on the
-        // canonical edges directly.
-        let canon = eg.edges().load_all();
-        let mut deg = vec![0u32; eg.vertex_count()];
-        for e in &canon {
-            deg[e.u as usize] += 1;
-            deg[e.v as usize] += 1;
-        }
-        for (v, d) in deg.iter().enumerate() {
-            if *d > 0 {
-                expected.push((v as u32, *d));
-            }
-        }
-        assert_eq!(table, expected);
-    }
-
-    #[test]
-    fn high_degree_selection_and_removal() {
-        let (_m, edges) = load(&[(0, 1), (0, 2), (0, 3), (2, 3), (1, 4)]);
-        let table = degree_table(&edges, SortKind::Aware);
-        let high = vertices_with_degree(&table, |d| d >= 3);
-        assert_eq!(high, vec![0]);
-        // The scan preserves the input order of the surviving edges.
-        let rest = remove_incident_edges(&edges, &high).load_all();
-        assert_eq!(rest, vec![Edge::new(2, 3), Edge::new(1, 4)]);
     }
 
     #[test]
@@ -210,6 +104,13 @@ mod tests {
                 assert_eq!(isqrt_u128(next_square), k + 1, "k={k}");
             }
         }
+    }
+
+    #[test]
+    fn removal_keeps_the_surviving_edges_in_input_order() {
+        let (_m, edges) = load(&[(0, 1), (0, 2), (0, 3), (2, 3), (1, 4)]);
+        let rest = remove_incident_edges(&edges, &[0]).load_all();
+        assert_eq!(rest, vec![Edge::new(2, 3), Edge::new(1, 4)]);
     }
 
     #[test]

@@ -247,7 +247,10 @@ impl Graph {
     /// Also returns the mapping `new id → old id` so callers can translate
     /// emitted triangles back to the original vertex names.
     pub fn degree_ordered(&self) -> (Graph, Vec<VertexId>) {
-        let deg = self.degrees();
+        // Degrees of the simple graph: a repeated edge must not lift its
+        // endpoints above vertices of higher true degree.
+        let simple = Graph::from_edges(self.num_vertices, self.edges.iter().copied());
+        let deg = simple.degrees();
         let mut order: Vec<VertexId> = (0..self.num_vertices as u32).collect();
         order.sort_unstable_by_key(|&v| (deg[v as usize], v));
         // order[rank] = old id; build inverse: old id -> rank.
@@ -255,13 +258,12 @@ impl Graph {
         for (r, &old) in order.iter().enumerate() {
             rank[old as usize] = r as u32;
         }
-        let mut new_edges: Vec<Edge> = self
+        let mut new_edges: Vec<Edge> = simple
             .edges
             .iter()
             .map(|e| Edge::new(rank[e.u as usize], rank[e.v as usize]))
             .collect();
         new_edges.sort_unstable();
-        new_edges.dedup();
         (
             Graph {
                 num_vertices: self.num_vertices,
@@ -387,6 +389,22 @@ mod tests {
         let mut sorted = deg.clone();
         sorted.sort_unstable();
         assert_eq!(deg, sorted);
+    }
+
+    #[test]
+    fn degree_ordering_counts_a_repeated_edge_once() {
+        // Edge {0, 1} five times over a triangle on {2, 3, 4}: counted with
+        // multiplicity, 0 and 1 would outrank the degree-2 triangle vertices.
+        let mut g = Graph::empty(5);
+        for _ in 0..5 {
+            g.add_edge(0, 1);
+        }
+        g.add_edge(2, 3);
+        g.add_edge(2, 4);
+        g.add_edge(3, 4);
+        let (ordered, _) = g.degree_ordered();
+        assert_eq!(ordered.edge_count(), 4);
+        assert_eq!(ordered.degrees(), vec![1, 1, 2, 2, 2]);
     }
 
     #[test]

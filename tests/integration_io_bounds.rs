@@ -81,7 +81,11 @@ fn improvement_over_hu_tao_chung_grows_with_e_over_m() {
 fn optimality_ratio_on_cliques_is_a_bounded_constant() {
     // On cliques t = Θ(E^{3/2}), so Theorem 3's lower bound is within a
     // constant of the measured cost — the upper and lower bounds meet. The
-    // ratio must stay bounded (no asymptotic gap) as the clique grows.
+    // ratio must stay bounded (no asymptotic gap) as the clique grows, which
+    // is measured between two cliques that exceed M = 512 words (K60 with
+    // E = 1770, K120 with E = 7140). K30 (E = 435) fits in memory: the
+    // cache-aware drivers read it once, so its ratio only checks that
+    // nothing beats the lower bound.
     let cfg = EmConfig::new(512, 64);
     for alg in paper_algorithms() {
         let ratio_for = |n: usize| -> f64 {
@@ -93,13 +97,21 @@ fn optimality_ratio_on_cliques_is_a_bounded_constant() {
             let lb = LowerBound::for_triangles(cfg, t).sum();
             report.io.total() as f64 / lb
         };
-        let small = ratio_for(30);
-        let large = ratio_for(60);
+        let in_core = ratio_for(30);
         assert!(
-            small >= 1.0,
-            "{}: beat the lower bound?! ratio {small}",
+            in_core >= 1.0,
+            "{}: beat the lower bound?! ratio {in_core}",
             alg.name()
         );
+        if !matches!(alg, Algorithm::CacheObliviousRandomized { .. }) {
+            assert!(
+                in_core <= 1.5,
+                "{}: an in-core clique should cost about one read, ratio {in_core:.2}",
+                alg.name()
+            );
+        }
+        let small = ratio_for(60);
+        let large = ratio_for(120);
         assert!(
             large < 700.0,
             "{}: measured/lower-bound ratio {large:.1} unexpectedly large",
