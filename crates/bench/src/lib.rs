@@ -2,7 +2,7 @@
 //!
 //! The paper is a theory paper with no measured tables or figures; the
 //! "evaluation" this crate reproduces is therefore the set of quantitative
-//! claims made by its theorems (see DESIGN.md §6 and EXPERIMENTS.md). Each
+//! claims made by its theorems (see EXPERIMENTS.md). Each
 //! experiment is a function returning printable rows, which the `reproduce`
 //! binary (`cargo run --release -p trienum-bench --bin reproduce`) prints to
 //! regenerate every table in EXPERIMENTS.md. Wall-clock measurement of the

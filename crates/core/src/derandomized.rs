@@ -8,10 +8,10 @@
 //! Lemma 3), which is what Theorem 4's analysis needs, so the deterministic
 //! algorithm inherits the `O(E^{3/2}/(√M·B))` bound under `M ≥ E^ε`.
 //!
-//! See DESIGN.md §5 for the documented substitution in how the candidate
-//! family is generated; the greedy selection and the per-level inequality are
-//! implemented exactly as in the paper, and the final `X_ξ` is measured and
-//! reported so the guarantee is verified on every run.
+//! The candidate family is generated by a documented substitution (see
+//! [`BitFunctionFamily`]); the greedy selection and the per-level inequality
+//! are implemented exactly as in the paper, and the final `X_ξ` is measured
+//! and reported so the guarantee is verified on every run.
 
 use emsim::{EmConfig, IoStats};
 use kwise::{BitFunctionFamily, RefinedColoring};
@@ -40,15 +40,22 @@ pub(crate) struct DerandInfo {
     pub level_bounds: Vec<f64>,
 }
 
+/// The candidate family greedy level `level` chooses from.
+fn level_family(candidates: usize, family_seed: u64, level: u32) -> BitFunctionFamily {
+    let seed = family_seed.wrapping_mul(0xA24B_AED4_963E_E407);
+    BitFunctionFamily::new(candidates, seed.wrapping_add(level as u64))
+}
+
 /// Runs the deterministic cache-aware algorithm under `shard`.
 /// `candidate_override`, when set, fixes the per-level candidate-family size
 /// (otherwise the `O(log² V)`-style recommendation of Lemma 6 is used).
 ///
-/// The greedy per-level bit selection (step 0) is **replicated** on every
-/// worker rather than sharded: each refinement level consumes the colouring
-/// chosen by all previous levels, so the levels form a sequential dependency
-/// chain that a statically assigned worker pool cannot split without
-/// cross-worker barriers. The selection is fully deterministic given
+/// The greedy per-level bit selection (step 0), one `sort(2E_l)` and one
+/// scan per level, is **replicated** on every worker rather than sharded:
+/// each refinement level consumes the colouring chosen by all previous
+/// levels, so the levels form a sequential dependency chain that a
+/// statically assigned worker pool cannot split without cross-worker
+/// barriers. The selection is fully deterministic given
 /// `family_seed` — no worker-dependent state enters it — so every worker
 /// derives the identical colouring and then shares `run_colored`'s unit
 /// stream (high-degree vertices + pivot pairs), which is where the actual
@@ -87,12 +94,7 @@ pub(crate) fn run_derandomized(
     let mut chosen_potentials = Vec::new();
     let mut level_bounds = Vec::new();
     for level in 1..=levels {
-        let family = BitFunctionFamily::new(
-            candidates,
-            family_seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(level as u64),
-        );
+        let family = level_family(candidates, family_seed, level);
         let _family_lease = machine.gauge().lease((4 * family.len()) as u64);
         let eval = evaluate_candidates(&el, &coloring, &family);
         let mut best = 0usize;
@@ -190,6 +192,62 @@ mod tests {
         for (p, b) in info.chosen_potentials.iter().zip(&info.level_bounds) {
             assert!(p <= b, "level potential {p} exceeds bound {b}");
         }
+    }
+
+    #[test]
+    fn every_level_picks_the_argmin_of_the_reference_potentials() {
+        use crate::potential::{reference_statistics, LevelEvaluation};
+        let g = generators::erdos_renyi(300, 3000, 6);
+        let cfg = EmConfig::new(128, 32);
+        let candidates = 12;
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, &g);
+        let el: Vec<graphgen::Edge> = split_high_low_degree(&eg, cfg.mem_words).1.iter().collect();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let (out, info) = run_derandomized(
+            &eg,
+            cfg,
+            1,
+            Some(candidates),
+            &mut StrictSink::new(),
+            &mut rec,
+            &mut ShardCursor::solo(),
+        );
+        assert!(info.levels >= 2, "{} greedy levels", info.levels);
+
+        // Rebuild every level in core: each candidate's potential from the
+        // reference statistics, the first minimum as the choice.
+        let mut coloring = RefinedColoring::identity();
+        for level in 1..=info.levels {
+            let family = level_family(candidates, 1, level);
+            let potentials: Vec<f64> = (0..family.len())
+                .map(|j| {
+                    let f = family.function(j);
+                    let (x_total, x_adj) = reference_statistics(&el, |v| {
+                        2 * coloring.color(v) - u64::from(f.eval_bit(v as u64))
+                    });
+                    let eval = LevelEvaluation {
+                        x_total: vec![x_total],
+                        x_adj: vec![x_adj],
+                    };
+                    eval.potential(0, level, info.colors)
+                })
+                .collect();
+            let best =
+                (0..potentials.len())
+                    .fold(0, |b, j| if potentials[j] < potentials[b] { j } else { b });
+            assert_eq!(
+                info.chosen_potentials[level as usize - 1],
+                potentials[best],
+                "level {level}"
+            );
+            coloring.push(family.function(best));
+        }
+        // The run coloured E_l exactly as the rebuilt chain of choices does.
+        assert_eq!(
+            out.x_statistic,
+            reference_statistics(&el, |v| coloring.color(v)).0
+        );
     }
 
     #[test]

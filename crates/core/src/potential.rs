@@ -10,21 +10,23 @@
 //!
 //! where `X^adj` / `X^nonadj` are the contributions to `X_ξ` (equation (1))
 //! from pairs of edges that do / do not share a vertex. This module evaluates
-//! the two statistics **exactly for every candidate simultaneously**, using
-//! only scans and sorts of the edge set:
+//! the two statistics **exactly for every candidate simultaneously** from
+//! one scan of the incidence list (each edge listed under both endpoints)
+//! sorted by `(parent class, vertex)`:
 //!
-//! * pass A sorts the edges by their *parent* colour class and, for each
-//!   class run, counts how every candidate splits the run into the four child
-//!   classes — yielding `X_total` per candidate;
-//! * pass B builds the incidence list (each edge listed under both
-//!   endpoints), sorts it by `(parent class, vertex)` and, for each run,
-//!   counts per candidate how many incident edges land in each ordered child
-//!   class — yielding `X^adj` per candidate (two edges that share a vertex
-//!   are in the same child class iff their ordered bit-pairs agree).
+//! * each `(class, vertex)` run counts, per candidate, how many incident
+//!   edges land in each ordered child class — yielding `X^adj` (two edges
+//!   that share a vertex are in the same child class iff their ordered
+//!   bit-pairs agree);
+//! * the entries under an edge's smaller endpoint list each edge of a class
+//!   run once, so counters flushed at class boundaries count how every
+//!   candidate splits the class into its four child classes — `X_total`.
 //!
-//! Both passes keep only `O(candidates)` words of counters in memory, so the
-//! evaluation respects the memory budget; the I/O cost is `O(sort(E))` per
-//! level, matching the `O(E·log(E/M)/B)` preprocessing charge of Theorem 2.
+//! All candidates' bits are computed at once ([`BitFunctionFamily::eval_all`])
+//! once per run for its vertex and once per entry for the neighbour. The
+//! scan keeps `O(candidates)` words of counters and bits in memory; the I/O
+//! cost is `sort(2E)` plus one scan per level, matching the
+//! `O(E·log(E/M)/B)` preprocessing charge of Theorem 2.
 
 use emalgo::external_sort_by_key;
 use emsim::ExtVec;
@@ -76,94 +78,65 @@ pub(crate) fn evaluate_candidates(
     let class_of =
         |e: &Edge| -> u64 { (parent.color(e.u) - 1) * parent_colors + (parent.color(e.v) - 1) };
 
+    // Entry: word0 = parent class, word1 = (vertex << 32) | other.
+    let mut incidence: ExtVec<(u64, u64)> = ExtVec::new(&machine);
+    for e in el.iter() {
+        machine.work(1);
+        let cls = class_of(&e);
+        incidence.push((cls, ((e.u as u64) << 32) | e.v as u64));
+        incidence.push((cls, ((e.v as u64) << 32) | e.u as u64));
+    }
+    let sorted = external_sort_by_key(&incidence, |&(cls, vo)| (cls, vo));
+    drop(incidence);
+
+    // Per candidate: four child-class counters for the parent class, four
+    // for the (class, vertex) run, and the bits of the run's vertex and of
+    // the current neighbour.
+    let _lease = machine.gauge().lease((10 * t) as u64);
+    let mut class_counts = vec![[0u64; 4]; t];
+    let mut vertex_counts = vec![[0u64; 4]; t];
+    let mut vertex_bits = vec![false; t];
+    let mut other_bits = vec![false; t];
     let mut x_total = vec![0u128; t];
     let mut x_adj = vec![0u128; t];
-
-    // ---- Pass A: X_total via the class-sorted edge list. ----
-    {
-        let sorted = external_sort_by_key(el, |e| (class_of(e), e.u, e.v));
-        // 4 child-class counters per candidate for the current parent class.
-        let _lease = machine.gauge().lease((4 * t) as u64);
-        let mut counters = vec![[0u64; 4]; t];
-        let mut current_class: Option<u64> = None;
-        let flush = |counters: &mut Vec<[u64; 4]>, x_total: &mut Vec<u128>| {
-            for (j, cs) in counters.iter_mut().enumerate() {
-                for c in cs.iter_mut() {
-                    x_total[j] += pairs(*c);
-                    *c = 0;
-                }
-            }
-        };
-        for e in sorted.iter() {
-            machine.work(t as u64);
-            let cls = class_of(&e);
-            if current_class != Some(cls) {
-                if current_class.is_some() {
-                    flush(&mut counters, &mut x_total);
-                }
-                current_class = Some(cls);
-            }
-            for (j, cs) in counters.iter_mut().enumerate() {
-                let bu = u64::from(family.eval(j, e.u as u64));
-                let bv = u64::from(family.eval(j, e.v as u64));
-                cs[(bu * 2 + bv) as usize] += 1;
+    let flush = |counts: &mut [[u64; 4]], x: &mut [u128]| {
+        for (cs, xj) in counts.iter_mut().zip(x) {
+            for c in cs.iter_mut() {
+                *xj += pairs(*c);
+                *c = 0;
             }
         }
-        if current_class.is_some() {
-            flush(&mut counters, &mut x_total);
+    };
+    let mut current: Option<(u64, u32)> = None;
+    for (cls, vo) in sorted.iter() {
+        machine.work(t as u64);
+        let vertex = (vo >> 32) as u32;
+        let other = (vo & 0xffff_ffff) as u32;
+        if current != Some((cls, vertex)) {
+            if let Some((prev_cls, _)) = current {
+                flush(&mut vertex_counts, &mut x_adj);
+                if prev_cls != cls {
+                    flush(&mut class_counts, &mut x_total);
+                }
+            }
+            current = Some((cls, vertex));
+            family.eval_all(vertex as u64, &mut vertex_bits);
+        }
+        family.eval_all(other as u64, &mut other_bits);
+        // The entry under the edge's smaller endpoint also counts the edge
+        // once towards its class.
+        let owner = vertex < other;
+        let bits = vertex_bits.iter().zip(&other_bits);
+        for ((vc, cc), (&bx, &bo)) in vertex_counts.iter_mut().zip(&mut class_counts).zip(bits) {
+            // Ordered (smaller endpoint, larger endpoint) bit pair.
+            let (lo, hi) = if owner { (bx, bo) } else { (bo, bx) };
+            let idx = usize::from(lo) * 2 + usize::from(hi);
+            vc[idx] += 1;
+            cc[idx] += u64::from(owner);
         }
     }
-
-    // ---- Pass B: X_adj via the incidence list. ----
-    {
-        // Entry: word0 = parent class, word1 = (vertex << 32) | other.
-        let mut incidence: ExtVec<(u64, u64)> = ExtVec::new(&machine);
-        for e in el.iter() {
-            machine.work(1);
-            let cls = class_of(&e);
-            incidence.push((cls, ((e.u as u64) << 32) | e.v as u64));
-            incidence.push((cls, ((e.v as u64) << 32) | e.u as u64));
-        }
-        let sorted = external_sort_by_key(&incidence, |&(cls, vo)| (cls, vo));
-        drop(incidence);
-
-        let _lease = machine.gauge().lease((4 * t) as u64);
-        let mut counters = vec![[0u64; 4]; t];
-        let mut current_key: Option<(u64, u32)> = None;
-        let flush = |counters: &mut Vec<[u64; 4]>, x_adj: &mut Vec<u128>| {
-            for (j, cs) in counters.iter_mut().enumerate() {
-                for c in cs.iter_mut() {
-                    x_adj[j] += pairs(*c);
-                    *c = 0;
-                }
-            }
-        };
-        for (cls, vo) in sorted.iter() {
-            machine.work(t as u64);
-            let vertex = (vo >> 32) as u32;
-            let other = (vo & 0xffff_ffff) as u32;
-            if current_key != Some((cls, vertex)) {
-                if current_key.is_some() {
-                    flush(&mut counters, &mut x_adj);
-                }
-                current_key = Some((cls, vertex));
-            }
-            for (j, cs) in counters.iter_mut().enumerate() {
-                let bx = u64::from(family.eval(j, vertex as u64));
-                let bo = u64::from(family.eval(j, other as u64));
-                // Ordered (smaller endpoint, larger endpoint) bit pair.
-                let idx = if vertex < other {
-                    bx * 2 + bo
-                } else {
-                    bo * 2 + bx
-                };
-                cs[idx as usize] += 1;
-            }
-        }
-        if current_key.is_some() {
-            flush(&mut counters, &mut x_adj);
-        }
-    }
+    flush(&mut vertex_counts, &mut x_adj);
+    flush(&mut class_counts, &mut x_total);
 
     LevelEvaluation { x_total, x_adj }
 }
@@ -202,28 +175,47 @@ mod tests {
 
     #[test]
     fn candidate_statistics_match_reference() {
-        let g = generators::erdos_renyi(100, 600, 21);
-        let machine = Machine::new(EmConfig::new(1 << 11, 64));
-        let mut edges: Vec<Edge> = g.edges().to_vec();
-        edges.sort_unstable();
-        let el = ExtVec::from_slice(&machine, &edges);
+        let check = |mut edges: Vec<Edge>, parent: &RefinedColoring, fam: &BitFunctionFamily| {
+            let machine = Machine::new(EmConfig::new(1 << 11, 64));
+            edges.sort_unstable();
+            let el = ExtVec::from_slice(&machine, &edges);
+            let eval = evaluate_candidates(&el, parent, fam);
+            for j in 0..fam.len() {
+                let refined_color = |v: u32| -> u64 {
+                    2 * parent.color(v) - u64::from(fam.function(j).eval_bit(v as u64))
+                };
+                let (x_total, x_adj) = reference_statistics(&edges, refined_color);
+                assert_eq!(eval.x_total[j], x_total, "candidate {j} x_total");
+                assert_eq!(eval.x_adj[j], x_adj, "candidate {j} x_adj");
+                assert!(eval.x_nonadj(j) <= eval.x_total[j]);
+            }
+        };
+        let er = generators::erdos_renyi(100, 600, 21).edges().to_vec();
+        let fam = BitFunctionFamily::new(6, 42);
 
         // One refinement level already applied, so parent classes are
         // non-trivial.
-        let fam = BitFunctionFamily::new(6, 42);
-        let mut parent = RefinedColoring::identity();
-        parent.push(fam.function(5));
+        let mut depth1 = RefinedColoring::identity();
+        depth1.push(fam.function(5));
+        check(er.clone(), &depth1, &fam);
 
-        let eval = evaluate_candidates(&el, &parent, &fam);
-        for j in 0..fam.len() {
-            let refined_color = |v: u32| -> u64 {
-                2 * parent.color(v) - u64::from(fam.function(j).eval_bit(v as u64))
-            };
-            let (x_total, x_adj) = reference_statistics(&edges, refined_color);
-            assert_eq!(eval.x_total[j], x_total, "candidate {j} x_total");
-            assert_eq!(eval.x_adj[j], x_adj, "candidate {j} x_adj");
-            assert!(eval.x_nonadj(j) <= eval.x_total[j]);
-        }
+        // Sixteen parent classes: class runs end, and their counters flush,
+        // all through the scan.
+        let mut depth2 = depth1.clone();
+        depth2.push(BitFunctionFamily::new(3, 8).function(1));
+        check(er.clone(), &depth2, &fam);
+
+        // A hub adjacent to every other vertex: its incidences span every
+        // class its colour takes part in, so one vertex's runs cross class
+        // boundaries.
+        let mut hub = generators::star(100).edges().to_vec();
+        hub.extend(&er);
+        hub.sort_unstable();
+        hub.dedup();
+        check(hub, &depth2, &fam);
+
+        // A one-candidate family.
+        check(er, &depth1, &BitFunctionFamily::new(1, 5));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! Under an (ideal or LRU) cache, every recursion subtree whose data fits in
 //! internal memory incurs no further misses after it is first loaded, so the
 //! cost is `O((n/B)·log_2(n/M))` I/Os without the code ever knowing `M` or
-//! `B`. (Funnelsort improves the log base to `M/B`; it is listed as an
-//! extension in DESIGN.md because the sorting term is a lower-order
-//! contribution to the triangle-enumeration totals.)
+//! `B`. (Funnelsort improves the log base to `M/B`; it is not implemented
+//! because the sorting term is a lower-order contribution to the
+//! triangle-enumeration totals.)
 
 use emsim::{ExtVec, Record};
 

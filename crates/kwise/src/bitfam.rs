@@ -1,6 +1,6 @@
 //! The candidate family of two-colourings used by the derandomization.
 
-use crate::fourwise::FourWise;
+use crate::fourwise::{bit_of, powers, FourWise};
 
 /// A finite family of bit functions `β_j : V → {0, 1}` from which the greedy
 /// derandomization (paper Section 4) picks, at every refinement level, the
@@ -13,7 +13,6 @@ use crate::fourwise::FourWise;
 /// of the edge list, as in the paper) and the final colouring quality
 /// `X_ξ ≤ e·E·M` is verified by the caller, so the combinatorial guarantee is
 /// checked at run time rather than inherited from the family's fine print.
-/// See DESIGN.md §5.
 #[derive(Debug, Clone)]
 pub struct BitFunctionFamily {
     funcs: Vec<FourWise>,
@@ -59,9 +58,15 @@ impl BitFunctionFamily {
         self.funcs[j]
     }
 
-    /// Evaluates candidate `j` on vertex `v`.
-    pub fn eval(&self, j: usize, v: u64) -> bool {
-        self.funcs[j].eval_bit(v)
+    /// Sets `out[j]` (a leased buffer of [`Self::len`] bits) to candidate
+    /// `j`'s [`FourWise::eval_bit`] on `v`, for every `j` at once: the powers
+    /// `v, v², v³ mod (2^61 − 1)` are computed once and shared.
+    pub fn eval_all(&self, v: u64, out: &mut [bool]) {
+        assert_eq!(out.len(), self.funcs.len(), "one output bit per candidate");
+        let p = powers(v);
+        for (bit, f) in out.iter_mut().zip(&self.funcs) {
+            *bit = bit_of(f.eval_at(p));
+        }
     }
 }
 
@@ -76,9 +81,39 @@ mod tests {
         // Distinct candidates should disagree on at least one of a few probes.
         let probes: Vec<u64> = (0..64).collect();
         let signatures: std::collections::HashSet<Vec<bool>> = (0..fam.len())
-            .map(|j| probes.iter().map(|&v| fam.eval(j, v)).collect())
+            .map(|j| {
+                probes
+                    .iter()
+                    .map(|&v| fam.function(j).eval_bit(v))
+                    .collect()
+            })
             .collect();
         assert!(signatures.len() > 28, "most candidates should be distinct");
+    }
+
+    #[test]
+    fn eval_all_equals_eval_for_every_candidate() {
+        use rand::prelude::*;
+        let p = (1u64 << 61) - 1;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut xs = vec![0, 1, p - 1, p, p + 1, u64::from(u32::MAX), u64::MAX];
+        xs.extend((0..100).map(|_| rng.random::<u64>()));
+        // 70 > 64 candidates, in case the bits are ever packed into words.
+        for size in [1, 32, 70] {
+            let fam = BitFunctionFamily::new(size, 9 + size as u64);
+            let mut out = vec![false; size];
+            for &x in &xs {
+                out.fill(false);
+                fam.eval_all(x, &mut out);
+                for (j, &bit) in out.iter().enumerate() {
+                    assert_eq!(
+                        bit,
+                        fam.function(j).eval_bit(x),
+                        "size {size}, candidate {j}, x = {x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -93,7 +128,9 @@ mod tests {
     fn candidates_are_roughly_balanced() {
         let fam = BitFunctionFamily::new(8, 77);
         for j in 0..fam.len() {
-            let ones = (0..2000u64).filter(|&v| fam.eval(j, v)).count();
+            let ones = (0..2000u64)
+                .filter(|&v| fam.function(j).eval_bit(v))
+                .count();
             assert!(
                 (700..=1300).contains(&ones),
                 "candidate {j} is too skewed: {ones}"

@@ -28,6 +28,19 @@ fn reduce(x: u128) -> u64 {
     r as u64
 }
 
+/// The top-mixed bit of a hash value that [`FourWise::eval_bit`] returns.
+pub(crate) fn bit_of(h: u64) -> bool {
+    (h >> 33) & 1 == 1
+}
+
+/// `x`, `x²` and `x³` modulo `2^61 − 1`: the powers every polynomial of a
+/// family shares at one point.
+pub(crate) fn powers(x: u64) -> [u64; 3] {
+    let x = x % P as u64;
+    let x2 = reduce(x as u128 * x as u128);
+    [x, x2, reduce(x2 as u128 * x as u128)]
+}
+
 impl FourWise {
     /// In-core footprint in words: the four coefficients.
     pub const WORDS: u64 = 4;
@@ -48,25 +61,9 @@ impl FourWise {
         Self { coeffs }
     }
 
-    /// Builds a function from explicit coefficients (used by tests).
-    pub fn from_coeffs(coeffs: [u64; 4]) -> Self {
-        Self {
-            coeffs: coeffs.map(|c| c % P as u64),
-        }
-    }
-
     /// Evaluates the hash on `x`, returning a value in `[0, 2^61 − 1)`.
     pub fn eval(&self, x: u64) -> u64 {
-        // Horner evaluation with Mersenne reduction after every step.
-        let x = (x % P as u64) as u128;
-        let mut acc = self.coeffs[3] as u128;
-        for &c in [self.coeffs[2], self.coeffs[1], self.coeffs[0]].iter() {
-            acc = reduce(acc * x) as u128 + c as u128;
-            if acc >= P {
-                acc -= P;
-            }
-        }
-        acc as u64
+        self.eval_at(powers(x))
     }
 
     /// Evaluates the hash and reduces it to `[0, range)`.
@@ -78,7 +75,17 @@ impl FourWise {
     /// Evaluates the hash as a single unbiased-ish bit (the parity of the
     /// top bits, which are well mixed by the polynomial).
     pub fn eval_bit(&self, x: u64) -> bool {
-        (self.eval(x) >> 33) & 1 == 1
+        bit_of(self.eval(x))
+    }
+
+    /// [`Self::eval`] at the point whose [`powers`] are `[x, x², x³]`, so
+    /// the polynomials of a family can share them: one `u128`
+    /// multiply-accumulate (below `2^124`), which one fold brings below
+    /// `2^64`, where `reduce` is exact.
+    pub(crate) fn eval_at(&self, [x, x2, x3]: [u64; 3]) -> u64 {
+        let [a0, a1, a2, a3] = self.coeffs.map(u128::from);
+        let s = a1 * x as u128 + a2 * x2 as u128 + a3 * x3 as u128 + a0;
+        reduce((s & P) + (s >> 61))
     }
 }
 
@@ -102,6 +109,31 @@ mod tests {
         let h = FourWise::new(3);
         for x in [0u64, 1, 2, 1 << 40, u64::MAX] {
             assert!(h.eval(x) < (1 << 61) - 1);
+        }
+    }
+
+    #[test]
+    fn eval_is_the_polynomial_modulo_p() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let p = P as u64;
+        let mut xs = vec![0, 1, p - 1, p, p + 1, u64::from(u32::MAX), u64::MAX];
+        xs.extend((0..200).map(|_| rng.random::<u64>()));
+        // Random polynomials plus the all-maximal one, whose sum of products
+        // comes closest to the u128 bound the reduction relies on.
+        let mut hs: Vec<FourWise> = (0..20).map(FourWise::new).collect();
+        hs.push(FourWise { coeffs: [p - 1; 4] });
+        for h in hs {
+            for &x in &xs {
+                // Textbook Horner with a `%` after every step.
+                let x128 = u128::from(x) % P;
+                let want = h.coeffs[..3]
+                    .iter()
+                    .rev()
+                    .fold(u128::from(h.coeffs[3]), |acc, &c| {
+                        (acc * x128 + u128::from(c)) % P
+                    });
+                assert_eq!(u128::from(h.eval(x)), want, "{h:?} at {x}");
+            }
         }
     }
 

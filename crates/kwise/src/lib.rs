@@ -14,12 +14,13 @@
 //!   a [`FourWise`] draw, as used by the cache-aware randomized algorithm with
 //!   `c = √(E/M)` colours.
 //! * [`BitFunctionFamily`] — the candidate family of two-colourings
-//!   `b : V → {0,1}` that the derandomization greedily selects from. See
-//!   DESIGN.md §5 for the (documented) substitution of the explicit
-//!   small-bias construction by seeded 4-wise independent bit functions with
-//!   *exact* potential verification — the greedy step in the paper evaluates
-//!   the potential of every candidate anyway, so the guarantee is checked
-//!   rather than assumed.
+//!   `b : V → {0,1}` that the derandomization greedily selects from. Its type
+//!   docs explain the substitution of the explicit small-bias construction
+//!   by seeded 4-wise independent bit functions with *exact* potential
+//!   verification — the greedy step in the paper evaluates the potential of
+//!   every candidate anyway, so the guarantee is checked rather than
+//!   assumed. [`BitFunctionFamily::eval_all`] evaluates every candidate at
+//!   one vertex from shared powers, as the greedy scan needs.
 //! * [`RefinedColoring`] — the coloring `ξ_i(v) = 2ξ_{i−1}(v) − b_{i−1}(v)`
 //!   produced by a sequence of chosen bit functions, used both by the
 //!   derandomized cache-aware algorithm and by the recursive colour
