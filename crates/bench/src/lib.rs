@@ -2,12 +2,20 @@
 //!
 //! The paper is a theory paper with no measured tables or figures; the
 //! "evaluation" this crate reproduces is therefore the set of quantitative
-//! claims made by its theorems (see EXPERIMENTS.md). Each
-//! experiment is a function returning printable rows, which the `reproduce`
-//! binary (`cargo run --release -p trienum-bench --bin reproduce`) prints to
-//! regenerate every table in EXPERIMENTS.md. Wall-clock measurement of the
-//! paper drivers and of each layer of the machine stack lives in the
-//! standalone `perfbench/` package.
+//! claims made by its theorems (see EXPERIMENTS.md). Every experiment has
+//! one shape: `experiment_eK` returns an [`Outcome`] (title, count rows,
+//! per-phase gauge peaks, gate verdicts, wall-clock timing, fault trace),
+//! and every gate verdict is one numeric [`Gate`] — a measured value held
+//! against a ceiling, a floor, or (for exactness gates) a violation count
+//! of 0. [`EXPERIMENTS`] names each experiment with its quick and full
+//! sizes; the `reproduce` binary
+//! (`cargo run --release -p trienum-bench --bin reproduce`) walks that
+//! table to regenerate every table in EXPERIMENTS.md and, with `--json`,
+//! writes one record per experiment through [`write_records`]. Everything
+//! in a record except its `timing` section is byte-stable, and CI diffs
+//! the quick records against the committed `baseline/quick/` copies.
+//! Wall-clock measurement of the paper drivers and of each layer of the
+//! machine stack lives in the standalone `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,13 +25,14 @@ use emsim::{
     Machine, PhaseSnapshot, RetryPolicy,
 };
 use graphgen::{generators, naive, Graph};
+use std::path::{Path, PathBuf};
 use trienum::checkpoint::atomic_write;
 use trienum::lower_bound::LowerBound;
-pub use trienum::{cache_oblivious_phase_budget, CACHE_OBLIVIOUS_WORDS_PER_LEVEL};
 use trienum::{
-    count_triangles, enumerate_triangles, enumerate_triangles_on, enumerate_triangles_sharded,
-    enumerate_triangles_with_recovery, measure_random_coloring_balance, Algorithm, Checkpoint,
-    CheckpointSpec, CollectingSink, ExtGraph, RunReport, ShardPlan,
+    cache_oblivious_phase_budget, count_triangles, enumerate_triangles, enumerate_triangles_on,
+    enumerate_triangles_sharded, enumerate_triangles_with_recovery,
+    measure_random_coloring_balance, Algorithm, Checkpoint, CheckpointSpec, CollectingSink,
+    ExtGraph, RunReport, ShardPlan,
 };
 
 /// One row of an experiment table: a label plus named numeric columns.
@@ -48,6 +57,15 @@ impl Row {
     pub fn col(mut self, name: &str, value: f64) -> Self {
         self.values.push((name.to_string(), value));
         self
+    }
+
+    /// The value of column `name`, or NaN when the row lacks it (a NaN
+    /// fails every gate that reads it).
+    pub fn get(&self, name: &str) -> f64 {
+        self.values
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(f64::NAN, |&(_, v)| v)
     }
 }
 
@@ -84,30 +102,271 @@ pub fn cache_aware_phase_budget(cfg: EmConfig) -> u64 {
 }
 
 // The cache-oblivious per-phase budget (`cache_oblivious_phase_budget`,
-// re-exported above) is derived next to the tree it bounds:
+// imported above) is derived next to the tree it bounds:
 // `CACHE_OBLIVIOUS_WORDS_PER_LEVEL` words for each of the `⌈log₄ E⌉ + 1`
 // tree levels, plus one in-core leaf's edge list. Like the algorithm, it
 // never reads `M` or `B`.
 
-/// Checks every gated [`PhasePeakRow`] against its declared budget; returns
-/// a description of the first offending phase, if any.
-pub fn check_phase_peak_budgets(peaks: &[PhasePeakRow]) -> Result<(), String> {
-    for row in peaks {
-        let Some(budget) = row.budget_words else {
-            continue;
+/// Which side of its limit a gate's measured value must stay on.
+#[derive(Debug, Clone, Copy)]
+pub enum Bound {
+    /// Passes when the largest sample is ≤ the limit.
+    Ceiling,
+    /// Passes when the smallest sample is ≥ the limit.
+    Floor,
+}
+
+/// One gate verdict: the worst measured value against its limit. Exactness
+/// gates measure their violation count against a ceiling of 0.
+#[derive(Debug, Clone)]
+pub struct Gate {
+    /// Gate name, as records and CI show it.
+    pub name: String,
+    /// The worst sample the gate read; NaN when a sample was missing or
+    /// there was none.
+    pub measured: f64,
+    /// The ceiling or floor.
+    pub limit: f64,
+    /// The share of the limit left unused (negative on failure); not finite
+    /// when the limit is 0.
+    pub headroom: f64,
+    /// Whether the gate passed.
+    pub passed: bool,
+    /// Which sample was the worst, or the first violation.
+    pub detail: String,
+}
+
+/// Formats a gate number: integers without decimals, the rest to three.
+fn gate_number(v: f64) -> String {
+    if v.fract() == 0.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
+    }
+}
+
+impl Gate {
+    /// The one check every gate goes through: the worst of the labelled
+    /// `samples` (largest for a ceiling, smallest for a floor; a NaN sample
+    /// is the worst of all) against `limit`. A gate that reads no sample
+    /// fails, since it measured nothing.
+    pub fn check(
+        name: &str,
+        bound: Bound,
+        limit: f64,
+        samples: impl IntoIterator<Item = (String, f64)>,
+    ) -> Self {
+        let badness = |v: f64| match (v.is_nan(), bound) {
+            (true, _) => f64::INFINITY,
+            (false, Bound::Ceiling) => v,
+            (false, Bound::Floor) => -v,
         };
-        for p in &row.phases {
-            if p.peak_words > budget {
-                return Err(format!(
-                    "run '{}' phase '{}': peak {} words exceeds the declared budget of \
-                     {budget} words",
-                    row.case, p.name, p.peak_words
-                ));
-            }
+        let worst = samples
+            .into_iter()
+            .max_by(|a, b| badness(a.1).total_cmp(&badness(b.1)));
+        let measured = worst.as_ref().map_or(f64::NAN, |w| w.1);
+        let (passed, headroom, verb) = match bound {
+            Bound::Ceiling => (
+                measured <= limit,
+                (limit - measured) / limit,
+                "exceeds the ceiling",
+            ),
+            Bound::Floor => (
+                measured >= limit,
+                (measured - limit) / limit,
+                "is below the floor",
+            ),
+        };
+        let detail = match worst {
+            None => "no sample to gate".to_string(),
+            Some((case, _)) if passed => format!("worst: {case}"),
+            Some((case, v)) if v.is_nan() => format!("{case} is missing"),
+            Some((case, v)) => format!("{case} = {} {verb} {}", gate_number(v), gate_number(limit)),
+        };
+        Self {
+            name: name.to_string(),
+            measured,
+            limit,
+            headroom,
+            passed,
+            detail,
         }
     }
-    Ok(())
+
+    /// An exactness gate: the number of `violations` against a ceiling of
+    /// 0, with the first violation as the detail.
+    pub fn exact(name: &str, violations: &[String]) -> Self {
+        let count = (String::new(), violations.len() as f64);
+        Self {
+            detail: violations
+                .first()
+                .cloned()
+                .unwrap_or_else(|| "no violations".to_string()),
+            ..Self::check(name, Bound::Ceiling, 0.0, [count])
+        }
+    }
 }
+
+impl std::fmt::Display for Gate {
+    /// `NAME measured/limit (headroom %)`, the headroom only where the limit
+    /// is not 0.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (measured, limit) = (gate_number(self.measured), gate_number(self.limit));
+        write!(f, "{} {measured}/{limit}", self.name)?;
+        if self.headroom.is_finite() {
+            write!(f, " (headroom {:.0}%)", 100.0 * self.headroom)?;
+        }
+        Ok(())
+    }
+}
+
+/// A ceiling or floor on one column of an experiment's rows: the
+/// declaration every row-level gate is built from.
+pub struct ColumnGate {
+    /// Gate name, as records and CI show it.
+    pub name: &'static str,
+    /// The column the gate reads.
+    pub column: &'static str,
+    /// Which side of `limit` the column must stay on.
+    pub bound: Bound,
+    /// The recorded limit.
+    pub limit: f64,
+    /// Which rows the gate reads; the others are not gated.
+    pub reads: fn(&Row) -> bool,
+}
+
+impl ColumnGate {
+    /// Checks the column of every row the gate reads (a read row lacking the
+    /// column fails).
+    pub fn check(&self, rows: &[Row]) -> Gate {
+        let samples = rows.iter().filter(|row| (self.reads)(row)).map(|row| {
+            (
+                format!("row '{}' {}", row.label, self.column),
+                row.get(self.column),
+            )
+        });
+        Gate::check(self.name, self.bound, self.limit, samples)
+    }
+}
+
+/// The `PHASE_PEAK_BUDGET` gate: every gated phase's peak words over its
+/// declared budget, worst ratio against a ceiling of 1.0. Ungated rows
+/// (`budget_words: None`) are skipped.
+pub fn phase_peak_gate(peaks: &[PhasePeakRow]) -> Gate {
+    let samples = peaks.iter().flat_map(|row| {
+        row.budget_words.into_iter().flat_map(move |budget| {
+            row.phases.iter().map(move |p| {
+                (
+                    format!(
+                        "run '{}' phase '{}' ({} of {budget} words)",
+                        row.case, p.name, p.peak_words
+                    ),
+                    p.peak_words as f64 / budget as f64,
+                )
+            })
+        })
+    });
+    Gate::check("PHASE_PEAK_BUDGET", Bound::Ceiling, 1.0, samples)
+}
+
+/// Everything one experiment produced.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// Table title.
+    pub title: String,
+    /// The deterministic count rows.
+    pub rows: Vec<Row>,
+    /// Per-phase gauge peaks (E2, E3, E7).
+    pub phase_peaks: Vec<PhasePeakRow>,
+    /// Gate verdicts.
+    pub gates: Vec<Gate>,
+    /// Wall-clock rows: machine-dependent, so the record keeps them in their
+    /// own `timing` section, the only one that is not byte-stable.
+    pub timing: Vec<Row>,
+    /// A representative fault trace (E9), written as its own record.
+    pub fault_trace: Option<Vec<FaultEvent>>,
+}
+
+impl Outcome {
+    /// An outcome holding only a table.
+    pub fn new(title: impl Into<String>, rows: Vec<Row>) -> Self {
+        Self {
+            title: title.into(),
+            rows,
+            ..Self::default()
+        }
+    }
+}
+
+/// Runs one experiment at its quick (CI smoke, `true`) or full
+/// (EXPERIMENTS.md) sizes.
+pub type Run = fn(quick: bool) -> Outcome;
+
+/// Every experiment `reproduce` runs, in order, under its `--exp` name (also
+/// the record file stem). E2's quick sweep includes `E/M = 8` so the
+/// crossover gate, which starts there, runs in CI too.
+pub const EXPERIMENTS: [(&str, Run); 11] = [
+    ("e1", |q| {
+        experiment_e1(if q {
+            &[2_000, 4_000]
+        } else {
+            &[4_000, 8_000, 16_000, 32_000]
+        })
+    }),
+    ("e2", |q| {
+        experiment_e2(if q { &[4, 8, 16] } else { &[4, 8, 16, 32, 64] })
+    }),
+    ("e3", |q| match q {
+        true => experiment_e3(4_000, &[(1 << 10, 32), (1 << 13, 32)]),
+        false => experiment_e3(
+            12_000,
+            &[
+                (1 << 9, 32),
+                (1 << 10, 32),
+                (1 << 12, 32),
+                (1 << 14, 32),
+                (1 << 12, 64),
+                (1 << 12, 128),
+                (1 << 14, 128),
+            ],
+        ),
+    }),
+    ("e4", |q| {
+        experiment_e4(if q { &[40, 60] } else { &[40, 60, 80, 100] })
+    }),
+    ("e5", |q| {
+        experiment_e5(if q { &[4_000] } else { &[8_000, 16_000] })
+    }),
+    ("e6", |q| experiment_e6(if q { &[40] } else { &[40, 120] })),
+    ("e7", |q| {
+        experiment_e7(if q { &[4_000] } else { &[8_000, 16_000] })
+    }),
+    ("e8", |q| {
+        if q {
+            experiment_e8(4_000, 10)
+        } else {
+            experiment_e8(16_000, 30)
+        }
+    }),
+    ("e9", |q| {
+        if q {
+            experiment_e9(2_000, 8)
+        } else {
+            experiment_e9(4_000, 16)
+        }
+    }),
+    ("e10", |q| match q {
+        true => experiment_e10(500, 4_000, EmConfig::new(256, 32)),
+        false => experiment_e10(1_000, 12_000, EmConfig::new(512, 32)),
+    }),
+    ("e11", |q| {
+        experiment_e11(if q {
+            &[1_000, 2_000, 4_000]
+        } else {
+            &[2_000, 4_000, 8_000, 16_000]
+        })
+    }),
+];
 
 /// Renders per-phase peak rows as an aligned text table.
 pub fn render_phase_peaks(title: &str, peaks: &[PhasePeakRow]) -> String {
@@ -131,7 +390,8 @@ pub fn render_phase_peaks(title: &str, peaks: &[PhasePeakRow]) -> String {
     out
 }
 
-/// Renders rows as an aligned text table.
+/// Renders rows as an aligned text table, starting a new header wherever a
+/// row's columns differ from the row above it.
 pub fn render_table(title: &str, rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!("\n== {title} ==\n"));
@@ -139,13 +399,20 @@ pub fn render_table(title: &str, rows: &[Row]) -> String {
         out.push_str("(no rows)\n");
         return out;
     }
-    let mut header = format!("{:<28}", "case");
-    for (name, _) in &rows[0].values {
-        header.push_str(&format!(" {name:>16}"));
+    fn columns(row: &Row) -> impl Iterator<Item = &String> {
+        row.values.iter().map(|(name, _)| name)
     }
-    out.push_str(&header);
-    out.push('\n');
-    for row in rows {
+    for (i, row) in rows.iter().enumerate() {
+        if i == 0 || columns(row).ne(columns(&rows[i - 1])) {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&format!("{:<28}", "case"));
+            for name in columns(row) {
+                out.push_str(&format!(" {name:>16}"));
+            }
+            out.push('\n');
+        }
         let mut line = format!("{:<28}", row.label);
         for (_, v) in &row.values {
             if v.abs() >= 1000.0 || (*v != 0.0 && v.abs() < 0.01) {
@@ -158,6 +425,162 @@ pub fn render_table(title: &str, rows: &[Row]) -> String {
         out.push('\n');
     }
     out
+}
+
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn json_number(v: f64) -> String {
+    // JSON has no NaN/Infinity; record them as null rather than emitting an
+    // unparseable file.
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// `  "key": [` one item per line `  ]`, as every record section is laid out.
+fn json_array(key: &str, items: impl IntoIterator<Item = String>) -> String {
+    let items: Vec<String> = items
+        .into_iter()
+        .map(|item| format!("    {item}"))
+        .collect();
+    let body = if items.is_empty() {
+        String::new()
+    } else {
+        items.join(",\n") + "\n"
+    };
+    format!("  \"{key}\": [\n{body}  ]")
+}
+
+fn row_json(row: &Row) -> String {
+    let values: Vec<String> = row
+        .values
+        .iter()
+        .map(|(name, v)| format!("\"{}\": {}", json_escape(name), json_number(*v)))
+        .collect();
+    format!(
+        "{{\"case\": \"{}\", \"values\": {{{}}}}}",
+        json_escape(&row.label),
+        values.join(", ")
+    )
+}
+
+/// Renders one experiment's outcome as the `BENCH_E<k>.json` record
+/// `reproduce --json <dir>` writes and CI uploads: title, rows, phase
+/// peaks, gates (numeric `measured`, `limit` and `headroom`), then the
+/// wall-clock `timing` section. No external serialisation crate is
+/// available offline, so the (flat, escape-safe) document is written by
+/// hand.
+fn experiment_record_json(experiment: &str, outcome: &Outcome) -> String {
+    let peaks = outcome.phase_peaks.iter().map(|row| {
+        let phases: Vec<String> = row
+            .phases
+            .iter()
+            .map(|p| {
+                format!(
+                    "{{\"name\": \"{}\", \"peak_words\": {}, \"live_words\": {}, \
+                     \"live_leases\": {}}}",
+                    json_escape(&p.name),
+                    p.peak_words,
+                    p.live_words,
+                    p.live_leases.len()
+                )
+            })
+            .collect();
+        format!(
+            "{{\"case\": \"{}\", \"budget_words\": {}, \"phases\": [{}]}}",
+            json_escape(&row.case),
+            row.budget_words
+                .map_or_else(|| "null".to_string(), |b| b.to_string()),
+            phases.join(", ")
+        )
+    });
+    let gates = outcome.gates.iter().map(|gate| {
+        format!(
+            "{{\"name\": \"{}\", \"measured\": {}, \"limit\": {}, \"headroom\": {}, \
+             \"passed\": {}, \"detail\": \"{}\"}}",
+            json_escape(&gate.name),
+            json_number(gate.measured),
+            json_number(gate.limit),
+            json_number(gate.headroom),
+            gate.passed,
+            json_escape(&gate.detail)
+        )
+    });
+    let sections = [
+        format!("  \"experiment\": \"{}\"", json_escape(experiment)),
+        format!("  \"title\": \"{}\"", json_escape(&outcome.title)),
+        json_array("rows", outcome.rows.iter().map(row_json)),
+        json_array("phase_peaks", peaks),
+        json_array("gates", gates),
+        json_array("timing", outcome.timing.iter().map(row_json)),
+    ];
+    format!("{{\n{}\n}}\n", sections.join(",\n"))
+}
+
+/// Renders a fault trace as the `<EXPERIMENT>_FAULT_TRACE.json` record.
+fn fault_trace_json(experiment: &str, events: &[FaultEvent]) -> String {
+    let events = events.iter().map(|ev| {
+        format!(
+            "{{\"io\": {}, \"kind\": \"{}\", \"failed_attempts\": {}}}",
+            ev.io,
+            ev.kind.label(),
+            ev.failed_attempts
+        )
+    });
+    format!(
+        "{{\n  \"experiment\": \"{}\",\n{}\n}}\n",
+        json_escape(experiment),
+        json_array("events", events)
+    )
+}
+
+/// Writes `BENCH_<EXPERIMENT>.json`, plus `<EXPERIMENT>_FAULT_TRACE.json`
+/// when the outcome carries a fault trace, into `dir` (creating it);
+/// returns the paths written.
+pub fn write_records(
+    dir: &Path,
+    experiment: &str,
+    outcome: &Outcome,
+) -> std::io::Result<Vec<PathBuf>> {
+    std::fs::create_dir_all(dir)?;
+    let stem = experiment.to_uppercase();
+    let mut records = vec![(
+        format!("BENCH_{stem}.json"),
+        experiment_record_json(experiment, outcome),
+    )];
+    if let Some(trace) = &outcome.fault_trace {
+        records.push((
+            format!("{stem}_FAULT_TRACE.json"),
+            fault_trace_json(experiment, trace),
+        ));
+    }
+    records
+        .into_iter()
+        .map(|(file, json)| {
+            let path = dir.join(file);
+            // Atomic (temp + rename): a crashed or killed `reproduce` run
+            // must never leave a truncated half-record for CI to upload as
+            // if it were real.
+            atomic_write(&path, json.as_bytes())?;
+            Ok(path)
+        })
+        .collect()
 }
 
 /// The default machine configuration used by the experiments
@@ -187,8 +610,9 @@ fn run(graph: &Graph, alg: Algorithm, cfg: EmConfig) -> RunReport {
 /// **E1 — I/O scaling in `E`.** All algorithms on Erdős–Rényi graphs of
 /// growing size at a fixed machine; reports raw I/Os and the I/O count
 /// normalised by each algorithm's own analytic bound (flat ⇔ the bound's
-/// shape is right).
-pub fn experiment_e1(sizes: &[usize], include_cubic: bool) -> Vec<Row> {
+/// shape is right). The cubic block-nested-loop baseline runs up to
+/// `E = 4000`.
+pub fn experiment_e1(sizes: &[usize]) -> Outcome {
     let cfg = default_config();
     let mut rows = Vec::new();
     for &e in sizes {
@@ -196,7 +620,7 @@ pub fn experiment_e1(sizes: &[usize], include_cubic: bool) -> Vec<Row> {
         let mut algs = paper_algorithms();
         algs.push(Algorithm::HuTaoChung);
         algs.push(Algorithm::SortBased);
-        if include_cubic && e <= 4_000 {
+        if e <= 4_000 {
             algs.push(Algorithm::BlockNestedLoop);
         }
         for alg in algs {
@@ -213,15 +637,56 @@ pub fn experiment_e1(sizes: &[usize], include_cubic: bool) -> Vec<Row> {
             );
         }
     }
-    rows
+    Outcome::new("E1: I/O scaling in E (ER graphs, M=4096, B=64)", rows)
 }
+
+/// I/O-budget ceiling for the cache-aware randomized algorithm on the E2
+/// sweep: `reproduce` fails (and CI with it) if any E2 row reports
+/// `aware_io / (E^{3/2}/(√M·B))` above this limit.
+///
+/// Re-recorded after step 1 became one counting scan over the
+/// degree-ordered input: the normalised I/O sits at 7.3–9.4 across
+/// `E/M ∈ {4, …, 64}` (quick sweep worst 8.24; the runs are fully
+/// deterministic). Step 1's old sort of the `2E` endpoints sat at
+/// 12.1–14.7, the pivot-grouped-but-fixed-divisor step 3 at 21.2–23.6 and
+/// the per-triple loop before it at 36.7, so the ceiling catches a
+/// regression toward any of them while honest noise has ~15% headroom.
+pub const CACHE_AWARE_IO_CEILING: ColumnGate = ColumnGate {
+    name: "CACHE_AWARE_IO_CEILING",
+    column: "aware_io/bound",
+    bound: Bound::Ceiling,
+    limit: 11.0,
+    reads: |_| true,
+};
+
+/// The `E/M` ratio from which the measured gain over Hu–Tao–Chung must stay
+/// ≥ 1.0. The adaptive-chunking sweep crosses over already at `E/M = 4`
+/// (measured 1.12), but 4 leaves no noise margin, so the gate starts at 8
+/// (measured 1.56).
+pub const CACHE_AWARE_CROSSOVER_FROM: usize = 8;
+
+/// Crossover floor: from `E/M =` [`CACHE_AWARE_CROSSOVER_FROM`] on, the
+/// cache-aware algorithm must beat Hu–Tao–Chung (measured gain ≥ 1.0).
+/// Rows whose label carries no `E/M=` ratio are read too.
+pub const CACHE_AWARE_CROSSOVER: ColumnGate = ColumnGate {
+    name: "CACHE_AWARE_CROSSOVER",
+    column: "measured_gain",
+    bound: Bound::Floor,
+    limit: 1.0,
+    reads: |row| {
+        row.label
+            .strip_prefix("E/M=")
+            .and_then(|ratio| ratio.parse::<usize>().ok())
+            .is_none_or(|ratio| ratio >= CACHE_AWARE_CROSSOVER_FROM)
+    },
+};
 
 /// **E2 — improvement factor over Hu–Tao–Chung.** Sweeps `E/M` and reports
 /// the measured I/O ratio (Hu et al. / cache-aware) against the paper's
 /// predicted `min(√(E/M), √M)` improvement, plus the cache-aware I/O
 /// normalised by the paper's `E^{3/2}/(√M·B)` bound (the column the
 /// [`CACHE_AWARE_IO_CEILING`] gate watches).
-pub fn experiment_e2(e_over_m: &[usize]) -> (Vec<Row>, Vec<PhasePeakRow>) {
+pub fn experiment_e2(e_over_m: &[usize]) -> Outcome {
     let mem = 512usize;
     let cfg = EmConfig::new(mem, 32);
     let mut rows = Vec::new();
@@ -257,13 +722,43 @@ pub fn experiment_e2(e_over_m: &[usize]) -> (Vec<Row>, Vec<PhasePeakRow>) {
                 .col("predicted_gain", predicted),
         );
     }
-    (rows, peaks)
+    Outcome {
+        gates: vec![
+            CACHE_AWARE_IO_CEILING.check(&rows),
+            CACHE_AWARE_CROSSOVER.check(&rows),
+            phase_peak_gate(&peaks),
+        ],
+        phase_peaks: peaks,
+        ..Outcome::new(
+            "E2: measured vs predicted improvement over Hu-Tao-Chung (M=512, B=32)",
+            rows,
+        )
+    }
 }
+
+/// I/O-budget ceiling for the cache-oblivious algorithm on the E3 sweep:
+/// `reproduce` fails (and CI with it) if any E3 row reports `io/bound`
+/// (measured I/O over the paper's `E^{3/2}/(√M·B)`) above this limit.
+///
+/// Recorded after the in-core base case grew from 24 to 96 edges: the
+/// normalised I/O sits at 19.72–39.97 across the full `(M, B)` sweep at
+/// `E = 12000` (worst row `M = 512, B = 32`) and at 15.82–36.52 on the
+/// `--quick` sweep at `E = 4000`. The 24-edge base case's worst row was
+/// 58.13 and the incidence-list implementation sat at 79.8–146.0, so a
+/// regression toward either trips the gate while honest noise has ~12%
+/// headroom above the worst recorded row.
+pub const CACHE_OBLIVIOUS_IO_CEILING: ColumnGate = ColumnGate {
+    name: "CACHE_OBLIVIOUS_IO_CEILING",
+    column: "io/bound",
+    bound: Bound::Ceiling,
+    limit: 45.0,
+    reads: |_| true,
+};
 
 /// **E3 — cache-obliviousness.** One fixed graph and one fixed algorithm
 /// (which never reads `M`/`B`), swept across machine configurations; the
 /// normalised I/O stays in a narrow band.
-pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> (Vec<Row>, Vec<PhasePeakRow>) {
+pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> Outcome {
     let g = generators::erdos_renyi(e / 8, e, 7);
     let alg = Algorithm::CacheObliviousRandomized { seed: 11 };
     let mut rows = Vec::new();
@@ -284,14 +779,24 @@ pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> (Vec<Row>, Vec<Pha
                 .col("subproblems", r.extra("subproblems").unwrap_or(0.0)),
         );
     }
-    (rows, peaks)
+    Outcome {
+        gates: vec![
+            CACHE_OBLIVIOUS_IO_CEILING.check(&rows),
+            phase_peak_gate(&peaks),
+        ],
+        phase_peaks: peaks,
+        ..Outcome::new(
+            format!("E3: cache-obliviousness — one binary, E={e}, varying (M, B)"),
+            rows,
+        )
+    }
 }
 
 /// **E4 — optimality against Theorem 3.** Cliques (the lower-bound witness,
 /// `t = Θ(E^{3/2})`): measured I/Os versus the lower bound. A small memory
 /// (`M = 512`) is used so that the graphs genuinely exceed the internal
 /// memory and the witness term `t/(√M·B)` of the bound is the binding one.
-pub fn experiment_e4(clique_sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e4(clique_sizes: &[usize]) -> Outcome {
     let cfg = EmConfig::new(512, 32);
     let mut rows = Vec::new();
     for &n in clique_sizes {
@@ -308,14 +813,17 @@ pub fn experiment_e4(clique_sizes: &[usize]) -> Vec<Row> {
             );
         }
     }
-    rows
+    Outcome::new(
+        "E4: optimality vs the Theorem 3 lower bound (cliques, M=512, B=32)",
+        rows,
+    )
 }
 
 /// **E5 — derandomization.** Colour-balance statistic `X_ξ` of the random
 /// colouring (Lemma 3: `E[X_ξ] ≤ E·M`) versus the greedily derandomized
 /// colouring (`X_ξ ≤ e·E·M`), and the I/O cost of the deterministic
 /// algorithm versus the randomized one.
-pub fn experiment_e5(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e5(sizes: &[usize]) -> Outcome {
     let cfg = default_config();
     let mut rows = Vec::new();
     for &e in sizes {
@@ -349,13 +857,13 @@ pub fn experiment_e5(sizes: &[usize]) -> Vec<Row> {
                 .col("io_derand", det_run.io.total() as f64),
         );
     }
-    rows
+    Outcome::new("E5: derandomization — colour balance and I/O cost", rows)
 }
 
 /// **E6 — the database join scenario.** Triangle enumeration of the
 /// decomposed `Sells` relation is the three-way join; all algorithms produce
 /// the same row count, and the winner ordering matches E1.
-pub fn experiment_e6(groups: &[usize]) -> Vec<Row> {
+pub fn experiment_e6(groups: &[usize]) -> Outcome {
     let cfg = default_config();
     let mut rows = Vec::new();
     for &k in groups {
@@ -383,11 +891,31 @@ pub fn experiment_e6(groups: &[usize]) -> Vec<Row> {
             );
         }
     }
-    rows
+    Outcome::new("E6: the 5NF Sells join as triangle enumeration", rows)
 }
 
+/// Work-budget ceiling for the cache-oblivious algorithm: `reproduce` fails
+/// (and CI with it) if any E7 cache-oblivious row reports `work/E^{1.5}`
+/// above this limit.
+///
+/// Recorded after the in-core base case grew from 24 to 96 edges: measured
+/// ratios are 3.50 at `E = 4000` (the `--quick` size), 3.04 at `E = 8000`
+/// and 2.50 at `E = 16000` — the ratio falls with `E`. The 24-edge base
+/// case sat at 6.10, 5.92 and 4.55, the incidence-list implementation at
+/// 9.75–10.3 and the one before it at ≈ 52.7, so a regression to any of
+/// them (a smaller base case, re-materialised reverse orientations,
+/// per-leaf wedge sorts, per-child filter scans) trips the gate while the
+/// worst current row keeps ~14% headroom.
+pub const CACHE_OBLIVIOUS_WORK_CEILING: ColumnGate = ColumnGate {
+    name: "CACHE_OBLIVIOUS_WORK_CEILING",
+    column: "work/E^1.5",
+    bound: Bound::Ceiling,
+    limit: 4.0,
+    reads: |row| row.label.contains("cache-oblivious"),
+};
+
 /// **E7 — work optimality.** RAM-operation counts versus `E^{3/2}`.
-pub fn experiment_e7(sizes: &[usize]) -> (Vec<Row>, Vec<PhasePeakRow>) {
+pub fn experiment_e7(sizes: &[usize]) -> Outcome {
     let cfg = default_config();
     let mut rows = Vec::new();
     let mut peaks = Vec::new();
@@ -413,295 +941,19 @@ pub fn experiment_e7(sizes: &[usize]) -> (Vec<Row>, Vec<PhasePeakRow>) {
             );
         }
     }
-    (rows, peaks)
-}
-
-/// Work-budget ceiling for the cache-oblivious algorithm: `reproduce` fails
-/// (and CI with it) if any E7 row reports `work/E^{1.5}` above this value.
-///
-/// Recorded after the in-core base case grew from 24 to 96 edges: measured
-/// ratios are 3.50 at `E = 4000` (the `--quick` size), 3.04 at `E = 8000`
-/// and 2.50 at `E = 16000` — the ratio falls with `E`. The 24-edge base
-/// case sat at 6.10, 5.92 and 4.55, the incidence-list implementation at
-/// 9.75–10.3 and the one before it at ≈ 52.7, so a regression to any of
-/// them (a smaller base case, re-materialised reverse orientations,
-/// per-leaf wedge sorts, per-child filter scans) trips the gate while the
-/// worst current row keeps ~14% headroom.
-pub const CACHE_OBLIVIOUS_WORK_CEILING: f64 = 4.0;
-
-/// Checks an E7 table against [`CACHE_OBLIVIOUS_WORK_CEILING`]; returns a
-/// description of the first offending row, if any.
-pub fn check_e7_work_budget(rows: &[Row]) -> Result<(), String> {
-    for row in rows {
-        if !row.label.contains("cache-oblivious") {
-            continue;
-        }
-        let ratio = row
-            .values
-            .iter()
-            .find(|(name, _)| name == "work/E^1.5")
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("row '{}' lacks a work/E^1.5 column", row.label))?;
-        if ratio > CACHE_OBLIVIOUS_WORK_CEILING {
-            return Err(format!(
-                "row '{}': work/E^1.5 = {ratio:.2} exceeds the recorded ceiling \
-                 {CACHE_OBLIVIOUS_WORK_CEILING}",
-                row.label
-            ));
-        }
+    Outcome {
+        gates: vec![
+            CACHE_OBLIVIOUS_WORK_CEILING.check(&rows),
+            phase_peak_gate(&peaks),
+        ],
+        phase_peaks: peaks,
+        ..Outcome::new("E7: work optimality (operations vs E^1.5)", rows)
     }
-    Ok(())
-}
-
-/// I/O-budget ceiling for the cache-oblivious algorithm on the E3 sweep:
-/// `reproduce` fails (and CI with it) if any E3 row reports `io/bound`
-/// (measured I/O over the paper's `E^{3/2}/(√M·B)`) above this value.
-///
-/// Recorded after the in-core base case grew from 24 to 96 edges: the
-/// normalised I/O sits at 19.72–39.97 across the full `(M, B)` sweep at
-/// `E = 12000` (worst row `M = 512, B = 32`) and at 15.82–36.52 on the
-/// `--quick` sweep at `E = 4000`. The 24-edge base case's worst row was
-/// 58.13 and the incidence-list implementation sat at 79.8–146.0, so a
-/// regression toward either trips the gate while honest noise has ~12%
-/// headroom above the worst recorded row.
-pub const CACHE_OBLIVIOUS_IO_CEILING: f64 = 45.0;
-
-/// Checks an E3 table against [`CACHE_OBLIVIOUS_IO_CEILING`]; returns a
-/// description of the first offending row, if any.
-pub fn check_e3_io_budget(rows: &[Row]) -> Result<(), String> {
-    for row in rows {
-        let normalised = row
-            .values
-            .iter()
-            .find(|(name, _)| name == "io/bound")
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("row '{}' lacks an io/bound column", row.label))?;
-        if normalised > CACHE_OBLIVIOUS_IO_CEILING {
-            return Err(format!(
-                "row '{}': io/bound = {normalised:.2} exceeds the recorded ceiling \
-                 {CACHE_OBLIVIOUS_IO_CEILING}",
-                row.label
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// I/O-budget ceiling for the cache-aware randomized algorithm on the E2
-/// sweep: `reproduce` fails (and CI with it) if any E2 row reports
-/// `aware_io / (E^{3/2}/(√M·B))` above this value, or a measured gain over
-/// Hu–Tao–Chung below 1.0 at `E/M ≥` [`CACHE_AWARE_CROSSOVER_FROM`].
-///
-/// Re-recorded after step 1 became one counting scan over the
-/// degree-ordered input: the normalised I/O sits at 7.3–9.4 across
-/// `E/M ∈ {4, …, 64}` (quick sweep worst 8.24; the runs are fully
-/// deterministic). Step 1's old sort of the `2E` endpoints sat at
-/// 12.1–14.7, the pivot-grouped-but-fixed-divisor step 3 at 21.2–23.6 and
-/// the per-triple loop before it at 36.7, so the ceiling catches a
-/// regression toward any of them while honest noise has ~15% headroom.
-pub const CACHE_AWARE_IO_CEILING: f64 = 11.0;
-
-/// The `E/M` ratio from which the measured gain over Hu–Tao–Chung must stay
-/// ≥ 1.0. The adaptive-chunking sweep crosses over already at `E/M = 4`
-/// (measured 1.12), but 4 leaves no noise margin, so the gate starts at 8
-/// (measured 1.56).
-pub const CACHE_AWARE_CROSSOVER_FROM: usize = 8;
-
-/// Checks an E2 table against [`CACHE_AWARE_IO_CEILING`] (and the ≥ 1.0
-/// crossover at `E/M ≥` [`CACHE_AWARE_CROSSOVER_FROM`]); returns a
-/// description of the first offending row, if any.
-pub fn check_e2_io_budget(rows: &[Row]) -> Result<(), String> {
-    let value_of = |row: &Row, name: &str| -> Result<f64, String> {
-        row.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("row '{}' lacks a {name} column", row.label))
-    };
-    for row in rows {
-        let normalised = value_of(row, "aware_io/bound")?;
-        if normalised > CACHE_AWARE_IO_CEILING {
-            return Err(format!(
-                "row '{}': aware_io/bound = {normalised:.2} exceeds the recorded ceiling \
-                 {CACHE_AWARE_IO_CEILING}",
-                row.label
-            ));
-        }
-        let ratio: usize = row
-            .label
-            .strip_prefix("E/M=")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("row '{}' has no E/M label", row.label))?;
-        if ratio >= CACHE_AWARE_CROSSOVER_FROM {
-            let gain = value_of(row, "measured_gain")?;
-            if gain < 1.0 {
-                return Err(format!(
-                    "row '{}': measured gain {gain:.2} over Hu-Tao-Chung lost the crossover \
-                     (must be >= 1.0 from E/M = {CACHE_AWARE_CROSSOVER_FROM} on)",
-                    row.label
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Outcome of one performance gate, as recorded in the machine-readable
-/// per-experiment JSON (see [`experiment_record_json`]).
-#[derive(Debug, Clone)]
-pub struct GateOutcome {
-    /// Gate name (the ceiling constant it enforces).
-    pub name: String,
-    /// Whether the gate passed.
-    pub passed: bool,
-    /// The offending-row description on failure, or a short pass note.
-    pub detail: String,
-}
-
-impl GateOutcome {
-    /// Records a gate-check result under `name`.
-    pub fn of(name: &str, result: &Result<(), String>) -> Self {
-        Self {
-            name: name.to_string(),
-            passed: result.is_ok(),
-            detail: match result {
-                Ok(()) => "within ceiling".to_string(),
-                Err(msg) => msg.clone(),
-            },
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_number(v: f64) -> String {
-    // JSON has no NaN/Infinity; record them as null rather than emitting an
-    // unparseable file.
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders one experiment's rows and gate verdicts as a JSON document — the
-/// `BENCH_E<k>.json` record `reproduce --json <dir>` writes and CI uploads,
-/// so the performance trajectory is machine-readable run over run. No
-/// external serialisation crate is available offline, so the (flat,
-/// escape-safe) document is written by hand.
-pub fn experiment_record_json(
-    experiment: &str,
-    title: &str,
-    rows: &[Row],
-    phase_peaks: &[PhasePeakRow],
-    gates: &[GateOutcome],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"experiment\": \"{}\",\n",
-        json_escape(experiment)
-    ));
-    out.push_str(&format!("  \"title\": \"{}\",\n", json_escape(title)));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"values\": {{",
-            json_escape(&row.label)
-        ));
-        for (j, (name, value)) in row.values.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {}",
-                json_escape(name),
-                json_number(*value)
-            ));
-        }
-        out.push_str(if i + 1 < rows.len() { "}},\n" } else { "}}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"phase_peaks\": [\n");
-    for (i, row) in phase_peaks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"budget_words\": {}, \"phases\": [",
-            json_escape(&row.case),
-            row.budget_words
-                .map_or_else(|| "null".to_string(), |b| b.to_string())
-        ));
-        for (j, p) in row.phases.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"peak_words\": {}, \"live_words\": {}, \
-                 \"live_leases\": {}}}",
-                json_escape(&p.name),
-                p.peak_words,
-                p.live_words,
-                p.live_leases.len()
-            ));
-        }
-        out.push_str(if i + 1 < phase_peaks.len() {
-            "]},\n"
-        } else {
-            "]}\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"gates\": [\n");
-    for (i, gate) in gates.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"passed\": {}, \"detail\": \"{}\"}}{}\n",
-            json_escape(&gate.name),
-            gate.passed,
-            json_escape(&gate.detail),
-            if i + 1 < gates.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_E<k>.json` for one experiment into `dir` (creating it),
-/// returning the path written.
-pub fn write_experiment_record(
-    dir: &std::path::Path,
-    experiment: &str,
-    title: &str,
-    rows: &[Row],
-    phase_peaks: &[PhasePeakRow],
-    gates: &[GateOutcome],
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{}.json", experiment.to_uppercase()));
-    // Atomic (temp + rename): a crashed or killed `reproduce` run must never
-    // leave a truncated half-record for CI to upload as if it were real.
-    atomic_write(
-        &path,
-        experiment_record_json(experiment, title, rows, phase_peaks, gates).as_bytes(),
-    )?;
-    Ok(path)
 }
 
 /// **E8 — concentration of the colouring.** Monte-Carlo check of Lemma 3
 /// (`E[X_ξ] ≤ E·M`) over many random 4-wise colourings.
-pub fn experiment_e8(e: usize, trials: u64) -> Vec<Row> {
+pub fn experiment_e8(e: usize, trials: u64) -> Outcome {
     let cfg = default_config();
     let g = generators::erdos_renyi(e / 8, e, 12);
     let machine = emsim::Machine::new(cfg);
@@ -714,11 +966,15 @@ pub fn experiment_e8(e: usize, trials: u64) -> Vec<Row> {
     let mean = xs.iter().sum::<f64>() / xs.len() as f64;
     let max = xs.iter().cloned().fold(0f64, f64::max);
     let bound = e as f64 * cfg.mem_words as f64;
-    vec![Row::new(format!("E={e}, {trials} colourings"))
+    let rows = vec![Row::new(format!("E={e}, {trials} colourings"))
         .col("mean X", mean)
         .col("max X", max)
         .col("E*M bound", bound)
-        .col("mean/bound", mean / bound)]
+        .col("mean/bound", mean / bound)];
+    Outcome::new(
+        "E8: Lemma 3 — E[X_xi] <= E*M over random 4-wise colourings",
+        rows,
+    )
 }
 
 /// Transient-fault rates injected by the E9 chaos sweep, in ‰ per attempt.
@@ -739,13 +995,20 @@ pub fn e9_retry_policy() -> RetryPolicy {
     RetryPolicy::new(6, 8)
 }
 
-/// Ceiling on `retry_io / io` for every E9 run: the fraction of all charged
-/// block transfers that were retry re-attempts. At the injected rates
-/// ([`E9_READ_FAULT_PER_MILLE`], [`E9_TORN_WRITE_PER_MILLE`]) the expected
-/// fraction is ≈ 2.3%, so 10% gives ~4× headroom while still catching a
-/// retry storm (a storage layer that re-reads whole segments instead of the
-/// single failed block, or a backoff loop that stops converging).
-pub const E9_RETRY_IO_FRACTION_CEILING: f64 = 0.10;
+/// Ceiling on `retry_io / io` for every E9 crash run: the fraction of all
+/// charged block transfers that were retry re-attempts. At the injected
+/// rates ([`E9_READ_FAULT_PER_MILLE`], [`E9_TORN_WRITE_PER_MILLE`]) the
+/// expected fraction is ≈ 2.3%, so 10% gives ~4× headroom while still
+/// catching a retry storm (a storage layer that re-reads whole segments
+/// instead of the single failed block, or a backoff loop that stops
+/// converging).
+pub const E9_RETRY_FRACTION_CEILING: ColumnGate = ColumnGate {
+    name: "E9_RETRY_FRACTION_CEILING",
+    column: "retry_frac",
+    bound: Bound::Ceiling,
+    limit: 0.10,
+    reads: |row| row.label.starts_with("crash@"),
+};
 
 /// Ceiling on the E9 recovery I/O overhead: for each injected crash point,
 /// `(crashed run transfers + resumed run transfers) / fault-free transfers`.
@@ -759,57 +1022,16 @@ pub const E9_RETRY_IO_FRACTION_CEILING: f64 = 0.10;
 /// regression that loses the checkpoint frontier — forcing a late crash to
 /// restart from scratch — costs ~2× at the worst point and trips the gate;
 /// honest noise is zero, the runs are fully deterministic.
-pub const E9_RECOVERY_IO_OVERHEAD_CEILING: f64 = 2.0;
-
-/// Checks an E9 table against [`E9_RECOVERY_IO_OVERHEAD_CEILING`]; returns
-/// a description of the first offending crash point, if any. Rows without
-/// an `overhead` column (the zero-fault control) are skipped.
-pub fn check_e9_recovery_overhead(rows: &[Row]) -> Result<(), String> {
-    for row in rows {
-        for (name, v) in &row.values {
-            if name == "overhead" && *v > E9_RECOVERY_IO_OVERHEAD_CEILING {
-                return Err(format!(
-                    "row '{}': recovery overhead = {v:.2} exceeds the recorded ceiling \
-                     {E9_RECOVERY_IO_OVERHEAD_CEILING}",
-                    row.label
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Checks an E9 table against [`E9_RETRY_IO_FRACTION_CEILING`]; returns a
-/// description of the first offending run, if any.
-pub fn check_e9_retry_fraction(rows: &[Row]) -> Result<(), String> {
-    for row in rows {
-        for (name, v) in &row.values {
-            if name == "retry_frac" && *v > E9_RETRY_IO_FRACTION_CEILING {
-                return Err(format!(
-                    "row '{}': retry_frac = {v:.4} exceeds the recorded ceiling \
-                     {E9_RETRY_IO_FRACTION_CEILING}",
-                    row.label
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Everything the E9 chaos sweep produced.
-pub struct E9Outcome {
-    /// One zero-fault control row plus one row per injected crash point.
-    pub rows: Vec<Row>,
-    /// Gate verdicts: exactness, zero-fault cost parity, retry bound,
-    /// recovery overhead, gauge leaks.
-    pub gates: Vec<GateOutcome>,
-    /// Fault trace of the mid-sweep crashed run and its resume (written to
-    /// `E9_FAULT_TRACE.json` by `reproduce --json`).
-    pub fault_trace: Vec<FaultEvent>,
-}
+pub const E9_RECOVERY_IO_OVERHEAD: ColumnGate = ColumnGate {
+    name: "E9_RECOVERY_IO_OVERHEAD",
+    column: "overhead",
+    bound: Bound::Ceiling,
+    limit: 2.0,
+    reads: |row| row.label.starts_with("crash@"),
+};
 
 /// A unique scratch directory for one sweep's checkpoint files.
-fn e9_scratch_dir() -> std::path::PathBuf {
+fn e9_scratch_dir() -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -818,19 +1040,15 @@ fn e9_scratch_dir() -> std::path::PathBuf {
 
 /// **E9 — chaos: fault injection, crash sweep, checkpoint/resume.** Runs the
 /// cache-oblivious algorithm once fault-free as the reference, then sweeps a
-/// `CrashAt` kill switch across the reference run's whole I/O range with
-/// transient read faults and torn writes injected throughout; each crashed
-/// run is resumed from its surviving checkpoint (or rerun from scratch if it
-/// died before the first one) and held to the reference's exact triangle
-/// multiset, bounded retry counts, a leak-free gauge and the
-/// [`E9_RECOVERY_IO_OVERHEAD_CEILING`] recovery budget.
-pub fn experiment_e9(quick: bool) -> E9Outcome {
-    let e = if quick { 2_000 } else { 4_000 };
-    let points = if quick { 8 } else { 16 };
-    e9_sweep(e, points)
-}
-
-fn e9_sweep(e: usize, points: u64) -> E9Outcome {
+/// `CrashAt` kill switch over `points` crash points across the reference
+/// run's whole I/O range (on an `E`-edge graph) with transient read faults
+/// and torn writes injected throughout; each crashed run is resumed from its
+/// surviving checkpoint (or rerun from scratch if it died before the first
+/// one) and held to the reference's exact triangle multiset, bounded retry
+/// counts, no permanent escalation, a leak-free gauge and the
+/// [`E9_RECOVERY_IO_OVERHEAD`] recovery budget. The fault trace of the
+/// mid-sweep crash and its resume rides along in the outcome.
+pub fn experiment_e9(e: usize, points: u64) -> Outcome {
     silence_simulated_crash_panics();
     let cfg = EmConfig::new(1 << 10, 32);
     let seed = 0xA11CE;
@@ -863,25 +1081,26 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     // is pay-for-what-you-use.
     let plain = run(&g, Algorithm::CacheObliviousRandomized { seed }, cfg);
     let ref_retry_io = ref_report.extra("retry_io").unwrap_or(f64::NAN);
-    let zero_fault = if plain.io.total() != ref_report.io.total() {
-        Err(format!(
+    let mut zero_fault = Vec::new();
+    if plain.io.total() != ref_report.io.total() {
+        zero_fault.push(format!(
             "zero-fault recovery run cost {} I/Os, the plain driver {} — the fault layer \
              must be free when unused",
             ref_report.io.total(),
             plain.io.total()
-        ))
-    } else if plain.triangles != ref_report.triangles {
-        Err(format!(
+        ));
+    }
+    if plain.triangles != ref_report.triangles {
+        zero_fault.push(format!(
             "zero-fault recovery run found {} triangles, the plain driver {}",
             ref_report.triangles, plain.triangles
-        ))
-    } else if ref_retry_io != 0.0 {
-        Err(format!(
+        ));
+    }
+    if ref_retry_io != 0.0 {
+        zero_fault.push(format!(
             "zero-fault recovery run charged retry_io = {ref_retry_io}, expected 0"
-        ))
-    } else {
-        Ok(())
-    };
+        ));
+    }
 
     let mut rows = vec![Row::new("zero-fault control")
         .col("io", ref_report.io.total() as f64)
@@ -890,15 +1109,10 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
         .col("retry_io", ref_retry_io)];
 
     let interval_io = (run_io / 6).max(1);
-    let mut exactness: Result<(), String> = Ok(());
-    let mut gauges: Result<(), String> = Ok(());
-    let mut permanents: Result<(), String> = Ok(());
-    let mut fault_trace: Vec<FaultEvent> = Vec::new();
-    let record = |slot: &mut Result<(), String>, err: String| {
-        if slot.is_ok() {
-            *slot = Err(err);
-        }
-    };
+    let mut exactness = Vec::new();
+    let mut gauges = Vec::new();
+    let mut permanents = Vec::new();
+    let mut fault_trace = Vec::new();
 
     for k in 0..points {
         let crash_at = preamble + run_io * (k + 1) / (points + 1);
@@ -926,10 +1140,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
         }));
         let payload = match outcome {
             Ok(_) => {
-                record(
-                    &mut exactness,
-                    format!("crash@{crash_at}: the kill switch never fired"),
-                );
+                exactness.push(format!("crash@{crash_at}: the kill switch never fired"));
                 continue;
             }
             Err(payload) => payload,
@@ -941,13 +1152,10 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
         let crashed_stats = crashed_machine.stats();
         let crashed_transfers = crashed_machine.transfers();
         if crashed_machine.gauge().in_use() != 0 {
-            record(
-                &mut gauges,
-                format!(
-                    "crash@{crash_at}: {} words still leased after unwinding the crashed run",
-                    crashed_machine.gauge().in_use()
-                ),
-            );
+            gauges.push(format!(
+                "crash@{crash_at}: {} words still leased after unwinding the crashed run",
+                crashed_machine.gauge().in_use()
+            ));
         }
 
         let resume_plan = FaultPlan::new(0x5EED_0000 + k)
@@ -960,21 +1168,15 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
         let ck = resumed
             .then(|| Checkpoint::load(&ckpt_path).expect("loading the surviving checkpoint"));
         match &ck {
-            Some(ck) if ck.hwm != committed => record(
-                &mut exactness,
-                format!(
-                    "crash@{crash_at}: checkpoint high-water mark {} disagrees with the \
+            Some(ck) if ck.hwm != committed => exactness.push(format!(
+                "crash@{crash_at}: checkpoint high-water mark {} disagrees with the \
                      {committed} triangles actually committed",
-                    ck.hwm
-                ),
-            ),
-            None if committed != 0 => record(
-                &mut exactness,
-                format!(
-                    "crash@{crash_at}: {committed} triangles committed although no \
+                ck.hwm
+            )),
+            None if committed != 0 => exactness.push(format!(
+                "crash@{crash_at}: {committed} triangles committed although no \
                      checkpoint was ever written"
-                ),
-            ),
+            )),
             _ => {}
         }
         // Without a checkpoint nothing durable exists, so recovery is a
@@ -990,41 +1192,32 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
         let resume_stats = resume_machine.stats();
         let resume_transfers = resume_machine.transfers();
         if resume_machine.gauge().in_use() != 0 {
-            record(
-                &mut gauges,
-                format!(
-                    "crash@{crash_at}: {} words still leased after the resumed run",
-                    resume_machine.gauge().in_use()
-                ),
-            );
+            gauges.push(format!(
+                "crash@{crash_at}: {} words still leased after the resumed run",
+                resume_machine.gauge().in_use()
+            ));
         }
 
         let mut got = collected.into_triangles();
         got.sort_unstable();
         if got != oracle {
-            record(
-                &mut exactness,
-                format!(
-                    "crash@{crash_at}: the resumed multiset ({} triangles) differs from the \
+            exactness.push(format!(
+                "crash@{crash_at}: the resumed multiset ({} triangles) differs from the \
                      reference ({})",
-                    got.len(),
-                    oracle.len()
-                ),
-            );
+                got.len(),
+                oracle.len()
+            ));
         }
         for trace in [crashed_machine.fault_trace(), resume_machine.fault_trace()] {
             if let Some(p) = trace
                 .iter()
                 .find(|ev| ev.kind == emsim::FaultKind::Permanent)
             {
-                record(
-                    &mut permanents,
-                    format!(
-                        "crash@{crash_at}: a transient fault at io {} escalated to permanent \
+                permanents.push(format!(
+                    "crash@{crash_at}: a transient fault at io {} escalated to permanent \
                          ({} failed attempts) — the retry budget is mis-sized",
-                        p.io, p.failed_attempts
-                    ),
-                );
+                    p.io, p.failed_attempts
+                ));
             }
         }
         if k == points / 2 {
@@ -1049,49 +1242,21 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let retry_check = check_e9_retry_fraction(&rows).and(permanents);
-    let overhead_check = check_e9_recovery_overhead(&rows);
-    let gates = vec![
-        GateOutcome::of("E9_EXACTLY_ONCE", &exactness),
-        GateOutcome::of("E9_ZERO_FAULT_EXACTNESS", &zero_fault),
-        GateOutcome::of("E9_RETRY_FRACTION_CEILING", &retry_check),
-        GateOutcome::of("E9_RECOVERY_IO_OVERHEAD", &overhead_check),
-        GateOutcome::of("E9_GAUGE_LEASES", &gauges),
-    ];
-    E9Outcome {
-        rows,
-        gates,
-        fault_trace,
+    Outcome {
+        gates: vec![
+            Gate::exact("E9_EXACTLY_ONCE", &exactness),
+            Gate::exact("E9_ZERO_FAULT_EXACTNESS", &zero_fault),
+            E9_RETRY_FRACTION_CEILING.check(&rows),
+            Gate::exact("E9_PERMANENT_ESCALATIONS", &permanents),
+            E9_RECOVERY_IO_OVERHEAD.check(&rows),
+            Gate::exact("E9_GAUGE_LEASES", &gauges),
+        ],
+        fault_trace: Some(fault_trace),
+        ..Outcome::new(
+            "E9: chaos — crash sweep, retry/backoff, checkpoint/resume (M=1024, B=32)",
+            rows,
+        )
     }
-}
-
-/// Renders a fault trace as JSON — the `E9_FAULT_TRACE.json` record
-/// `reproduce --json <dir>` writes next to `BENCH_E9.json`.
-pub fn fault_trace_json(events: &[FaultEvent]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e9\",\n  \"events\": [\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"io\": {}, \"kind\": \"{}\", \"failed_attempts\": {}}}{}\n",
-            ev.io,
-            ev.kind.label(),
-            ev.failed_attempts,
-            if i + 1 < events.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes the E9 fault trace into `dir` (atomically, like every record),
-/// returning the path written.
-pub fn write_fault_trace_record(
-    dir: &std::path::Path,
-    events: &[FaultEvent],
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("E9_FAULT_TRACE.json");
-    atomic_write(&path, fault_trace_json(events).as_bytes())?;
-    Ok(path)
 }
 
 /// Worker counts swept by the E10 multi-worker (PEM) experiment.
@@ -1104,46 +1269,33 @@ pub const E10_WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// units are skewed, so 0.35 gives ~40% headroom while still catching a
 /// sharding regression that lets one worker own a constant fraction of the
 /// unit stream (that costs ≥ 0.5 and trips the gate immediately).
-pub const E10_BALANCE_MAX_FRACTION: f64 = 0.35;
-
-/// Everything the E10 worker sweep produced.
-pub struct E10Outcome {
-    /// One row per `(driver, P)` sweep point: triangles, PEM cost
-    /// (`max_io`), total I/O, balance, merge I/O. Fully deterministic —
-    /// these are what `BENCH_E10.json` records.
-    pub rows: Vec<Row>,
-    /// One row per worker of every sweep point (read/write/total transfers),
-    /// sorted by worker index. Appended after [`E10Outcome::rows`] in the
-    /// JSON record.
-    pub worker_rows: Vec<Row>,
-    /// Wall-clock seconds and speedup vs the sequential driver. Printed to
-    /// stdout only — timing is machine-dependent and would break the
-    /// byte-stable JSON record.
-    pub timing: Vec<Row>,
-    /// Gate verdicts: worker balance, multiset invariance, single-worker
-    /// I/O parity.
-    pub gates: Vec<GateOutcome>,
-}
+pub const E10_WORKER_BALANCE: ColumnGate = ColumnGate {
+    name: "E10_WORKER_BALANCE",
+    column: "max_io/sum",
+    bound: Bound::Ceiling,
+    limit: 0.35,
+    reads: |row| row.label.ends_with(" P=4"),
+};
 
 /// **E10 — multi-worker PEM enumeration.** Runs both randomized drivers
 /// under the work-unit scheduler ([`enumerate_triangles_sharded`]) for
-/// `P ∈ {1, 2, 4, 8}` workers, each worker on its own simulated machine,
-/// and holds the sweep to three gates:
+/// `P ∈ {1, 2, 4, 8}` workers, each worker on its own simulated machine
+/// (an ER graph with `v` vertices and `e` edges on `cfg`), and holds the
+/// sweep to three gates:
 ///
 /// * **balance** — at `P = 4` the PEM cost (the *maximum* per-worker I/O,
 ///   which is what the PEM model charges) stays within
-///   [`E10_BALANCE_MAX_FRACTION`] of the total;
+///   [`E10_WORKER_BALANCE`] of the total;
 /// * **multiset invariance** — every worker count delivers the bit-identical
 ///   sorted triangle multiset of the sequential driver;
 /// * **single-worker parity** — at `P = 1` the workers' summed I/O equals
 ///   the sequential driver's exactly (the sharding layer is free when
 ///   unused).
-pub fn experiment_e10(quick: bool) -> E10Outcome {
-    let (v, e, cfg) = if quick {
-        (500, 4_000, EmConfig::new(256, 32))
-    } else {
-        (1_000, 12_000, EmConfig::new(512, 32))
-    };
+///
+/// The rows hold one row per `(driver, P)` sweep point followed by one row
+/// per worker (sorted by worker index); wall-clock seconds and the speedup
+/// over the sequential driver go into the timing section.
+pub fn experiment_e10(v: usize, e: usize, cfg: EmConfig) -> Outcome {
     let g = generators::erdos_renyi(v, e, 6);
     let drivers = [
         ("aware", Algorithm::CacheAwareRandomized { seed: 0xA11CE }),
@@ -1156,14 +1308,8 @@ pub fn experiment_e10(quick: bool) -> E10Outcome {
     let mut rows = Vec::new();
     let mut worker_rows = Vec::new();
     let mut timing = Vec::new();
-    let mut balance: Result<(), String> = Ok(());
-    let mut multiset: Result<(), String> = Ok(());
-    let mut parity: Result<(), String> = Ok(());
-    let record = |slot: &mut Result<(), String>, err: String| {
-        if slot.is_ok() {
-            *slot = Err(err);
-        }
-    };
+    let mut multiset = Vec::new();
+    let mut parity = Vec::new();
 
     for (label, alg) in drivers {
         // Sequential reference: the multiset oracle and the P = 1 parity
@@ -1188,38 +1334,21 @@ pub fn experiment_e10(quick: bool) -> E10Outcome {
             // without re-sorting, so an out-of-order merge also fails here.
             let got = sink.into_triangles();
             if got != reference {
-                record(
-                    &mut multiset,
-                    format!(
-                        "{label} P={p}: sharded multiset ({} triangles) differs from the \
+                multiset.push(format!(
+                    "{label} P={p}: sharded multiset ({} triangles) differs from the \
                          sequential driver's ({})",
-                        got.len(),
-                        reference.len()
-                    ),
-                );
+                    got.len(),
+                    reference.len()
+                ));
             }
             if p == 1 && w.sum_io != seq.io.total() {
-                record(
-                    &mut parity,
-                    format!(
-                        "{label} P=1: single-worker I/O {} != sequential driver's {} — the \
+                parity.push(format!(
+                    "{label} P=1: single-worker I/O {} != sequential driver's {} — the \
                          sharding layer must be free when unused",
-                        w.sum_io,
-                        seq.io.total()
-                    ),
-                );
+                    w.sum_io,
+                    seq.io.total()
+                ));
             }
-            if p == 4 && w.max_io as f64 > E10_BALANCE_MAX_FRACTION * w.sum_io as f64 {
-                record(
-                    &mut balance,
-                    format!(
-                        "{label} P=4: max worker I/O {} exceeds {E10_BALANCE_MAX_FRACTION} x \
-                         sum_io {} — the unit stream is not balancing",
-                        w.max_io, w.sum_io
-                    ),
-                );
-            }
-
             rows.push(
                 Row::new(format!("{label} P={p}"))
                     .col("triangles", sharded.report.triangles as f64)
@@ -1248,15 +1377,18 @@ pub fn experiment_e10(quick: bool) -> E10Outcome {
     }
 
     let gates = vec![
-        GateOutcome::of("E10_WORKER_BALANCE", &balance),
-        GateOutcome::of("E10_MULTISET_INVARIANCE", &multiset),
-        GateOutcome::of("E10_SINGLE_WORKER_PARITY", &parity),
+        E10_WORKER_BALANCE.check(&rows),
+        Gate::exact("E10_MULTISET_INVARIANCE", &multiset),
+        Gate::exact("E10_SINGLE_WORKER_PARITY", &parity),
     ];
-    E10Outcome {
-        rows,
-        worker_rows,
-        timing,
+    rows.extend(worker_rows);
+    Outcome {
         gates,
+        timing,
+        ..Outcome::new(
+            "E10: multi-worker PEM sweep — P in {1,2,4,8}, per-worker machines",
+            rows,
+        )
     }
 }
 
@@ -1292,23 +1424,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Everything the E11 sim-vs-disk sweep produced.
-pub struct E11Outcome {
-    /// One row per `(E, algorithm)` sweep point: triangles, simulated
-    /// charged transfers, real device reads/writes, and the real/simulated
-    /// ratio. Deterministic — these go into `BENCH_E11.json`.
-    pub rows: Vec<Row>,
-    /// Wall-clock milliseconds per backend and the disk/memory slowdown.
-    /// Unlike E10's timing these ARE recorded in the JSON (the ISSUE asks
-    /// for measured wall-clock next to simulated I/O), so `BENCH_E11.json`
-    /// is reproducible in its counts but not byte-stable in its timings.
-    pub timing: Vec<Row>,
-    /// The measured Pearson r between simulated transfers and real disk I/O.
-    pub correlation: f64,
-    /// Gate verdicts: `DISK_PARITY` and `E11_CORRELATION`.
-    pub gates: Vec<GateOutcome>,
-}
-
 /// **E11 — sim-vs-disk correlation.** Runs an E1-style size sweep of all
 /// three paper algorithms twice — once on the pure in-memory simulator, once
 /// genuinely out-of-core on the file-backed [`BackendKind::Disk`] plane —
@@ -1323,24 +1438,17 @@ pub struct E11Outcome {
 ///   [`E11_MIN_CORRELATION`]. (By construction the pool performs exactly
 ///   one real read per charged read and one real write per charged write,
 ///   so r should come out ≈ 1.0; the gate guards the construction.)
-pub fn experiment_e11(quick: bool) -> E11Outcome {
-    let sizes: &[usize] = if quick {
-        &[1_000, 2_000, 4_000]
-    } else {
-        &[2_000, 4_000, 8_000, 16_000]
-    };
+///
+/// Wall-clock per backend and the disk/memory slowdown go into the timing
+/// section, next to the simulated counts but out of the byte-stable rows.
+pub fn experiment_e11(sizes: &[usize]) -> Outcome {
     let cfg = default_config();
 
     let mut rows = Vec::new();
     let mut timing = Vec::new();
-    let mut parity: Result<(), String> = Ok(());
+    let mut parity = Vec::new();
     let mut sim_points = Vec::new();
     let mut real_points = Vec::new();
-    let record = |slot: &mut Result<(), String>, err: String| {
-        if slot.is_ok() {
-            *slot = Err(err);
-        }
-    };
 
     for &e in sizes {
         let g = generators::erdos_renyi(e / 8, e, 1);
@@ -1370,36 +1478,27 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
             mem_triangles.sort_unstable();
             disk_triangles.sort_unstable();
             if mem_triangles != disk_triangles {
-                record(
-                    &mut parity,
-                    format!(
-                        "{label}: disk multiset ({} triangles) differs from the simulator's ({})",
-                        disk_triangles.len(),
-                        mem_triangles.len()
-                    ),
-                );
+                parity.push(format!(
+                    "{label}: disk multiset ({} triangles) differs from the simulator's ({})",
+                    disk_triangles.len(),
+                    mem_triangles.len()
+                ));
             }
             if mem_report.io != disk_report.io {
-                record(
-                    &mut parity,
-                    format!(
-                        "{label}: charged transfers diverge — sim {}r/{}w vs disk {}r/{}w",
-                        mem_report.io.reads,
-                        mem_report.io.writes,
-                        disk_report.io.reads,
-                        disk_report.io.writes
-                    ),
-                );
+                parity.push(format!(
+                    "{label}: charged transfers diverge — sim {}r/{}w vs disk {}r/{}w",
+                    mem_report.io.reads,
+                    mem_report.io.writes,
+                    disk_report.io.reads,
+                    disk_report.io.writes
+                ));
             }
             if mem.transfers() != disk.transfers() {
-                record(
-                    &mut parity,
-                    format!(
-                        "{label}: logical transfer streams diverge — sim {} vs disk {}",
-                        mem.transfers(),
-                        disk.transfers()
-                    ),
-                );
+                parity.push(format!(
+                    "{label}: logical transfer streams diverge — sim {} vs disk {}",
+                    mem.transfers(),
+                    disk.transfers()
+                ));
             }
 
             // --- Correlation points: whole-machine charged transfers vs
@@ -1454,19 +1553,15 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
         let disk_ms = disk_start.elapsed().as_secs_f64() * 1e3;
         // Both sinks receive the k-way-merged (already sorted) stream.
         if mem_sink.into_triangles() != disk_sink.into_triangles() {
-            record(
-                &mut parity,
-                format!("{label}: disk-plane sharded multiset differs from the simulator's"),
-            );
+            parity.push(format!(
+                "{label}: disk-plane sharded multiset differs from the simulator's"
+            ));
         }
         if mem_sharded.workers.per_worker != disk_sharded.workers.per_worker {
-            record(
-                &mut parity,
-                format!(
-                    "{label}: per-worker charged I/O diverges — sim sum {} vs disk sum {}",
-                    mem_sharded.workers.sum_io, disk_sharded.workers.sum_io
-                ),
-            );
+            parity.push(format!(
+                "{label}: per-worker charged I/O diverges — sim sum {} vs disk sum {}",
+                mem_sharded.workers.sum_io, disk_sharded.workers.sum_io
+            ));
         }
         rows.push(
             Row::new(label.clone())
@@ -1478,30 +1573,25 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
         timing.push(Row::new(label).col("disk_ms", disk_ms));
     }
 
-    let correlation = pearson(&sim_points, &real_points);
-    let corr_gate = if correlation >= E11_MIN_CORRELATION {
-        Ok(())
-    } else {
-        Err(format!(
-            "Pearson r = {correlation:.6} between simulated transfers and real disk I/O \
-             is below the {E11_MIN_CORRELATION} floor"
-        ))
-    };
-    let mut gates = vec![
-        GateOutcome::of("DISK_PARITY", &parity),
-        GateOutcome::of("E11_CORRELATION", &corr_gate),
-    ];
-    // Surface the measured r in the record even on a pass.
-    if let Some(g) = gates.last_mut() {
-        if g.passed {
-            g.detail = format!("Pearson r = {correlation:.6} (floor {E11_MIN_CORRELATION})");
-        }
-    }
-    E11Outcome {
-        rows,
+    let correlation = (
+        "Pearson r of simulated transfers vs real disk I/O".to_string(),
+        pearson(&sim_points, &real_points),
+    );
+    Outcome {
+        gates: vec![
+            Gate::exact("DISK_PARITY", &parity),
+            Gate::check(
+                "E11_CORRELATION",
+                Bound::Floor,
+                E11_MIN_CORRELATION,
+                [correlation],
+            ),
+        ],
         timing,
-        correlation,
-        gates,
+        ..Outcome::new(
+            "E11: sim-vs-disk — in-memory spec vs file-backed witness (M=4096, B=64)",
+            rows,
+        )
     }
 }
 
@@ -1509,20 +1599,44 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
 mod tests {
     use super::*;
 
+    fn assert_all_pass(outcome: &Outcome) {
+        for gate in &outcome.gates {
+            assert!(gate.passed, "{gate}: {}", gate.detail);
+        }
+    }
+
+    /// Asserts that `gate` failed and reports `measured` as its worst sample.
+    fn assert_trips(gate: Gate, measured: f64) {
+        assert!(!gate.passed, "{gate}: {}", gate.detail);
+        assert_eq!(gate.measured, measured, "{gate}: {}", gate.detail);
+    }
+
     #[test]
     fn tables_render_and_rows_are_consistent() {
-        let rows = experiment_e1(&[1000], false);
-        assert!(!rows.is_empty());
-        let table = render_table("E1 smoke", &rows);
+        let outcome = experiment_e1(&[1000]);
+        assert!(!outcome.rows.is_empty());
+        let table = render_table("E1 smoke", &outcome.rows);
         assert!(table.contains("io/paper_bound"));
         assert!(table.contains("cache-oblivious"));
+
+        // A row whose columns differ from the row above starts a new header,
+        // as E9's control row and E10's per-worker rows need.
+        let mixed = [
+            Row::new("zero-fault control").col("io", 1.0),
+            Row::new("crash@1").col("overhead", 1.5),
+            Row::new("crash@2").col("overhead", 1.2),
+        ];
+        let table = render_table("mixed", &mixed);
+        assert_eq!(table.matches("case").count(), 2, "{table}");
+        assert_eq!(table.matches("overhead").count(), 1, "{table}");
     }
 
     #[test]
     fn e2_reports_predicted_and_measured_gain() {
-        let (rows, peaks) = experiment_e2(&[4]);
-        assert_eq!(rows.len(), 1);
-        let aware = peaks
+        let outcome = experiment_e2(&[4]);
+        assert_eq!(outcome.rows.len(), 1);
+        let aware = outcome
+            .phase_peaks
             .iter()
             .find(|p| p.case.contains("cache-aware"))
             .expect("cache-aware phase peaks recorded");
@@ -1537,173 +1651,180 @@ mod tests {
             ]
         );
         assert!(aware.phases.iter().any(|p| p.peak_words > 0));
-        check_phase_peak_budgets(&peaks).expect("phase peaks within declared budgets");
-        let predicted = rows[0]
-            .values
-            .iter()
-            .find(|(n, _)| n == "predicted_gain")
-            .unwrap()
-            .1;
-        assert!((predicted - 2.0).abs() < 1e-9);
+        let peaks = phase_peak_gate(&outcome.phase_peaks);
+        assert!(peaks.passed, "{peaks}: {}", peaks.detail);
+        assert!((outcome.rows[0].get("predicted_gain") - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn e2_io_gate_passes_current_code_and_catches_regressions() {
-        let (rows, _) = experiment_e2(&[4, 8, 16]);
-        check_e2_io_budget(&rows).expect("current implementation must satisfy the ceiling");
+        let outcome = experiment_e2(&[4, 8, 16]);
+        assert_all_pass(&outcome);
+        let names: Vec<&str> = outcome.gates.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "CACHE_AWARE_IO_CEILING",
+                "CACHE_AWARE_CROSSOVER",
+                "PHASE_PEAK_BUDGET"
+            ]
+        );
 
         // A return to sorting the 2E endpoints in step 1 (the worst row of
-        // the old E2 sweep)…
-        let endpoint_sort_regression = vec![Row::new("E/M=8")
-            .col("aware_io", 5.313e3)
-            .col("aware_io/bound", 14.68)
-            .col("measured_gain", 1.56)];
-        let err = check_e2_io_budget(&endpoint_sort_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        // the old E2 sweep), all the way back to the per-triple step-3 loop,
+        // and back to the fixed α = 1/8 chunk divisor (the pre-adaptive
+        // normalised 21.6) must all trip the ceiling.
+        for (label, aware_io, normalised, gain) in [
+            ("E/M=8", 5.313e3, 14.68, 1.56),
+            ("E/M=32", 1.063e5, 36.7, 1.24),
+            ("E/M=32", 6.262e4, 21.62, 2.10),
+        ] {
+            let rows = [Row::new(label)
+                .col("aware_io", aware_io)
+                .col("aware_io/bound", normalised)
+                .col("measured_gain", gain)];
+            assert_trips(CACHE_AWARE_IO_CEILING.check(&rows), normalised);
+            assert!(CACHE_AWARE_CROSSOVER.check(&rows).passed);
+        }
 
-        // …a regression all the way back to the per-triple step-3 loop…
-        let over_budget = vec![Row::new("E/M=32")
-            .col("aware_io", 1.063e5)
-            .col("aware_io/bound", 36.7)
-            .col("measured_gain", 1.24)];
-        let err = check_e2_io_budget(&over_budget).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        // …and the one back to the fixed α = 1/8 chunk divisor (the
-        // pre-adaptive normalised 21.6) must all trip the ceiling.
-        let fixed_divisor_regression = vec![Row::new("E/M=32")
-            .col("aware_io", 6.262e4)
-            .col("aware_io/bound", 21.62)
-            .col("measured_gain", 2.10)];
-        let err = check_e2_io_budget(&fixed_divisor_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        let lost_crossover = vec![Row::new("E/M=8")
+        let lost_crossover = [Row::new("E/M=8")
             .col("aware_io", 7.4e3)
             .col("aware_io/bound", 8.0)
             .col("measured_gain", 0.97)];
-        let err = check_e2_io_budget(&lost_crossover).unwrap_err();
-        assert!(err.contains("crossover"), "{err}");
+        assert_trips(CACHE_AWARE_CROSSOVER.check(&lost_crossover), 0.97);
+        assert!(CACHE_AWARE_IO_CEILING.check(&lost_crossover).passed);
 
-        let below_crossover_threshold = vec![Row::new("E/M=4")
-            .col("aware_io", 1.0e3)
-            .col("aware_io/bound", 8.0)
-            .col("measured_gain", 0.95)];
-        check_e2_io_budget(&below_crossover_threshold).expect(
-            "the crossover requirement only applies from E/M = CACHE_AWARE_CROSSOVER_FROM on",
-        );
+        // The crossover requirement only applies from E/M =
+        // CACHE_AWARE_CROSSOVER_FROM on.
+        let below_crossover_threshold = [
+            Row::new("E/M=4").col("measured_gain", 0.95),
+            Row::new("E/M=8").col("measured_gain", 1.56),
+        ];
+        let gate = CACHE_AWARE_CROSSOVER.check(&below_crossover_threshold);
+        assert!(gate.passed, "{gate}: {}", gate.detail);
+        assert_eq!(gate.measured, 1.56);
     }
 
     #[test]
     fn work_budget_gate_passes_current_code_and_catches_regressions() {
-        let (rows, peaks) = experiment_e7(&[4000]);
-        check_e7_work_budget(&rows).expect("current implementation must satisfy the ceiling");
-        check_phase_peak_budgets(&peaks).expect("phase peaks within declared budgets");
+        let outcome = experiment_e7(&[4000]);
+        assert_all_pass(&outcome);
 
-        let bad = vec![Row::new("E=4000 cache-oblivious")
-            .col("work_ops", 1e9)
-            .col("E^1.5", 2.53e5)
-            .col("work/E^1.5", 52.66)];
-        let err = check_e7_work_budget(&bad).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        // The implementation before the incidence lists (≈ 52.7), the
+        // incidence-list constant (9.75–10.3) and the 24-edge in-core base
+        // case (6.10 quick) must all trip the ceiling.
+        for (label, work_ops, e_1_5, ratio) in [
+            ("E=4000 cache-oblivious", 1e9, 2.53e5, 52.66),
+            ("E=8000 cache-oblivious", 6.973e6, 7.155e5, 9.75),
+            ("E=4000 cache-oblivious", 1.542e6, 2.530e5, 6.10),
+        ] {
+            let rows = [Row::new(label)
+                .col("work_ops", work_ops)
+                .col("E^1.5", e_1_5)
+                .col("work/E^1.5", ratio)];
+            assert_trips(CACHE_OBLIVIOUS_WORK_CEILING.check(&rows), ratio);
+        }
 
-        // A regression to the PR 2–4 incidence-list constant (9.75–10.3)
-        // must also trip the tightened ceiling.
-        let incidence_regression = vec![Row::new("E=8000 cache-oblivious")
-            .col("work_ops", 6.973e6)
-            .col("E^1.5", 7.155e5)
-            .col("work/E^1.5", 9.75)];
-        let err = check_e7_work_budget(&incidence_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        // So must a return to the 24-edge in-core base case (6.10 quick).
-        let small_leaf_regression = vec![Row::new("E=4000 cache-oblivious")
-            .col("work_ops", 1.542e6)
-            .col("E^1.5", 2.530e5)
-            .col("work/E^1.5", 6.10)];
-        let err = check_e7_work_budget(&small_leaf_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        let unrelated = vec![Row::new("E=4000 hu-tao-chung").col("work/E^1.5", 1e9)];
-        check_e7_work_budget(&unrelated).expect("gate only watches the cache-oblivious rows");
+        let unrelated = [
+            Row::new("E=4000 hu-tao-chung").col("work/E^1.5", 1e9),
+            Row::new("E=4000 cache-oblivious").col("work/E^1.5", 3.5),
+        ];
+        let gate = CACHE_OBLIVIOUS_WORK_CEILING.check(&unrelated);
+        assert!(gate.passed, "gate only watches the cache-oblivious rows");
+        assert_eq!(gate.measured, 3.5);
+        // With no cache-oblivious row the gate measured nothing.
+        let gate = CACHE_OBLIVIOUS_WORK_CEILING.check(&unrelated[..1]);
+        assert!(!gate.passed && gate.measured.is_nan(), "{gate}");
     }
 
     #[test]
     fn e3_io_gate_passes_current_code_and_catches_regressions() {
-        let (rows, peaks) = experiment_e3(4_000, &[(1 << 10, 32), (1 << 13, 32)]);
-        check_e3_io_budget(&rows).expect("current implementation must satisfy the ceiling");
+        let outcome = experiment_e3(4_000, &[(1 << 10, 32), (1 << 13, 32)]);
+        assert_all_pass(&outcome);
         assert!(
-            peaks.iter().all(
-                |p| p.phases.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
-                    == ["root_sort", "recursion", "leaf_batch"]
-            ),
+            outcome.phase_peaks.iter().all(|p| p
+                .phases
+                .iter()
+                .map(|s| s.name.as_str())
+                .collect::<Vec<_>>()
+                == ["root_sort", "recursion", "leaf_batch"]),
             "cache-oblivious runs must record their three phases"
         );
-        check_phase_peak_budgets(&peaks).expect("phase peaks within declared budgets");
 
-        // A regression to the incidence-list implementation's worst recorded
-        // row (145.97 at M=512 B=32)…
-        let incidence_regression = vec![Row::new("M=512 B=32")
-            .col("io", 2.650e5)
-            .col("io/bound", 145.97)];
-        let err = check_e3_io_budget(&incidence_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        // The incidence-list implementation's worst (145.97 at M=512 B=32)
+        // and best (79.75 at M=16384 B=32) rows and the 24-edge in-core base
+        // case (58.13 at M=512 B=32) must all trip the ceiling.
+        for (label, io, normalised) in [
+            ("M=512 B=32", 2.650e5, 145.97),
+            ("M=16384 B=32", 2.559e4, 79.75),
+            ("M=512 B=32", 1.055e5, 58.13),
+        ] {
+            let rows = [Row::new(label).col("io", io).col("io/bound", normalised)];
+            assert_trips(CACHE_OBLIVIOUS_IO_CEILING.check(&rows), normalised);
+        }
 
-        // …and the subtler one to its best row (79.75 at M=16384 B=32) must
-        // both trip the ceiling.
-        let best_row_regression = vec![Row::new("M=16384 B=32")
-            .col("io", 2.559e4)
-            .col("io/bound", 79.75)];
-        let err = check_e3_io_budget(&best_row_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        // So must a return to the 24-edge in-core base case (58.13 at
-        // M=512 B=32).
-        let small_leaf_regression = vec![Row::new("M=512 B=32")
-            .col("io", 1.055e5)
-            .col("io/bound", 58.13)];
-        let err = check_e3_io_budget(&small_leaf_regression).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-
-        let missing_column = vec![Row::new("M=512 B=32").col("io", 1.0)];
-        assert!(check_e3_io_budget(&missing_column).is_err());
+        let missing_column = [Row::new("M=512 B=32").col("io", 1.0)];
+        let gate = CACHE_OBLIVIOUS_IO_CEILING.check(&missing_column);
+        assert!(!gate.passed && gate.measured.is_nan(), "{gate}");
     }
 
     #[test]
     fn phase_peak_gate_flags_over_budget_phases_and_skips_ungated_rows() {
+        let snapshot = |name: &str, peak_words: u64| PhaseSnapshot {
+            name: name.into(),
+            peak_words,
+            live_words: 0,
+            live_leases: Vec::new(),
+        };
         let over = PhasePeakRow {
             case: "E=4000 cache-oblivious".into(),
             budget_words: Some(1000),
-            phases: vec![
-                PhaseSnapshot {
-                    name: "root_sort".into(),
-                    peak_words: 900,
-                    live_words: 0,
-                    live_leases: Vec::new(),
-                },
-                PhaseSnapshot {
-                    name: "recursion".into(),
-                    peak_words: 4096,
-                    live_words: 64,
-                    live_leases: Vec::new(),
-                },
-            ],
+            phases: vec![snapshot("root_sort", 900), snapshot("recursion", 4096)],
         };
-        let err = check_phase_peak_budgets(&[over]).unwrap_err();
-        assert!(err.contains("recursion"), "{err}");
-        assert!(err.contains("4096"), "{err}");
+        let gate = phase_peak_gate(&[over]);
+        assert_trips(gate.clone(), 4.096);
+        assert!(gate.detail.contains("recursion"), "{}", gate.detail);
+        assert!(gate.detail.contains("4096"), "{}", gate.detail);
 
         let ungated = PhasePeakRow {
             case: "E=4000 hu-tao-chung".into(),
             budget_words: None,
-            phases: vec![PhaseSnapshot {
-                name: "pivot_join".into(),
-                peak_words: u64::MAX,
-                live_words: 0,
-                live_leases: Vec::new(),
-            }],
+            phases: vec![snapshot("pivot_join", u64::MAX)],
         };
-        check_phase_peak_budgets(&[ungated]).expect("ungated baselines are never flagged");
+        let gated = PhasePeakRow {
+            case: "E=4000 cache-aware-randomized".into(),
+            budget_words: Some(1000),
+            phases: vec![snapshot("step1_high_degree", 500)],
+        };
+        let gate = phase_peak_gate(&[ungated, gated]);
+        assert!(gate.passed, "ungated baselines are never flagged");
+        assert_eq!(gate.measured, 0.5);
+    }
+
+    #[test]
+    fn exactness_and_balance_gates_report_numeric_verdicts() {
+        let clean = Gate::exact("E10_MULTISET_INVARIANCE", &[]);
+        assert!(clean.passed);
+        assert_eq!(clean.to_string(), "E10_MULTISET_INVARIANCE 0/0");
+        let broken = Gate::exact(
+            "E10_SINGLE_WORKER_PARITY",
+            &["first".into(), "second".into()],
+        );
+        assert_trips(broken.clone(), 2.0);
+        assert_eq!(broken.detail, "first");
+
+        // One worker owning most of the unit stream at P = 4; the per-worker
+        // rows carry no balance column and are not read.
+        let skewed = [
+            Row::new("aware P=4").col("max_io/sum", 0.6),
+            Row::new("aware P=4 w0").col("io", 1.0),
+        ];
+        let gate = E10_WORKER_BALANCE.check(&skewed);
+        assert_eq!(
+            gate.to_string(),
+            "E10_WORKER_BALANCE 0.600/0.350 (headroom -71%)"
+        );
+        assert_trips(gate, 0.6);
     }
 
     #[test]
@@ -1717,11 +1838,14 @@ mod tests {
                 .col("neg", -1.5),
         ];
         let gates = vec![
-            GateOutcome::of("CACHE_OBLIVIOUS_IO_CEILING", &Ok(())),
-            GateOutcome::of(
-                "CACHE_OBLIVIOUS_WORK_CEILING",
-                &Err("row 'x': broke\nbadly".to_string()),
+            Gate::check(
+                "CACHE_OBLIVIOUS_IO_CEILING",
+                Bound::Ceiling,
+                45.0,
+                [("row 'M=1024 B=32' io/bound".to_string(), 36.0)],
             ),
+            Gate::exact("E9_EXACTLY_ONCE", &["row 'x': broke\nbadly".to_string()]),
+            CACHE_OBLIVIOUS_IO_CEILING.check(&rows[1..]),
         ];
         let peaks = vec![
             PhasePeakRow {
@@ -1740,7 +1864,15 @@ mod tests {
                 phases: Vec::new(),
             },
         ];
-        let json = experiment_record_json("e3", "E3: cache-obliviousness", &rows, &peaks, &gates);
+        let outcome = Outcome {
+            title: "E3: cache-obliviousness".into(),
+            rows,
+            phase_peaks: peaks,
+            gates,
+            timing: vec![Row::new("M=512 B=32").col("wall_ms", 1.25)],
+            fault_trace: Some(Vec::new()),
+        };
+        let json = experiment_record_json("e3", &outcome);
         // Structure and escaping: balanced braces, escaped quote and newline,
         // NaN downgraded to null, booleans verbatim.
         assert_eq!(
@@ -1752,9 +1884,6 @@ mod tests {
         assert!(json.contains("\"io/bound\": 58.13"));
         assert!(json.contains("quote\\\"case"));
         assert!(json.contains("\"weird\": null"));
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"passed\": false"));
-        assert!(json.contains("broke\\nbadly"));
         assert!(!json.contains("NaN"));
         assert!(json.contains("\"phase_peaks\""));
         assert!(json.contains(
@@ -1763,53 +1892,77 @@ mod tests {
         ));
         assert!(json.contains("\"budget_words\": 2000"));
         assert!(json.contains("\"budget_words\": null"));
+        // Numeric gate fields: a ceiling with its headroom, an exactness
+        // gate's violation count against 0 (no finite headroom), and a
+        // missing column's NaN measurement as null.
+        assert!(
+            json.contains("\"measured\": 36, \"limit\": 45, \"headroom\": 0.2, \"passed\": true")
+        );
+        assert!(json.contains(
+            "\"measured\": 1, \"limit\": 0, \"headroom\": null, \"passed\": false, \
+             \"detail\": \"row 'x': broke\\nbadly\""
+        ));
+        assert!(json.contains("\"measured\": null, \"limit\": 45, \"headroom\": null"));
+        // Wall-clock sits in its own last section, never among the rows.
+        let (counts, timing) = json.split_once("\"timing\"").expect("a timing section");
+        assert!(!counts.contains("wall_ms"));
+        assert_eq!(
+            timing,
+            ": [\n    {\"case\": \"M=512 B=32\", \"values\": {\"wall_ms\": 1.25}}\n  ]\n}\n"
+        );
 
         let dir =
             std::env::temp_dir().join(format!("trienum-bench-json-test-{}", std::process::id()));
-        let path =
-            write_experiment_record(&dir, "e3", "E3: cache-obliviousness", &rows, &peaks, &gates)
-                .unwrap();
-        assert!(path.ends_with("BENCH_E3.json"));
-        let round = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(round, json);
+        let paths = write_records(&dir, "e3", &outcome).unwrap();
+        assert_eq!(
+            paths,
+            [dir.join("BENCH_E3.json"), dir.join("E3_FAULT_TRACE.json")]
+        );
+        assert_eq!(std::fs::read_to_string(&paths[0]).unwrap(), json);
+        assert_eq!(
+            std::fs::read_to_string(&paths[1]).unwrap(),
+            "{\n  \"experiment\": \"e3\",\n  \"events\": [\n  ]\n}\n"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn e9_gates_catch_regressions_and_skip_unrelated_rows() {
-        let slow_recovery = vec![Row::new("crash@500")
-            .col("overhead", E9_RECOVERY_IO_OVERHEAD_CEILING + 0.5)
-            .col("retry_frac", 0.01)];
-        let err = check_e9_recovery_overhead(&slow_recovery).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-        check_e9_retry_fraction(&slow_recovery).expect("retry fraction within ceiling");
+        // The zero-fault control row has neither column and is not read.
+        let control = Row::new("zero-fault control").col("io", 1.0);
+        let slow_recovery = [
+            control.clone(),
+            Row::new("crash@500")
+                .col("overhead", E9_RECOVERY_IO_OVERHEAD.limit + 0.5)
+                .col("retry_frac", 0.01),
+        ];
+        assert_trips(E9_RECOVERY_IO_OVERHEAD.check(&slow_recovery), 2.5);
+        assert!(E9_RETRY_FRACTION_CEILING.check(&slow_recovery).passed);
 
-        let retry_storm = vec![Row::new("crash@500")
-            .col("overhead", 1.2)
-            .col("retry_frac", E9_RETRY_IO_FRACTION_CEILING * 5.0)];
-        let err = check_e9_retry_fraction(&retry_storm).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-        check_e9_recovery_overhead(&retry_storm).expect("overhead within ceiling");
-
-        // The zero-fault control row has neither column and is skipped.
-        let control = vec![Row::new("zero-fault control").col("io", 1.0)];
-        check_e9_recovery_overhead(&control).unwrap();
-        check_e9_retry_fraction(&control).unwrap();
+        let retry_storm = [
+            control,
+            Row::new("crash@500")
+                .col("overhead", 1.2)
+                .col("retry_frac", E9_RETRY_FRACTION_CEILING.limit * 5.0),
+        ];
+        assert_trips(E9_RETRY_FRACTION_CEILING.check(&retry_storm), 0.5);
+        let overhead = E9_RECOVERY_IO_OVERHEAD.check(&retry_storm);
+        assert!(overhead.passed);
+        assert_eq!(overhead.measured, 1.2);
     }
 
     #[test]
     fn e9_chaos_sweep_is_exact_and_within_budgets() {
         // A reduced sweep (the full --quick sweep runs in CI): three crash
         // points over a smaller instance, all gates still enforced.
-        let outcome = e9_sweep(1_200, 3);
-        for gate in &outcome.gates {
-            assert!(gate.passed, "{}: {}", gate.name, gate.detail);
-        }
+        let outcome = experiment_e9(1_200, 3);
+        assert_all_pass(&outcome);
         // One control row plus one row per crash point, and the injected
         // rates are high enough that the representative trace is non-empty.
         assert_eq!(outcome.rows.len(), 4);
-        assert!(!outcome.fault_trace.is_empty());
-        let json = fault_trace_json(&outcome.fault_trace);
+        let trace = outcome.fault_trace.expect("E9 records a fault trace");
+        assert!(!trace.is_empty());
+        let json = fault_trace_json("e9", &trace);
         assert!(json.contains("\"experiment\": \"e9\""));
         assert!(json.contains("\"kind\": \""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -1817,13 +1970,7 @@ mod tests {
 
     #[test]
     fn e8_mean_is_below_bound() {
-        let rows = experiment_e8(3000, 4);
-        let mean_over_bound = rows[0]
-            .values
-            .iter()
-            .find(|(n, _)| n == "mean/bound")
-            .unwrap()
-            .1;
-        assert!(mean_over_bound < 3.0);
+        let outcome = experiment_e8(3000, 4);
+        assert!(outcome.rows[0].get("mean/bound") < 3.0);
     }
 }
