@@ -819,10 +819,30 @@ pub fn experiment_e4(clique_sizes: &[usize]) -> Outcome {
     )
 }
 
+/// Ceiling on the deterministic driver's I/O over the randomized one's on
+/// E5 (`io_derand/io_random`).
+///
+/// The two drivers share steps 1–3 and their colourings are equally
+/// balanced, so the ratio is the price of the greedy levels (step 0). With
+/// one sort of the reversed half of the incidence list, then a scan per
+/// level and a 4-way split between levels, the full sizes measure 2.06
+/// (`E = 8000`) and 1.87 (`E = 16000`); a sort of the two-word incidence
+/// list at every level measured 4.16 and 3.34 and trips the gate. The
+/// quick size has no greedy level (one colour), so it reads 1.0: the gate
+/// bites only at full size.
+pub const E5_DERAND_IO_RATIO: ColumnGate = ColumnGate {
+    name: "E5_DERAND_IO_RATIO",
+    column: "io_derand/io_random",
+    bound: Bound::Ceiling,
+    limit: 2.5,
+    reads: |_| true,
+};
+
 /// **E5 — derandomization.** Colour-balance statistic `X_ξ` of the random
 /// colouring (Lemma 3: `E[X_ξ] ≤ E·M`) versus the greedily derandomized
 /// colouring (`X_ξ ≤ e·E·M`), and the I/O cost of the deterministic
-/// algorithm versus the randomized one.
+/// algorithm versus the randomized one (the column
+/// [`E5_DERAND_IO_RATIO`] watches).
 pub fn experiment_e5(sizes: &[usize]) -> Outcome {
     let cfg = default_config();
     let mut rows = Vec::new();
@@ -854,10 +874,17 @@ pub fn experiment_e5(sizes: &[usize]) -> Outcome {
                 .col("E*M (Lemma3)", em)
                 .col("e*E*M (Thm2)", std::f64::consts::E * em)
                 .col("io_random", rand_run.io.total() as f64)
-                .col("io_derand", det_run.io.total() as f64),
+                .col("io_derand", det_run.io.total() as f64)
+                .col(
+                    "io_derand/io_random",
+                    det_run.io.total() as f64 / rand_run.io.total() as f64,
+                ),
         );
     }
-    Outcome::new("E5: derandomization — colour balance and I/O cost", rows)
+    Outcome {
+        gates: vec![E5_DERAND_IO_RATIO.check(&rows)],
+        ..Outcome::new("E5: derandomization — colour balance and I/O cost", rows)
+    }
 }
 
 /// **E6 — the database join scenario.** Triangle enumeration of the
@@ -1766,6 +1793,21 @@ mod tests {
         let missing_column = [Row::new("M=512 B=32").col("io", 1.0)];
         let gate = CACHE_OBLIVIOUS_IO_CEILING.check(&missing_column);
         assert!(!gate.passed && gate.measured.is_nan(), "{gate}");
+    }
+
+    #[test]
+    fn e5_derand_io_gate_passes_current_code_and_catches_a_per_level_sort() {
+        let outcome = experiment_e5(&[4_000]);
+        assert_all_pass(&outcome);
+        // The quick size runs no greedy level, so both drivers charge alike.
+        assert_eq!(outcome.rows[0].get("io_derand/io_random"), 1.0);
+
+        // A sort of the two-word incidence list at every level (4.16 at
+        // E = 8000, 3.34 at E = 16000) must trip the ceiling.
+        for (label, ratio) in [("E=8000", 4.16), ("E=16000", 3.34)] {
+            let rows = [Row::new(label).col("io_derand/io_random", ratio)];
+            assert_trips(E5_DERAND_IO_RATIO.check(&rows), ratio);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use kwise::{BitFunctionFamily, RefinedColoring};
 
 use crate::cache_aware::{number_of_colors, run_colored, split_high_low_degree, ColoredRunOutcome};
 use crate::input::ExtGraph;
-use crate::potential::evaluate_candidates;
+use crate::potential::Incidence;
 use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::workunit::ShardCursor;
@@ -50,8 +50,10 @@ fn level_family(candidates: usize, family_seed: u64, level: u32) -> BitFunctionF
 /// `candidate_override`, when set, fixes the per-level candidate-family size
 /// (otherwise the `O(log² V)`-style recommendation of Lemma 6 is used).
 ///
-/// The greedy per-level bit selection (step 0), one `sort(2E_l)` and one
-/// scan per level, is **replicated** on every worker rather than sharded:
+/// The greedy per-level bit selection (step 0) sorts once — the reversed
+/// half of `E_l`'s incidence list — then costs one scan per level and one
+/// 4-way split per level except the last (see [`Incidence`]). It is
+/// **replicated** on every worker rather than sharded:
 /// each refinement level consumes the colouring chosen by all previous
 /// levels, so the levels form a sequential dependency chain that a
 /// statically assigned worker pool cannot split without cross-worker
@@ -93,10 +95,13 @@ pub(crate) fn run_derandomized(
     let mut coloring = RefinedColoring::identity();
     let mut chosen_potentials = Vec::new();
     let mut level_bounds = Vec::new();
+    // No level, no incidence list: a one-colour run sorts nothing.
+    let mut incidence = (levels > 0).then(|| Incidence::new(el));
     for level in 1..=levels {
         let family = level_family(candidates, family_seed, level);
         let _family_lease = machine.gauge().lease((4 * family.len()) as u64);
-        let eval = evaluate_candidates(&el, &coloring, &family);
+        let layout = incidence.take().expect("built when levels > 0");
+        let eval = layout.evaluate(&coloring, &family);
         let mut best = 0usize;
         let mut best_potential = f64::INFINITY;
         for j in 0..family.len() {
@@ -106,11 +111,15 @@ pub(crate) fn run_derandomized(
                 best = j;
             }
         }
-        coloring.push(family.function(best));
+        let chosen = family.function(best);
+        coloring.push(chosen);
         chosen_potentials.push(best_potential);
         level_bounds.push((1.0 + alpha).powi(level as i32) * el_len * cfg.mem_words as f64);
+        // The last level's choice needs no next layout.
+        if level < levels {
+            incidence = Some(layout.split(chosen));
+        }
     }
-    drop(el);
     recorder.record("step0_greedy_coloring", before, machine.io());
 
     // The refined colouring assigns values in [1, c]; the shared driver
@@ -282,6 +291,41 @@ mod tests {
             large < small,
             "4x memory must cut step-3 chunk passes ({small} -> {large})"
         );
+    }
+
+    #[test]
+    fn a_one_level_run_sorts_once_scans_once_and_never_splits() {
+        // Two colours, one greedy level: step 0 is step 1's split, the one
+        // sort of the reversed half and one merged scan. Replaying exactly
+        // that on a fresh machine charges what the run charged, so no split
+        // follows the last level.
+        let g = generators::erdos_renyi(140, 1100, 2);
+        let cfg = EmConfig::new(1 << 9, 32);
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, &g);
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let (_, info) = run_derandomized(
+            &eg,
+            cfg,
+            1,
+            Some(24),
+            &mut StrictSink::new(),
+            &mut rec,
+            &mut ShardCursor::solo(),
+        );
+        assert_eq!(info.levels, 1);
+        let (phases, _) = rec.into_parts();
+        let (_, charged) = phases
+            .into_iter()
+            .find(|(name, _)| name == "step0_greedy_coloring")
+            .expect("step 0 recorded");
+
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, &g);
+        let before = machine.io();
+        let (_, el) = split_high_low_degree(&eg, cfg.mem_words);
+        Incidence::new(el).evaluate(&RefinedColoring::identity(), &level_family(24, 1, 1));
+        assert_eq!(charged, machine.io().since(before));
     }
 
     #[test]
