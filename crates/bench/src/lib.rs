@@ -1774,8 +1774,8 @@ mod tests {
                 .iter()
                 .map(|s| s.name.as_str())
                 .collect::<Vec<_>>()
-                == ["root_sort", "recursion", "leaf_batch"]),
-            "cache-oblivious runs must record their three phases"
+                == ["root_sort", "recursion"]),
+            "cache-oblivious runs must record their two phases"
         );
 
         // The incidence-list implementation's worst (145.97 at M=512 B=32)

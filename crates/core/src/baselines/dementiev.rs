@@ -9,7 +9,8 @@
 //! The wedge file has `Σ_u C(deg⁺(u), 2) = O(E^{3/2})` entries, so the
 //! total cost is `O(sort(E^{3/2}))` I/Os — the bound the paper quotes for
 //! Dementiev's algorithm. The same routine (with the cache-oblivious sort and
-//! a colour filter) serves as the base case of the cache-oblivious recursion.
+//! a colour filter) closes the cache-oblivious recursion's oversized
+//! depth-limit leaves, in `cache_oblivious::process_node`.
 
 use emsim::ExtVec;
 use graphgen::{Edge, Triangle};

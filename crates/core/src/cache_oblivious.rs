@@ -81,12 +81,11 @@
 //!   pay a summary check, possibly a degree-counting scan and Lemma 1
 //!   passes, and eight child lists.
 //! * **oversized depth-limit leaves** (`E > `[`BASE_CASE_EDGES`] at depth
-//!   `log₄ E`, rare): these are *batched across the whole run* — each
-//!   appends its wedges and its (already sorted) edges, tagged by leaf id,
-//!   to two run-global files; at the end the wedge file is sorted **once**
-//!   (`sort(ΣW)` instead of `Σ sort(W_leaf)`) and a single tagged
-//!   two-source merge ([`emalgo::kway_merge_tagged`]) closes every leaf's
-//!   wedges against its edges in one pass (see [`close_oversized_leaves`]).
+//!   `⌈log₄ E⌉`, rare): closed in place by Dementiev's wedge join
+//!   ([`sort_based_enumeration`]) — the leaf's wedges are sorted by their
+//!   missing edge and merged against its (already sorted) edge list, the
+//!   `sort(E^{3/2})` baseline applied to one leaf. The leaf is finished
+//!   before the next subproblem boundary, so no leaf state outlives it.
 //!
 //! ## Tree-evaluation order
 //!
@@ -108,11 +107,11 @@
 
 use std::rc::Rc;
 
-use emalgo::kway_merge_tagged;
 use emsim::{ExtVec, Machine, MemLease};
 use graphgen::{Edge, Triangle, VertexId};
 use kwise::{FourWise, RefinedColoring};
 
+use crate::baselines::dementiev::sort_based_enumeration;
 use crate::checkpoint::{
     Checkpoint, CheckpointSpec, FrameDescriptor, NodeDescriptor, Recovery, CHECKPOINT_VERSION,
 };
@@ -156,7 +155,34 @@ pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
 
 /// The recursion depth limit `⌈log₄ E⌉`, a function of the input size only.
 fn depth_limit(e: usize) -> usize {
-    ((e as f64).ln() / 4f64.ln()).ceil() as usize
+    let limit = ((e as f64).ln() / 4f64.ln()).ceil() as usize;
+    #[cfg(test)]
+    let limit = DEPTH_CAP
+        .with(|cap| cap.get())
+        .map_or(limit, |cap| limit.min(cap));
+    limit
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A unit-test cap on [`depth_limit`], so that runs reach oversized
+    /// depth-limit leaves, which no natural input does. Thread-local, so
+    /// parallel tests cannot see each other's cap; see [`with_depth_cap`].
+    static DEPTH_CAP: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with the depth limit capped at `cap` on this thread (`None`: the
+/// natural `⌈log₄ E⌉`), restoring the previous cap even if `f` unwinds.
+#[cfg(test)]
+fn with_depth_cap<R>(cap: Option<usize>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEPTH_CAP.with(|cap| cap.set(self.0));
+        }
+    }
+    let _restore = Restore(DEPTH_CAP.with(|c| c.replace(cap)));
+    f()
 }
 
 /// The gauge budget of one cache-oblivious run phase on `e` edges:
@@ -169,12 +195,6 @@ pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
 
 /// A colour vector `(c0, c1, c2)` of a subproblem.
 type ColorVector = (u64, u64, u64);
-
-/// A leaf-tagged record `(leaf, v, w, u)` of the batched oversized base
-/// case: a wedge `v–u–w` awaiting its closing edge, or a canonical edge
-/// `(v, w)` of the leaf (with `u = 0` unused). Both files are keyed by
-/// `(leaf, v, w)`.
-type LeafRecord = (u32, u32, u32, u32);
 
 /// A Misra–Gries heavy-hitter summary of a subproblem's endpoint stream
 /// (each edge contributes both endpoints, so a vertex's frequency is its
@@ -277,41 +297,9 @@ struct CoContext<'a> {
     high_degree_truncations: u64,
     /// Number of multi-way partition sweeps performed: one per internal node.
     partition_sweeps: u64,
-    /// The run-global files of the batched oversized-leaf wedge join.
-    leaf_batch: LeafBatch,
-    /// Descriptors of every oversized leaf batched so far, in leaf-id order.
-    /// The run-global batch files die with the simulated machine on a crash,
-    /// so checkpoints persist this log and a resume replays it. Maintained
-    /// only when `log_leaves` is armed — zero cost on ordinary runs.
-    leaf_log: Vec<NodeDescriptor>,
-    /// Whether checkpointing is armed (and hence the leaf log maintained).
-    log_leaves: bool,
     /// The unit→worker assignment of a sharded run; a solo cursor (every
     /// claim succeeds, pure counter ticks) on sequential runs.
     shard: &'a mut ShardCursor,
-}
-
-/// The run-global files of the batched oversized-leaf base case: wedges and
-/// canonical edges, both tagged by leaf id, plus one `(c0, c1, c2, depth)`
-/// record per leaf. Leaf ids increase in emission order, so the edge file is
-/// born sorted by `(leaf, v, w)`; only the wedge file needs the single
-/// run-global sort.
-struct LeafBatch {
-    wedges: ExtVec<LeafRecord>,
-    edges: ExtVec<LeafRecord>,
-    info: ExtVec<(u32, u32, u32, u32)>,
-    count: u32,
-}
-
-impl LeafBatch {
-    fn new(machine: &Machine) -> Self {
-        Self {
-            wedges: ExtVec::new(machine),
-            edges: ExtVec::new(machine),
-            info: ExtVec::new(machine),
-            count: 0,
-        }
-    }
 }
 
 /// Statistics of a cache-oblivious run (besides the emitted count).
@@ -344,10 +332,10 @@ pub(crate) struct CacheObliviousStats {
 /// checkpoint at each subproblem boundary that crosses the I/O interval
 /// (committing the sink via [`TriangleSink::on_checkpoint`] right after each
 /// write); when `recovery.resume` is given the run starts from that
-/// checkpoint instead of the root — replaying the batched-leaf log,
-/// rebuilding the stack frontier by filter scans of the re-sorted root, and
-/// continuing the exactly-once emission numbering at the checkpoint's
-/// high-water mark. With both `None` the checkpoint plumbing costs nothing.
+/// checkpoint instead of the root — rebuilding the stack frontier by filter
+/// scans of the re-sorted root and continuing the exactly-once emission
+/// numbering at the checkpoint's high-water mark. With both `None` the
+/// checkpoint plumbing costs nothing.
 /// Sharded runs never checkpoint.
 pub(crate) fn run_cache_oblivious(
     graph: &ExtGraph,
@@ -404,9 +392,6 @@ pub(crate) fn run_cache_oblivious(
         max_depth: 0,
         high_degree_truncations: 0,
         partition_sweeps: 0,
-        leaf_batch: LeafBatch::new(&machine),
-        leaf_log: Vec::new(),
-        log_leaves: spec.is_some(),
         shard,
     };
     let stack = match resume {
@@ -419,7 +404,7 @@ pub(crate) fn run_cache_oblivious(
         }))],
         Some(ck) => {
             let io0 = machine.io();
-            let stack = rebuild_stack_from_checkpoint(&mut ctx, &machine, &coloring, &root, ck);
+            let stack = rebuild_stack_from_checkpoint(&machine, &coloring, &root, ck);
             drop(root);
             recorder.record("resume_rebuild", io0, machine.io());
             stack
@@ -434,9 +419,6 @@ pub(crate) fn run_cache_oblivious(
     let io0 = machine.io();
     drive_depth_first(&mut ctx, &machine, &coloring, stack, ckpt);
     recorder.record("recursion", io0, machine.io());
-    let io0 = machine.io();
-    close_oversized_leaves(&mut ctx, &machine, &coloring);
-    recorder.record("leaf_batch", io0, machine.io());
     let stats = CacheObliviousStats {
         subproblems: ctx.subproblems,
         max_depth: ctx.max_depth,
@@ -635,103 +617,6 @@ fn solve_leaf_in_core(
     emitted
 }
 
-/// One scan of an oversized leaf's sorted edge segment, appending its wedges
-/// and its edges (both tagged with the fresh leaf id) to the run-global
-/// batch files. The join itself happens once for all such leaves, in
-/// [`close_oversized_leaves`].
-fn batch_oversized_leaf(
-    machine: &Machine,
-    batch: &mut LeafBatch,
-    segment: impl Iterator<Item = Edge>,
-    target: ColorVector,
-    depth: usize,
-) {
-    let leaf = batch.count;
-    batch.count += 1;
-    let (t0, t1, t2) = target;
-    batch
-        .info
-        .push((t0 as u32, t1 as u32, t2 as u32, depth as u32));
-
-    let mut lease = machine.gauge().lease(0);
-    let mut current: Option<u32> = None;
-    let mut out_neighbours: Vec<u32> = Vec::new();
-    let flush = |u: u32, outn: &mut Vec<u32>, wedges: &mut ExtVec<LeafRecord>| {
-        for i in 0..outn.len() {
-            for j in (i + 1)..outn.len() {
-                machine.work(1);
-                let (v, w) = (outn[i].min(outn[j]), outn[i].max(outn[j]));
-                wedges.push((leaf, v, w, u));
-            }
-        }
-        outn.clear();
-    };
-    for e in segment {
-        machine.work(1);
-        if current != Some(e.u) {
-            if let Some(u) = current {
-                flush(u, &mut out_neighbours, &mut batch.wedges);
-            }
-            current = Some(e.u);
-            lease.shrink(lease.words());
-        }
-        out_neighbours.push(e.v);
-        lease.grow(1);
-        batch.edges.push((leaf, e.u, e.v, 0));
-    }
-    if let Some(u) = current {
-        flush(u, &mut out_neighbours, &mut batch.wedges);
-    }
-}
-
-/// The batched base case's closing pass: sort the run-global wedge file once
-/// by `(leaf, v, w)` (the edge file is already in that order) and stream a
-/// tagged two-source merge over both. An edge arrives before its equal-key
-/// wedges (tag 0 wins ties), so a wedge closes a triangle exactly when the
-/// last edge seen carries its key; the leaf-info stream supplies each leaf's
-/// colour vector and depth for the properness filter.
-fn close_oversized_leaves(ctx: &mut CoContext<'_>, machine: &Machine, coloring: &RefinedColoring) {
-    if ctx.leaf_batch.count == 0 {
-        return;
-    }
-    let wedges_sorted =
-        emalgo::oblivious_sort_by_key(&ctx.leaf_batch.wedges, |&(l, v, w, _)| (l, v, w));
-    ctx.leaf_batch.wedges.clear();
-    debug_assert!(emalgo::is_sorted_by_key(
-        &ctx.leaf_batch.edges,
-        |&(l, v, w, _)| (l, v, w)
-    ));
-
-    let mut info_iter = ctx.leaf_batch.info.iter();
-    let mut info_next: u32 = 0;
-    let mut current_info: Option<(u32, u32, u32, u32)> = None;
-    let mut last_edge: Option<(u32, u32, u32)> = None;
-    for (tag, (l, v, w, u)) in kway_merge_tagged(
-        machine,
-        vec![ctx.leaf_batch.edges.iter(), wedges_sorted.iter()],
-        |&(l, v, w, _)| (l, v, w),
-    ) {
-        if tag == 0 {
-            last_edge = Some((l, v, w));
-            continue;
-        }
-        if last_edge != Some((l, v, w)) {
-            continue;
-        }
-        while info_next <= l {
-            current_info = info_iter.next();
-            info_next += 1;
-        }
-        let (t0, t1, t2, leaf_depth) = current_info.expect("leaf info for every tagged record");
-        let t = Triangle::new(u, v, w);
-        let target = (u64::from(t0), u64::from(t1), u64::from(t2));
-        if proper_at(&t, coloring, leaf_depth as usize, target) {
-            ctx.sink.emit(t);
-            ctx.emitted += 1;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The depth-first driver: an explicit subproblem stack.
 // ---------------------------------------------------------------------------
@@ -833,7 +718,6 @@ fn maybe_checkpoint(
         depth_limit: ctx.depth_limit,
         hwm: ctx.emitted,
         frontier,
-        leaves: ctx.leaf_log.clone(),
     };
     checkpoint.write_atomic(&ctl.spec.path).unwrap_or_else(|e| {
         panic!(
@@ -845,32 +729,17 @@ fn maybe_checkpoint(
     ctl.last_io = machine.io().total();
 }
 
-/// Rebuilds the driver state persisted in `checkpoint`: replays the batched
-/// oversized leaves (their run-global files died with the crashed machine),
-/// then reconstructs each frontier node's edge list by one order-preserving
-/// filter scan of the re-sorted root — compatibility is hereditary and both
-/// removal and routing preserve the root's `(u, v)` order, so the scan
-/// recovers the exact list the crashed run held.
+/// Rebuilds the driver stack persisted in `checkpoint`: each frontier node's
+/// edge list comes back by one order-preserving filter scan of the re-sorted
+/// root — compatibility is hereditary and both removal and routing preserve
+/// the root's `(u, v)` order, so the scan recovers the exact list the
+/// crashed run held.
 fn rebuild_stack_from_checkpoint(
-    ctx: &mut CoContext<'_>,
     machine: &Machine,
     coloring: &RefinedColoring,
     root: &ExtVec<Edge>,
     checkpoint: &Checkpoint,
 ) -> Vec<Frame> {
-    for leaf in &checkpoint.leaves {
-        let edges = reconstruct_edges(coloring, root, leaf);
-        batch_oversized_leaf(
-            machine,
-            &mut ctx.leaf_batch,
-            edges.iter(),
-            leaf.target,
-            leaf.depth,
-        );
-        if ctx.log_leaves {
-            ctx.leaf_log.push(leaf.clone());
-        }
-    }
     let mut stack: Vec<Frame> = Vec::new();
     for frame in &checkpoint.frontier {
         match frame {
@@ -1007,14 +876,12 @@ fn process_node(
         {
             return;
         }
-        if ctx.log_leaves {
-            ctx.leaf_log.push(NodeDescriptor {
-                depth,
-                target,
-                removed: flatten_removed(&removed),
-            });
-        }
-        batch_oversized_leaf(machine, &mut ctx.leaf_batch, edges.iter(), target, depth);
+        ctx.emitted += sort_based_enumeration(
+            &edges,
+            SortKind::Oblivious,
+            |t| proper_at(&t, coloring, depth, target),
+            ctx.sink,
+        );
         return;
     }
 
@@ -1122,6 +989,13 @@ mod tests {
     use graphgen::{generators, naive};
     use kwise::BitFunctionFamily;
 
+    /// The depth caps the oracle and resume tests run under: the natural
+    /// limit, then limits that stop the tree at depth 1 (above
+    /// [`DEFAULT_SPAWN_DEPTH`]) and at depth 2 (at it). On inputs of
+    /// E ≥ 1 000 a depth-1 node holds about E/4 ≫ [`BASE_CASE_EDGES`] edges,
+    /// so the capped runs close oversized leaves.
+    const CAPS: [Option<usize>; 3] = [None, Some(1), Some(2)];
+
     fn run(g: &graphgen::Graph, cfg: EmConfig, seed: u64) -> (u64, u64, CacheObliviousStats) {
         let machine = Machine::new(cfg);
         let eg = ExtGraph::load(&machine, g);
@@ -1137,37 +1011,98 @@ mod tests {
             &mut ShardCursor::solo(),
             Recovery::default(),
         );
+        assert_eq!(machine.gauge().in_use(), 0, "no lease survives the run");
         (n, machine.io().total() - before, stats)
     }
 
     #[test]
     fn counts_match_oracle_on_er_graphs() {
         for seed in [3u64, 12] {
-            let g = generators::erdos_renyi(120, 900, seed);
+            let g = generators::erdos_renyi(160, 1200, seed);
             let expected = naive::count_triangles(&g);
-            let (got, _, stats) = run(&g, EmConfig::new(1 << 9, 32), seed);
-            assert_eq!(got, expected, "seed {seed}");
-            assert!(stats.subproblems > 1);
-            assert_eq!(stats.high_degree_truncations, 0);
+            for cap in CAPS {
+                let (got, _, stats) =
+                    with_depth_cap(cap, || run(&g, EmConfig::new(1 << 9, 32), seed));
+                assert_eq!(got, expected, "seed {seed}, cap {cap:?}");
+                assert!(stats.subproblems > 1);
+                assert!(stats.max_depth <= cap.unwrap_or(usize::MAX));
+                assert_eq!(stats.high_degree_truncations, 0);
+            }
         }
     }
 
     #[test]
     fn counts_match_oracle_on_structured_graphs() {
-        let clique = generators::clique(20);
-        let (got, _, _) = run(&clique, EmConfig::new(256, 32), 1);
-        assert_eq!(got, 1140);
+        // A skewed graph with hubs, large enough (E ≥ 1 000) for the capped
+        // runs to close oversized leaves.
+        let power_law = generators::chung_lu_power_law(600, 2400, 2.3, 4);
+        assert!(power_law.edge_count() >= 1_000, "grow the power-law graph");
+        let power_law_triangles = naive::count_triangles(&power_law);
+        assert!(power_law_triangles > 0);
+        let cases = [
+            ("K20", generators::clique(20), 1140, 1),
+            ("star", generators::star(200), 0, 1),
+            // K10 plus an 80-edge path: 125 edges, above BASE_CASE_EDGES,
+            // so the root routes instead of being one in-core leaf.
+            ("lollipop", generators::lollipop(10, 80), 120, 2),
+            ("power law", power_law, power_law_triangles, 5),
+        ];
+        for (name, g, expected, seed) in &cases {
+            for cap in CAPS {
+                let (got, _, stats) = with_depth_cap(cap, || run(g, EmConfig::new(256, 32), *seed));
+                assert_eq!(got, *expected, "{name}, cap {cap:?}");
+                if *name == "lollipop" {
+                    assert!(stats.partition_sweeps >= 1, "the lollipop must route");
+                }
+            }
+        }
+    }
 
-        let star = generators::star(200);
-        let (got, _, _) = run(&star, EmConfig::new(256, 32), 1);
-        assert_eq!(got, 0);
-
-        // K10 plus an 80-edge path: 125 edges, above BASE_CASE_EDGES, so
-        // the root routes instead of being one in-core leaf.
-        let lolli = generators::lollipop(10, 80);
-        let (got, _, stats) = run(&lolli, EmConfig::new(256, 32), 2);
-        assert_eq!(got, 120);
-        assert!(stats.partition_sweeps >= 1, "the lollipop must route");
+    #[test]
+    fn sharded_workers_close_capped_oversized_leaves_exactly_once() {
+        // Cap 1 stops the tree above the spawn depth, where each oversized
+        // leaf is its own claimed unit; cap 2 stops it at the spawn depth,
+        // where the leaf belongs to the owner of its subtree unit. The cap
+        // is thread-local, so the workers run one after another here.
+        use crate::sink::CollectingSink;
+        let g = generators::erdos_renyi(160, 1400, 8);
+        let expected: std::collections::HashSet<Triangle> =
+            naive::enumerate_triangles(&g).into_iter().collect();
+        for cap in [1, 2] {
+            for workers in [2, 3] {
+                let mut all: Vec<Triangle> = Vec::new();
+                for worker in 0..workers {
+                    let emitted = with_depth_cap(Some(cap), || {
+                        let machine = Machine::new(EmConfig::new(1 << 9, 32));
+                        let eg = ExtGraph::load(&machine, &g);
+                        let mut sink = CollectingSink::new();
+                        let mut rec = PhaseRecorder::new(machine.gauge());
+                        let (n, _) = run_cache_oblivious(
+                            &eg,
+                            5,
+                            &mut sink,
+                            &mut rec,
+                            &mut ShardCursor::new(worker, workers, false),
+                            Recovery::default(),
+                        );
+                        assert_eq!(machine.gauge().in_use(), 0);
+                        assert_eq!(n, sink.len() as u64);
+                        sink.into_triangles()
+                            .into_iter()
+                            .map(|t| eg.translate(t))
+                            .collect::<Vec<_>>()
+                    });
+                    assert!(
+                        !emitted.is_empty(),
+                        "cap {cap}, P = {workers}: worker {worker} owns no emitting unit"
+                    );
+                    all.extend(emitted);
+                }
+                let got: std::collections::HashSet<Triangle> = all.iter().copied().collect();
+                assert_eq!(got.len(), all.len(), "cap {cap}, P = {workers}: duplicates");
+                assert_eq!(got, expected, "cap {cap}, P = {workers}");
+            }
+        }
     }
 
     #[test]
@@ -1396,9 +1331,15 @@ mod tests {
 
     #[test]
     fn resume_from_a_mid_run_checkpoint_completes_the_exact_multiset() {
-        // Crash the run at an arbitrary I/O ordinal, resume from the last
-        // checkpoint on a fresh machine, and require the union of committed
-        // triangles to be the oracle set, each exactly once.
+        for cap in CAPS {
+            with_depth_cap(cap, || resume_round_trip(cap));
+        }
+    }
+
+    /// Crashes the run at an arbitrary I/O ordinal, resumes from the last
+    /// checkpoint on a fresh machine, and requires the union of committed
+    /// triangles to be the oracle set, each exactly once.
+    fn resume_round_trip(cap: Option<usize>) {
         use crate::sink::{CollectingSink, DurableSink};
         use emsim::{BackendKind, CrashPoint, FaultPlan};
 
@@ -1418,12 +1359,16 @@ mod tests {
                 &mut ShardCursor::solo(),
                 Recovery::default(),
             );
-            assert!(n > 0);
+            assert_eq!(n, naive::count_triangles(&g), "cap {cap:?}");
+            assert_eq!(machine_probe.gauge().in_use(), 0);
             (n, sink.seen().clone())
         };
         let total_transfers = machine_probe.transfers();
 
-        let dir = std::env::temp_dir().join(format!("trienum-ckpt-resume-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "trienum-ckpt-resume-{}-{cap:?}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = CheckpointSpec {
             path: dir.join("ckpt.json"),
@@ -1467,7 +1412,10 @@ mod tests {
             ck.hwm, hwm,
             "high-water mark must equal the committed count"
         );
-        assert!(hwm < expected.0, "the crash must interrupt mid-run");
+        assert!(
+            hwm < expected.0,
+            "cap {cap:?}: the crash must interrupt mid-run"
+        );
 
         // Resume on a fresh, healthy machine.
         let machine = Machine::new(EmConfig::new(512, 32));
@@ -1488,7 +1436,7 @@ mod tests {
             recovery,
         );
         durable.commit();
-        assert_eq!(total, expected.0);
+        assert_eq!(total, expected.0, "cap {cap:?}");
         let got: std::collections::HashSet<Triangle> =
             collected.triangles().iter().copied().collect();
         assert_eq!(
@@ -1496,7 +1444,7 @@ mod tests {
             collected.len(),
             "no triangle may be delivered twice across the crash boundary"
         );
-        assert_eq!(got, expected.1);
+        assert_eq!(got, expected.1, "cap {cap:?}");
         assert_eq!(machine.gauge().in_use(), 0, "no leaked leases after resume");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,10 +4,9 @@
 //! depth-first stack needs to continue after the process dies: the run
 //! parameters (`seed`, root edge count, depth limit — the colour-refinement
 //! tree is a pure function of these), the sink's high-water mark (triangles
-//! durably committed so far), the stack frontier (one compact descriptor per
-//! pending subproblem), and the log of oversized depth-limit leaves batched
-//! since the run started (their run-global wedge/edge files die with the
-//! simulated machine, so a resume replays them).
+//! durably committed so far) and the stack frontier (one compact descriptor
+//! per pending subproblem). No other state spans subproblems: an oversized
+//! depth-limit leaf is closed before the next boundary.
 //!
 //! A pending subproblem's *edge list* is deliberately **not** serialised.
 //! Colour-vector compatibility is hereditary (an edge compatible with a
@@ -49,9 +48,8 @@ pub(crate) struct Recovery<'a> {
     pub resume: Option<&'a Checkpoint>,
 }
 
-/// One pending subproblem of the depth-first stack (or one batched oversized
-/// leaf): enough to reconstruct its edge list from the root by a single
-/// compatibility-and-removal filter scan.
+/// One pending subproblem of the depth-first stack: enough to reconstruct its
+/// edge list from the root by a single compatibility-and-removal filter scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeDescriptor {
     /// Depth of the node in the colour-refinement tree.
@@ -81,7 +79,7 @@ pub enum FrameDescriptor {
 /// A complete, resumable snapshot of a cache-oblivious run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version (current: 1).
+    /// Format version (current: 2).
     pub version: u32,
     /// Seed of the per-level refinement bits.
     pub seed: u64,
@@ -94,18 +92,16 @@ pub struct Checkpoint {
     pub hwm: u64,
     /// The driver stack, bottom-to-top.
     pub frontier: Vec<FrameDescriptor>,
-    /// Every oversized depth-limit leaf batched since the run started, in
-    /// leaf-id order; replayed before the frontier on resume.
-    pub leaves: Vec<NodeDescriptor>,
 }
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 1 also carried a log of
+/// batched oversized leaves; it is rejected, not migrated.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl Checkpoint {
     /// Serialises the checkpoint as flat JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 64 * (self.frontier.len() + self.leaves.len())); // emlint: allow(unleased, reason = "host-side durable-state serialisation, not simulated-machine memory")
+        let mut out = String::with_capacity(256 + 64 * self.frontier.len()); // emlint: allow(unleased, reason = "host-side durable-state serialisation, not simulated-machine memory")
         out.push_str(&format!(
             "{{\n  \"version\": {},\n  \"seed\": {},\n  \"edges\": {},\n  \"depth_limit\": {},\n  \"hwm\": {},\n",
             self.version, self.seed, self.edges, self.depth_limit, self.hwm
@@ -122,14 +118,6 @@ impl Checkpoint {
                     out.push_str(&format!("{{\"kind\": \"release\", \"words\": {words}}}"));
                 }
             }
-        }
-        out.push_str("\n  ],\n  \"leaves\": [");
-        for (i, leaf) in self.leaves.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&node_json(leaf));
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -166,10 +154,6 @@ impl Checkpoint {
                 frontier.push(FrameDescriptor::Node(parse_node(fobj)?));
             }
         }
-        let mut leaves = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-        for leaf in get(obj, "leaves")?.as_array("leaves")? {
-            leaves.push(parse_node(leaf.as_object("leaf entry")?)?);
-        }
         Ok(Checkpoint {
             version,
             seed: get_u64(obj, "seed")?,
@@ -177,7 +161,6 @@ impl Checkpoint {
             depth_limit,
             hwm: get_u64(obj, "hwm")?,
             frontier,
-            leaves,
         })
     }
 
@@ -440,11 +423,6 @@ mod tests {
                     removed: vec![5, 17, 99],
                 }),
             ],
-            leaves: vec![NodeDescriptor {
-                depth: 6,
-                target: (41, 42, 43),
-                removed: vec![2],
-            }],
         }
     }
 
@@ -456,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_frontier_and_leaves_round_trip() {
+    fn empty_frontier_round_trips() {
         let c = Checkpoint {
             version: CHECKPOINT_VERSION,
             seed: 0,
@@ -464,7 +442,6 @@ mod tests {
             depth_limit: 1,
             hwm: 0,
             frontier: vec![],
-            leaves: vec![],
         };
         assert_eq!(Checkpoint::parse(&c.to_json()).unwrap(), c);
     }
@@ -475,13 +452,49 @@ mod tests {
         let truncated = &json[..json.len() / 2];
         assert!(Checkpoint::parse(truncated).is_err());
         assert!(Checkpoint::parse("").is_err());
-        assert!(Checkpoint::parse("{\"version\": 1}")
+        assert!(Checkpoint::parse("{\"version\": 2}")
             .unwrap_err()
             .contains("missing field"));
-        let wrong_version = json.replace("\"version\": 1", "\"version\": 9");
+        let wrong_version = json.replace("\"version\": 2", "\"version\": 9");
         assert!(Checkpoint::parse(&wrong_version)
             .unwrap_err()
             .contains("version"));
+    }
+
+    #[test]
+    fn version_1_documents_are_rejected() {
+        // The sample as version 1 wrote it, with its log of batched
+        // oversized leaves after the frontier.
+        let v1 = r#"{
+  "version": 1,
+  "seed": 7,
+  "edges": 2000,
+  "depth_limit": 6,
+  "hwm": 123,
+  "frontier": [
+    {"kind": "node", "depth": 0, "target": [1, 1, 1], "removed": []},
+    {"kind": "release", "words": 264},
+    {"kind": "node", "depth": 2, "target": [3, 4, 4], "removed": [5, 17, 99]}
+  ],
+  "leaves": [
+    {"kind": "node", "depth": 6, "target": [41, 42, 43], "removed": [2]}
+  ]
+}
+"#;
+        let err = Checkpoint::parse(v1).unwrap_err();
+        assert!(
+            err.contains("unsupported checkpoint version 1"),
+            "unexpected error: {err}"
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("trienum-checkpoint-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        std::fs::write(&path, v1).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   element is classified once and routed to any subset of up to
 //!   [`MAX_PARTITION_BUCKETS`] output buckets in one scan.
 //! * [`kway_merge_tagged`] — the merge with **source tags**: each yielded
-//!   element names the cursor it came from, turning the merge into a
-//!   single-pass join driver over key-aligned files (the batched wedge-join
-//!   base case closes all leaves' wedges against all leaves' edges this way).
+//!   element names the cursor it came from. It drives [`KWayMerge`] and the
+//!   sharded runs' epilogue, which merges the per-worker triangle runs.
 //!
 //! All primitives operate on [`emsim::ExtVec`] arrays so that every block
 //! transfer is accounted for by the simulator.

@@ -27,12 +27,9 @@ where
 ///
 /// Same machinery and cost model as [`KWayMerge`] (one in-core head per
 /// cursor, gauge-accounted, `O(n/B)` read I/Os for sequential cursors); ties
-/// go to the lower cursor index. The tag is what turns the merge into a
-/// multi-source *join* driver: interleave two key-aligned files (say, a
-/// leaf-tagged edge file and a leaf-tagged wedge file) and the tag tells the
-/// consumer whether the element it just saw is a probe or a match candidate —
-/// the cache-oblivious batched base case closes every leaf's wedges against
-/// every leaf's edges in exactly one such pass.
+/// go to the lower cursor index. [`KWayMerge`] is this merge with the tags
+/// dropped; the sharded runs' epilogue merges the per-worker triangle runs
+/// with it directly.
 pub struct KWayMergeTagged<'a, T, K, F>
 where
     T: Record,

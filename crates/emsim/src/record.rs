@@ -115,29 +115,6 @@ impl Record for (u32, u32, u32) {
     }
 }
 
-/// A quadruple of `u32`s packed into two words — e.g. a leaf-tagged wedge
-/// `(leaf, v, w, u)` of the cache-oblivious batched base case. The packing
-/// puts `(a, b)` in the first word and `(c, d)` in the second, so integer
-/// order on the words agrees with lexicographic order on the tuple (the
-/// external sorts rely on this, exactly as for the pair encoding).
-impl Record for (u32, u32, u32, u32) {
-    const WORDS: usize = 2;
-
-    fn encode(&self, out: &mut [u64]) {
-        out[0] = (u64::from(self.0) << 32) | u64::from(self.1);
-        out[1] = (u64::from(self.2) << 32) | u64::from(self.3);
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        (
-            ((words[0] >> 32) & 0xffff_ffff) as u32,
-            (words[0] & 0xffff_ffff) as u32,
-            ((words[1] >> 32) & 0xffff_ffff) as u32,
-            (words[1] & 0xffff_ffff) as u32,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,19 +136,6 @@ mod tests {
         roundtrip((1u64, u64::MAX));
         roundtrip((1u32, 2u32, 3u32));
         roundtrip((u32::MAX, u32::MAX, u32::MAX));
-        roundtrip((1u32, 2u32, 3u32, 4u32));
-        roundtrip((u32::MAX, 0u32, u32::MAX, 0u32));
-    }
-
-    #[test]
-    fn quad_packing_orders_lexicographically() {
-        let mut a = [0u64; 2];
-        let mut b = [0u64; 2];
-        (1u32, 2u32, 900u32, 900u32).encode(&mut a);
-        (1u32, 3u32, 0u32, 0u32).encode(&mut b);
-        assert!(a < b);
-        (1u32, 3u32, 0u32, 1u32).encode(&mut a);
-        assert!(b < a);
     }
 
     #[test]
