@@ -64,9 +64,11 @@
 //! `c0` or `c1` and its larger endpoint's `c1` or `c2`, and
 //! [`RefinedColoring::resolve`] picks between two candidates with one bit
 //! evaluation. The routing scan computes each child colour as
-//! `2·resolve(…) − b_d(v)`, at most two evaluations per endpoint instead of
-//! `d + 1`, and the properness filter resolves triangle vertices the same
-//! way. Only the checkpoint's root filter scan, whose edges are not yet
+//! `2·resolve(…) − b_d(v)` ([`RefinedColoring::resolve_child`]), at most two
+//! evaluations per endpoint from one shared computation of the endpoint's
+//! powers instead of `d + 1`, and resolves the smaller endpoint once per run
+//! of the `(u, v)`-sorted list. The properness filter resolves triangle
+//! vertices the same way. Only the checkpoint's root filter scan, whose edges are not yet
 //! known to be compatible, pays the full [`RefinedColoring::color_at`].
 //!
 //! ## Base cases
@@ -211,7 +213,8 @@ type ColorVector = (u64, u64, u64);
 struct HeavyHitters {
     keys: [VertexId; MAX_LOCAL_HIGH_DEGREE],
     counts: [u64; MAX_LOCAL_HIGH_DEGREE],
-    len: usize,
+    /// Bit `i` set: slot `i` holds a key with a non-zero counter.
+    occupied: u32,
     decrements: u64,
 }
 
@@ -219,37 +222,43 @@ impl HeavyHitters {
     /// In-core footprint in words (for gauge accounting).
     const WORDS: u64 = 2 * MAX_LOCAL_HIGH_DEGREE as u64 + 1;
 
+    /// One Misra–Gries update. The lookup compares `v` with all 16 keys
+    /// into one bit mask, and the decrement pass rebuilds the occupied mask
+    /// from all 16 counters, so neither loop branches per slot. A counter
+    /// that reaches zero frees its slot in place, so the summary defines the
+    /// multiset of `(vertex, counter)` pairs, not their order.
     fn feed(&mut self, v: VertexId) {
-        let len = self.len;
-        if let Some(i) = self.keys[..len].iter().position(|&x| x == v) {
-            self.counts[i] += 1;
-            return;
+        let mut equal = 0u32;
+        for (i, &key) in self.keys.iter().enumerate() {
+            equal |= u32::from(key == v) << i;
         }
-        if len < MAX_LOCAL_HIGH_DEGREE {
-            self.keys[len] = v;
-            self.counts[len] = 1;
-            self.len += 1;
-            return;
-        }
-        // Decrement every counter, compacting out the ones that reach zero.
-        self.decrements += 1;
-        let mut kept = 0;
-        for i in 0..len {
-            if self.counts[i] > 1 {
-                self.keys[kept] = self.keys[i];
-                self.counts[kept] = self.counts[i] - 1;
-                kept += 1;
+        let hit = equal & self.occupied;
+        let free = self.occupied.trailing_ones() as usize;
+        if hit != 0 {
+            self.counts[hit.trailing_zeros() as usize] += 1;
+        } else if free < MAX_LOCAL_HIGH_DEGREE {
+            self.keys[free] = v;
+            self.counts[free] = 1;
+            self.occupied |= 1 << free;
+        } else {
+            // Every slot is occupied: decrement every counter.
+            self.decrements += 1;
+            let mut occupied = 0u32;
+            for (i, n) in self.counts.iter_mut().enumerate() {
+                *n -= 1;
+                occupied |= u32::from(*n != 0) << i;
             }
+            self.occupied = occupied;
         }
-        self.len = kept;
     }
 
     /// The tracked `(vertex, counter)` pairs.
     fn counters(&self) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-        self.keys[..self.len]
+        self.keys
             .iter()
             .copied()
-            .zip(self.counts[..self.len].iter().copied())
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, n)| n != 0)
     }
 
     fn feed_edge(&mut self, e: &Edge) {
@@ -576,17 +585,16 @@ fn child_vectors(target: ColorVector) -> [ColorVector; CHILDREN] {
 /// wedge file, no sort — the only I/O is the one charged read of the
 /// segment.
 fn solve_leaf_in_core(
-    machine: &Machine,
-    segment: impl Iterator<Item = Edge>,
+    segment: &ExtVec<Edge>,
     mut filter: impl FnMut(Triangle) -> bool,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
-    let mut lease = machine.gauge().lease(0);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for e in segment {
+    let machine = segment.machine();
+    let _lease = machine.gauge().lease(segment.len() as u64);
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(segment.len());
+    for e in segment.iter() {
         machine.work(1);
         edges.push((e.u, e.v));
-        lease.grow(1);
     }
     debug_assert!(edges.windows(2).all(|w| w[0] <= w[1]));
     let probe_cost = 1 + edges.len().max(2).ilog2() as u64;
@@ -859,12 +867,8 @@ fn process_node(
         {
             return;
         }
-        let emitted = solve_leaf_in_core(
-            machine,
-            edges.iter(),
-            |t| proper_at(&t, coloring, depth, target),
-            ctx.sink,
-        );
+        let emitted =
+            solve_leaf_in_core(&edges, |t| proper_at(&t, coloring, depth, target), ctx.sink);
         ctx.emitted += emitted;
         return;
     }
@@ -931,6 +935,7 @@ fn process_node(
     let buckets = {
         let summaries = &mut summaries;
         let mut prev: Option<Edge> = None;
+        let mut cu = 0;
         emalgo::scan_partition(&current, CHILDREN, move |e: &Edge| {
             // The one-scan sortedness debug-assert: children must inherit
             // the parent's (u, v) order, checked inline at zero extra I/O.
@@ -938,10 +943,13 @@ fn process_node(
                 prev.is_none_or(|p| p <= *e),
                 "edge segment lost its inherited sort order"
             );
+            // See "Colour resolution" in the module docs. The smaller
+            // endpoint's colour is resolved once per (u, v)-sorted run.
+            if prev.is_none_or(|p| p.u != e.u) {
+                cu = coloring.resolve_child(e.u, depth, c0, c1);
+            }
             prev = Some(*e);
-            // See "Colour resolution" in the module docs.
-            let cu = 2 * coloring.resolve(e.u, depth, c0, c1) - u64::from(coloring.bit(depth, e.u));
-            let cv = 2 * coloring.resolve(e.v, depth, c1, c2) - u64::from(coloring.bit(depth, e.v));
+            let cv = coloring.resolve_child(e.v, depth, c1, c2);
             let mut mask = 0u32;
             for (i, &child) in children.iter().enumerate() {
                 if pair_compatible(cu, cv, child) {
@@ -1506,9 +1514,22 @@ mod tests {
 
     #[test]
     fn fixed_array_summary_tracks_the_vec_reference_after_every_feed() {
+        // Random streams over key ranges from just above the counter count
+        // (frequent decrements) to far above it (mostly empty summaries).
         let mut state = 17u64;
-        let random: Vec<VertexId> = (0..4000)
-            .map(|_| (splitmix(&mut state) % 64) as VertexId)
+        let random: Vec<Vec<VertexId>> = [17u64, 20, 64, 1000]
+            .into_iter()
+            .map(|keys| {
+                (0..4000)
+                    .map(|_| (splitmix(&mut state) % keys) as VertexId)
+                    .collect()
+            })
+            .collect();
+        // All 16 counters filled to 50, then 40 fresh keys: every one of
+        // them decrements all 16 counters and none reaches zero.
+        let full: Vec<VertexId> = (0..16u32)
+            .flat_map(|k| std::iter::repeat_n(k, 50))
+            .chain(100..140)
             .collect();
         // More than 16 distinct keys in a row: every feed past the 16th
         // decrements and empties the summary.
@@ -1527,7 +1548,10 @@ mod tests {
                 }
             })
             .collect();
-        for stream in [random, distinct, hub, alternating, blocks] {
+        let streams = random
+            .into_iter()
+            .chain([full.clone(), distinct, hub, alternating, blocks]);
+        for stream in streams {
             let mut fixed = HeavyHitters::default();
             let mut reference = VecHeavyHitters::default();
             for (i, &v) in stream.iter().enumerate() {
@@ -1541,5 +1565,13 @@ mod tests {
                 assert_eq!(fixed.decrements, reference.decrements, "feed {i}");
             }
         }
+        // The fill-then-decrement stream ends with every counter at 10.
+        let mut fixed = HeavyHitters::default();
+        for &v in &full {
+            fixed.feed(v);
+        }
+        assert_eq!(fixed.decrements, 40);
+        assert!(fixed.counters().all(|(_, n)| n == 10));
+        assert_eq!(fixed.counters().count(), 16);
     }
 }

@@ -1,6 +1,6 @@
 //! Vertex colourings built from limited-independence hash functions.
 
-use crate::fourwise::FourWise;
+use crate::fourwise::{bit_of, powers, FourWise};
 
 /// A random colouring `ξ : V → {0, …, c−1}` drawn from a 4-wise independent
 /// family, as used by the cache-aware randomized algorithm (paper Section 2,
@@ -124,13 +124,34 @@ impl RefinedColoring {
     /// one of them). Panics if the candidates differ and `depth` exceeds the
     /// number of stored levels or is too shallow for both to occur.
     pub fn resolve(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
+        self.resolve_from(powers(u64::from(v)), v, depth, a, b)
+    }
+
+    /// The depth-`depth + 1` colour of `v`, `2·resolve(v, depth, a, b) −
+    /// b_depth(v)`, given that its depth-`depth` colour is `a` or `b`: the
+    /// colour `v` takes in the child node it is routed to. Both bit
+    /// evaluations share one computation of `v`'s powers, as
+    /// [`crate::BitFunctionFamily::eval_all`] shares them across candidates.
+    ///
+    /// # Panics
+    ///
+    /// As [`RefinedColoring::resolve`], and if `depth` is not below the
+    /// number of stored levels.
+    pub fn resolve_child(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
+        let p = powers(u64::from(v));
+        let c = self.resolve_from(p, v, depth, a, b);
+        2 * c - u64::from(bit_of(self.levels[depth].eval_at(p)))
+    }
+
+    /// [`RefinedColoring::resolve`] with `v`'s powers already computed.
+    fn resolve_from(&self, p: [u64; 3], v: u32, depth: usize, a: u64, b: u64) -> u64 {
         let diff = (a - 1) ^ (b - 1);
         let c = if diff == 0 {
             a
         } else {
             let k = diff.ilog2() as usize;
             // Bit k of a − 1 is the complement of a's bit at that level.
-            if self.bit(depth - 1 - k, v) == ((a - 1) >> k & 1 == 0) {
+            if bit_of(self.levels[depth - 1 - k].eval_at(p)) == ((a - 1) >> k & 1 == 0) {
                 a
             } else {
                 b
@@ -138,11 +159,6 @@ impl RefinedColoring {
         };
         debug_assert_eq!(c, self.color_at(v, depth), "{v}: neither {a} nor {b}");
         c
-    }
-
-    /// The bit chosen for vertex `v` at refinement level `i` (0-based).
-    pub fn bit(&self, i: usize, v: u32) -> bool {
-        self.levels[i].eval_bit(u64::from(v))
     }
 }
 
@@ -253,6 +269,32 @@ mod tests {
                     for other in 1..=1u64 << depth {
                         assert_eq!(r.resolve(v, depth, c, other), c, "v={v} d={depth}");
                         assert_eq!(r.resolve(v, depth, other, c), c, "v={v} d={depth}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_child_is_twice_resolve_minus_the_next_bit() {
+        // As above, with one more level stored so that every depth up to 8
+        // has a next bit.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xc41d);
+        for _ in 0..4 {
+            let mut r = RefinedColoring::identity();
+            r.push_batch((0..9).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=8usize {
+                for _ in 0..32 {
+                    let v: u32 = rng.random_range(0..u32::MAX);
+                    let c = r.color_at(v, depth);
+                    let bit = u64::from(r.levels[depth].eval_bit(u64::from(v)));
+                    assert_eq!(2 * c - bit, r.color_at(v, depth + 1), "v={v} d={depth}");
+                    for other in 1..=1u64 << depth {
+                        for (a, b) in [(c, other), (other, c)] {
+                            let want = 2 * r.resolve(v, depth, a, b) - bit;
+                            assert_eq!(r.resolve_child(v, depth, a, b), want, "v={v} d={depth}");
+                        }
                     }
                 }
             }
