@@ -68,12 +68,13 @@
 //! evaluations per endpoint from one shared computation of the endpoint's
 //! powers instead of `d + 1`, and resolves the smaller endpoint once per run
 //! of the `(u, v)`-sorted list. The properness filter resolves triangle
-//! vertices the same way. Only the checkpoint's root filter scan, whose edges are not yet
-//! known to be compatible, pays the full [`RefinedColoring::color_at`].
+//! vertices the same way. Only the checkpoint's root filter scan, whose
+//! edges are not yet known to be compatible, pays the full
+//! [`RefinedColoring::color_at`].
 //!
 //! ## Base cases
 //!
-//! * `E ≤ `[`BASE_CASE_EDGES`] (96): the subproblem is **constant-sized**,
+//! * `E ≤ `[`BASE_CASE_EDGES`] (288): the subproblem is **constant-sized**,
 //!   so it is joined entirely in core (the edge list is leased on the
 //!   memory gauge, wedges are probed against it by binary search) — no
 //!   wedge file, no sort, no extra I/O beyond the one segment read. This
@@ -127,19 +128,31 @@ use crate::workunit::{ShardCursor, WorkUnitKind, DEFAULT_SPAWN_DEPTH};
 /// Subproblems of at most this many edges are joined in core directly. A
 /// fixed constant — the cache-oblivious model forbids dependence on `M`/`B`,
 /// not on constants (and the paper's base case likewise assumes constant
-/// working storage). Chosen by a sweep over {24, 48, 96, 192} (EXPERIMENTS.md
-/// "Base-case sweep"): 96 halves the work and lowers every E3 row against
-/// 24. 192 is lower still, but it would turn the K16/K17 high-degree
-/// boundary instances into single root leaves.
-const BASE_CASE_EDGES: usize = 96;
+/// working storage). Chosen by a sweep over {96, 192, 288, 384}
+/// (EXPERIMENTS.md "Base-case sweep"; an earlier sweep over {24, 48, 96,
+/// 192} chose 96): 288 halves the work against 96 and lowers the peak, the
+/// charged I/O and every E3 row. 384 is within noise of it in wall-clock
+/// and within 3% in work and I/O, for a leaf a third larger. Being at least
+/// 120 = C(16, 2), the constant also keeps a routing node's high-degree set
+/// below [`MAX_LOCAL_HIGH_DEGREE`].
+const BASE_CASE_EDGES: usize = 288;
 
 /// The paper's bound on the number of local high-degree vertices: since each
-/// has degree ≥ E/8 and the degrees sum to 2E, there can be at most 16. The
-/// bound is enforced (not merely asserted): if a future change to the
-/// degree accounting ever produced more candidates, step 1 processes the 16
-/// highest-degree ones and leaves the rest to the recursion — which stays
-/// correct, because Lemma 1 handles *any* subset of vertices — instead of
-/// silently degrading into unbounded quadratic Lemma 1 passes.
+/// has degree ≥ E/8 and the degrees sum to 2E, there can be at most 16.
+///
+/// No node that reaches step 1 has 16 of them. Sixteen vertices of degree
+/// ≥ E/8 have degrees summing to at least 2E, the sum over *all* vertices.
+/// An edge adds 2 to the sixteen's sum only if both its endpoints are among
+/// them, so every edge would lie inside the sixteen and E ≤ C(16, 2) = 120.
+/// Step 1 runs only on nodes with E > [`BASE_CASE_EDGES`] ≥ 120, so at most
+/// 15 vertices are ever high-degree there. (K16, the densest graph meeting
+/// the bound, is a single in-core leaf.)
+///
+/// The bound is still enforced (not merely asserted): if a future change to
+/// the degree accounting ever produced more candidates, step 1 processes
+/// the 16 highest-degree ones and leaves the rest to the recursion — which
+/// stays correct, because Lemma 1 handles *any* subset of vertices — instead
+/// of silently degrading into unbounded quadratic Lemma 1 passes.
 const MAX_LOCAL_HIGH_DEGREE: usize = 16;
 
 /// Fan-out of the colour refinement (2³ child colour vectors per node).
@@ -149,9 +162,10 @@ const CHILDREN: usize = 8;
 /// named constants: a routing node's child summaries (`CHILDREN` ×
 /// `HeavyHitters::WORDS` = 264), held for its whole subtree, and one bit
 /// function ([`FourWise::WORDS`] = 4). At most `⌈log₄ E⌉` nodes on a
-/// root-to-leaf path route, so the spare level covers the transient leases
-/// (root summary 33, high-degree counts ≤ 32, routing state 8, sort base
-/// case ≤ 64).
+/// root-to-leaf path route (and only nodes above [`BASE_CASE_EDGES`] edges
+/// route at all), so the spare level covers the transient leases (root
+/// summary 33, high-degree counts ≤ 32, routing state 8, sort base case
+/// ≤ 64).
 pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
     CHILDREN as u64 * HeavyHitters::WORDS + FourWise::WORDS;
 
@@ -189,8 +203,11 @@ fn with_depth_cap<R>(cap: Option<usize>, f: impl FnOnce() -> R) -> R {
 
 /// The gauge budget of one cache-oblivious run phase on `e` edges:
 /// [`CACHE_OBLIVIOUS_WORDS_PER_LEVEL`] for each of the `⌈log₄ E⌉ + 1` levels,
-/// plus one in-core leaf's edge list (`BASE_CASE_EDGES`), counted once
-/// because only one leaf is ever live.
+/// plus one in-core leaf's edge list ([`BASE_CASE_EDGES`] = 288 words),
+/// counted once because only one leaf is ever live. The leaf term grew by
+/// 192 words when the base case went from 96 to 288 edges, while the
+/// measured peaks fell (quick E3: 1 172 → 1 103 of 2 164 words; full E3:
+/// 1 423 → 1 305 of 2 432).
 pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
     CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1) + BASE_CASE_EDGES as u64
 }
@@ -999,9 +1016,10 @@ mod tests {
 
     /// The depth caps the oracle and resume tests run under: the natural
     /// limit, then limits that stop the tree at depth 1 (above
-    /// [`DEFAULT_SPAWN_DEPTH`]) and at depth 2 (at it). On inputs of
-    /// E ≥ 1 000 a depth-1 node holds about E/4 ≫ [`BASE_CASE_EDGES`] edges,
-    /// so the capped runs close oversized leaves.
+    /// [`DEFAULT_SPAWN_DEPTH`]) and at depth 2 (at it). A depth-1 node
+    /// holds about E/2 edges and a depth-2 node about E/6, so on the inputs
+    /// below (E ≥ 1 400) both capped runs close leaves above
+    /// [`BASE_CASE_EDGES`].
     const CAPS: [Option<usize>; 3] = [None, Some(1), Some(2)];
 
     fn run(g: &graphgen::Graph, cfg: EmConfig, seed: u64) -> (u64, u64, CacheObliviousStats) {
@@ -1026,7 +1044,7 @@ mod tests {
     #[test]
     fn counts_match_oracle_on_er_graphs() {
         for seed in [3u64, 12] {
-            let g = generators::erdos_renyi(160, 1200, seed);
+            let g = generators::erdos_renyi(160, 1400, seed);
             let expected = naive::count_triangles(&g);
             for cap in CAPS {
                 let (got, _, stats) =
@@ -1050,9 +1068,9 @@ mod tests {
         let cases = [
             ("K20", generators::clique(20), 1140, 1),
             ("star", generators::star(200), 0, 1),
-            // K10 plus an 80-edge path: 125 edges, above BASE_CASE_EDGES,
+            // K10 plus a 260-edge path: 305 edges, above BASE_CASE_EDGES,
             // so the root routes instead of being one in-core leaf.
-            ("lollipop", generators::lollipop(10, 80), 120, 2),
+            ("lollipop", generators::lollipop(10, 260), 120, 2),
             ("power law", power_law, power_law_triangles, 5),
         ];
         for (name, g, expected, seed) in &cases {
@@ -1220,30 +1238,66 @@ mod tests {
     fn clique16_sits_exactly_on_the_high_degree_boundary() {
         // K16: E = 120, every vertex has degree 15 and 8·15 = 120 ≥ E, so all
         // 16 vertices are local high-degree — the maximum the invariant
-        // allows. The run must stay exact without any truncation.
+        // allows, and only reachable at E ≤ C(16, 2) = 120 (see
+        // MAX_LOCAL_HIGH_DEGREE). A whole run therefore never reaches step 1
+        // on it: K16 is one in-core leaf.
         let g = generators::clique(16);
-        assert!(
-            g.edge_count() > BASE_CASE_EDGES,
-            "K16 must reach step 1, not the in-core leaf"
-        );
+        assert!(g.edge_count() <= BASE_CASE_EDGES);
         let (got, _, stats) = run(&g, EmConfig::new(256, 32), 5);
         assert_eq!(got, 560); // C(16, 3)
         assert_eq!(stats.high_degree_truncations, 0);
-        // The root's Lemma 1 passes consume every edge, so nothing routes.
         assert_eq!((stats.subproblems, stats.partition_sweeps), (1, 0));
+
+        // Step 1 itself, driven directly on the K16 edge list: all 16
+        // vertices resolve as high-degree without truncation, and the
+        // Lemma 1 passes in ascending vertex order emit every triangle, each
+        // through its smallest vertex i, C(15 − i, 2) of them.
+        let machine = Machine::new(EmConfig::new(256, 32));
+        let edges = ExtVec::from_slice(&machine, g.edges());
+        let summary = HeavyHitters::of_stream(&machine, edges.iter());
+        let (high, truncated) =
+            resolve_high_degree(&machine, &summary, edges.len(), || edges.iter());
+        assert_eq!(high, (0..16).collect::<Vec<VertexId>>());
+        assert!(!truncated);
+        let mut sink = crate::sink::CollectingSink::new();
+        let mut shard = ShardCursor::solo();
+        let mut ctx = CoContext {
+            sink: &mut sink,
+            emitted: 0,
+            depth_limit: 0,
+            subproblems: 0,
+            max_depth: 0,
+            high_degree_truncations: 0,
+            partition_sweeps: 0,
+            shard: &mut shard,
+        };
+        let coloring = RefinedColoring::identity();
+        let rest = enumerate_high_degree(&mut ctx, edges, &high, &coloring, 0, (1, 1, 1));
+        assert_eq!(ctx.emitted, 560);
+        assert!(rest.is_empty(), "step 1 consumes every edge");
+        let mut through = [0u64; 16];
+        for t in sink.triangles() {
+            through[t.a as usize] += 1;
+        }
+        let want: Vec<u64> = (0..16u64)
+            .map(|i| (15 - i) * (15 - i).saturating_sub(1) / 2)
+            .collect();
+        assert_eq!(through.to_vec(), want);
+        assert_eq!(machine.gauge().in_use(), 0);
     }
 
     #[test]
     fn base_case_boundary_is_one_leaf_at_the_constant_and_routes_above_it() {
         use crate::sink::CollectingSink;
         use crate::{enumerate_triangles, Algorithm};
-        let dense = generators::erdos_renyi(24, 150, 8);
+        let n = 40;
+        let dense = generators::erdos_renyi(n, 400, 8);
         assert!(
             dense.edge_count() > BASE_CASE_EDGES,
             "grow the source graph"
         );
         for (e, leaf) in [(BASE_CASE_EDGES, true), (BASE_CASE_EDGES + 1, false)] {
-            let mut g = graphgen::Graph::empty(24);
+            let mut g = graphgen::Graph::empty(n);
             for edge in &dense.edges()[..e] {
                 g.add_edge(edge.u, edge.v);
             }
@@ -1475,8 +1529,9 @@ mod tests {
         assert_eq!(machine.gauge().in_use(), 0);
         // One in-core leaf on top of the per-level words: the quick and
         // full E3 budgets.
-        assert_eq!(cache_oblivious_phase_budget(4_000), 268 * 7 + 96);
-        assert_eq!(cache_oblivious_phase_budget(12_000), 268 * 8 + 96);
+        let leaf = BASE_CASE_EDGES as u64;
+        assert_eq!(cache_oblivious_phase_budget(4_000), 268 * 7 + leaf);
+        assert_eq!(cache_oblivious_phase_budget(12_000), 268 * 8 + leaf);
         let peak = machine.gauge().peak();
         assert!(peak > 0, "the stacked summaries were accounted");
         assert!(

@@ -90,7 +90,9 @@ proptest! {
 #[test]
 fn kill_at_every_block_resumes_to_the_exact_multiset() {
     silence_simulated_crash_panics();
-    let g = generators::erdos_renyi(32, 180, 3);
+    // More edges than the cache-oblivious in-core base case, so the root
+    // routes and checkpoints land at subproblem boundaries.
+    let g = generators::erdos_renyi(40, 320, 3);
     let cfg = EmConfig::new(128, 16);
     let alg_seed = 21;
 
