@@ -15,7 +15,7 @@ use crate::sink::TriangleSink;
 /// triangles emitted.
 ///
 /// The baseline deliberately runs Lemma 2 under
-/// [`ChunkPolicy::PUBLISHED_BASELINE`] — fixed `αM` iterations, full edge
+/// [`ChunkPolicy::Fixed`] — fixed `αM` iterations, full edge
 /// rescans — because its iteration structure is part of the SIGMOD 2013
 /// algorithm the paper's `min(√(E/M), √M)` improvement factor is measured
 /// against. The adaptive sizing and endpoint-range pruning are improvements
@@ -30,8 +30,7 @@ pub(crate) fn run_hu_tao_chung(
         graph.edges(),
         graph.edges(),
         cfg.mem_words,
-        ChunkPolicy::PUBLISHED_BASELINE,
-        |_| true,
+        ChunkPolicy::Fixed,
         sink,
     )
 }

@@ -92,13 +92,14 @@
 //!
 //! ## Tree-evaluation order
 //!
-//! The tree is evaluated depth-first over an **explicit subproblem stack**
-//! (one frame per pending node, plus gauge-lease markers so the accounting
-//! matches the old recursion frame for frame). The explicit stack is what
-//! makes the run *checkpointable*: at any subproblem boundary the whole
-//! frontier can be serialised as `O(1)`-word descriptors (depth, colour
-//! vector, removed vertices) and the edge lists recovered later by
-//! order-preserving filter scans of the root — see [`crate::checkpoint`].
+//! The tree is evaluated depth-first over an **explicit stack of pending
+//! subproblems** and nothing else: each pending child owns its edge list and
+//! its [`HeavyHitters`] summary, whose gauge lease ends when the child has
+//! been processed. The explicit stack is what makes the run
+//! *checkpointable*: at any subproblem boundary the whole frontier can be
+//! serialised as `O(1)`-word descriptors (depth, colour vector, removed
+//! vertices) and the edge lists recovered later by order-preserving filter
+//! scans of the root — see [`crate::checkpoint`].
 //! Depth-first order is what makes the run cache-adaptive: a subtree whose
 //! working set fits internal memory is created, consumed and freed before
 //! the LRU cache ever evicts it, so deep levels cost no I/O at all and the
@@ -115,9 +116,7 @@ use graphgen::{Edge, Triangle, VertexId};
 use kwise::{FourWise, RefinedColoring};
 
 use crate::baselines::dementiev::sort_based_enumeration;
-use crate::checkpoint::{
-    Checkpoint, CheckpointSpec, FrameDescriptor, NodeDescriptor, Recovery, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{Checkpoint, CheckpointSpec, NodeDescriptor, Recovery, CHECKPOINT_VERSION};
 use crate::input::ExtGraph;
 use crate::lemma1::enumerate_through_vertex;
 use crate::sink::TriangleSink;
@@ -148,11 +147,9 @@ const BASE_CASE_EDGES: usize = 288;
 /// 15 vertices are ever high-degree there. (K16, the densest graph meeting
 /// the bound, is a single in-core leaf.)
 ///
-/// The bound is still enforced (not merely asserted): if a future change to
-/// the degree accounting ever produced more candidates, step 1 processes
-/// the 16 highest-degree ones and leaves the rest to the recursion — which
-/// stays correct, because Lemma 1 handles *any* subset of vertices — instead
-/// of silently degrading into unbounded quadratic Lemma 1 passes.
+/// The bound is enforced by the summary's size: [`HeavyHitters`] has this
+/// many slots, and step 1's candidates are drawn from them, so no node can
+/// hand Lemma 1 more than 16 vertices.
 const MAX_LOCAL_HIGH_DEGREE: usize = 16;
 
 /// Fan-out of the colour refinement (2³ child colour vectors per node).
@@ -160,12 +157,16 @@ const CHILDREN: usize = 8;
 
 /// Gauge words one level of the refinement tree may hold, derived from the
 /// named constants: a routing node's child summaries (`CHILDREN` ×
-/// `HeavyHitters::WORDS` = 264), held for its whole subtree, and one bit
-/// function ([`FourWise::WORDS`] = 4). At most `⌈log₄ E⌉` nodes on a
-/// root-to-leaf path route (and only nodes above [`BASE_CASE_EDGES`] edges
-/// route at all), so the spare level covers the transient leases (root
-/// summary 33, high-degree counts ≤ 32, routing state 8, sort base case
-/// ≤ 64).
+/// `HeavyHitters::WORDS` = 264) and one bit function ([`FourWise::WORDS`] =
+/// 4). At most `⌈log₄ E⌉` nodes on a root-to-leaf path route (and only
+/// nodes above [`BASE_CASE_EDGES`] edges route at all), so the spare level
+/// covers the transient leases (root summary 33, high-degree counts ≤ 32,
+/// routing state 8, sort base case ≤ 64).
+///
+/// This is an upper bound, and a loose one: each child summary's lease ends
+/// when that child has been processed, so below a routing ancestor only its
+/// still-pending children (at most 7 once the path has descended into one)
+/// hold summaries.
 pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
     CHILDREN as u64 * HeavyHitters::WORDS + FourWise::WORDS;
 
@@ -207,7 +208,8 @@ fn with_depth_cap<R>(cap: Option<usize>, f: impl FnOnce() -> R) -> R {
 /// counted once because only one leaf is ever live. The leaf term grew by
 /// 192 words when the base case went from 96 to 288 edges, while the
 /// measured peaks fell (quick E3: 1 172 → 1 103 of 2 164 words; full E3:
-/// 1 423 → 1 305 of 2 432).
+/// 1 423 → 1 305 of 2 432); per-child summary leases then took quick E3 to
+/// 953.
 pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
     CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1) + BASE_CASE_EDGES as u64
 }
@@ -314,30 +316,20 @@ struct CoContext<'a> {
     sink: &'a mut dyn TriangleSink,
     emitted: u64,
     depth_limit: usize,
-    /// Number of recursive subproblems solved (reported for the experiments).
-    subproblems: u64,
-    /// Maximum recursion depth reached.
-    max_depth: usize,
-    /// Times the ≤ 16 high-degree invariant had to be enforced by truncation
-    /// (always 0 unless the degree accounting is broken).
-    high_degree_truncations: u64,
-    /// Number of multi-way partition sweeps performed: one per internal node.
-    partition_sweeps: u64,
+    stats: CacheObliviousStats,
     /// The unit→worker assignment of a sharded run; a solo cursor (every
     /// claim succeeds, pure counter ticks) on sequential runs.
     shard: &'a mut ShardCursor,
 }
 
 /// Statistics of a cache-oblivious run (besides the emitted count).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CacheObliviousStats {
-    /// Number of recursive subproblems solved.
+    /// Number of subproblems of the refinement tree solved.
     pub subproblems: u64,
-    /// Deepest recursion level reached.
+    /// Deepest tree level reached.
     pub max_depth: usize,
-    /// Times the local high-degree set had to be truncated to 16 entries.
-    pub high_degree_truncations: u64,
-    /// Number of multi-way partition sweeps performed.
+    /// Number of multi-way partition sweeps performed: one per internal node.
     pub partition_sweeps: u64,
 }
 
@@ -379,9 +371,7 @@ pub(crate) fn run_cache_oblivious(
             resume.map_or(0, |c| c.hwm),
             CacheObliviousStats {
                 subproblems: 1,
-                max_depth: 0,
-                high_degree_truncations: 0,
-                partition_sweeps: 0,
+                ..CacheObliviousStats::default()
             },
         );
     }
@@ -414,23 +404,20 @@ pub(crate) fn run_cache_oblivious(
         sink,
         emitted: resume.map_or(0, |c| c.hwm),
         depth_limit,
-        subproblems: 0,
-        max_depth: 0,
-        high_degree_truncations: 0,
-        partition_sweeps: 0,
+        stats: CacheObliviousStats::default(),
         shard,
     };
     let stack = match resume {
-        None => vec![Frame::Node(Box::new(PendingNode {
+        None => vec![PendingNode {
             edges: root,
             summary: None,
             target: (1, 1, 1),
             depth: 0,
             removed: None,
-        }))],
+        }],
         Some(ck) => {
             let io0 = machine.io();
-            let stack = rebuild_stack_from_checkpoint(&machine, &coloring, &root, ck);
+            let stack = rebuild_stack_from_checkpoint(&coloring, &root, ck);
             drop(root);
             recorder.record("resume_rebuild", io0, machine.io());
             stack
@@ -445,13 +432,7 @@ pub(crate) fn run_cache_oblivious(
     let io0 = machine.io();
     drive_depth_first(&mut ctx, &machine, &coloring, stack, ckpt);
     recorder.record("recursion", io0, machine.io());
-    let stats = CacheObliviousStats {
-        subproblems: ctx.subproblems,
-        max_depth: ctx.max_depth,
-        high_degree_truncations: ctx.high_degree_truncations,
-        partition_sweeps: ctx.partition_sweeps,
-    };
-    (ctx.emitted, stats)
+    (ctx.emitted, ctx.stats)
 }
 
 /// Whether the ordered colour pair `(cu, cv)` (colours of an edge's smaller
@@ -482,33 +463,8 @@ fn proper_at(t: &Triangle, coloring: &RefinedColoring, depth: usize, target: Col
     ) == target
 }
 
-/// The one place that decides which candidates survive when there are more
-/// than [`MAX_LOCAL_HIGH_DEGREE`]: keep the highest degrees, ties broken by
-/// smaller vertex id.
-fn keep_top_candidates(candidates: &mut Vec<(VertexId, usize)>) {
-    if candidates.len() > MAX_LOCAL_HIGH_DEGREE {
-        // emlint: allow(uncharged-std, reason = "bounded candidate scratch; the sources cap its length at a small multiple of MAX_LOCAL_HIGH_DEGREE")
-        candidates.sort_unstable_by_key(|&(v, d)| (std::cmp::Reverse(d), v));
-        candidates.truncate(MAX_LOCAL_HIGH_DEGREE);
-    }
-}
-
-/// Enforces the ≤ [`MAX_LOCAL_HIGH_DEGREE`] invariant on the high-degree
-/// candidates of a subproblem (`(vertex, local degree)` pairs). Returns the
-/// vertices to hand to Lemma 1 in ascending id order, plus whether the set
-/// had to be truncated. On truncation the highest-degree candidates win
-/// (ties broken by id) and the remainder is left to the recursion, which
-/// stays exact for any subset — "truncate and recurse" rather than a silent
-/// slide into unbounded quadratic Lemma 1 passes.
-fn select_local_high_degree(mut candidates: Vec<(VertexId, usize)>) -> (Vec<VertexId>, bool) {
-    let truncated = candidates.len() > MAX_LOCAL_HIGH_DEGREE;
-    keep_top_candidates(&mut candidates);
-    let mut high: Vec<VertexId> = candidates.into_iter().map(|(v, _)| v).collect();
-    high.sort_unstable(); // emlint: allow(uncharged-std, reason = "O(1)-bounded candidate list")
-    (high, truncated)
-}
-
-/// Resolves the exact local high-degree set from a [`HeavyHitters`] summary.
+/// Resolves the exact local high-degree set from a [`HeavyHitters`] summary,
+/// in ascending vertex order.
 ///
 /// If no tracked vertex can clear the bar even with the counter error added
 /// (the common case), the set is provably empty and no scan happens at all.
@@ -519,10 +475,10 @@ fn resolve_high_degree<I: Iterator<Item = Edge>>(
     summary: &HeavyHitters,
     e_here: usize,
     edges: impl Fn() -> I,
-) -> (Vec<VertexId>, bool) {
+) -> Vec<VertexId> {
     let possible = summary.possible_high(e_here);
     if possible.is_empty() {
-        return (Vec::new(), false);
+        return Vec::new();
     }
     let _lease = machine.gauge().lease(2 * possible.len() as u64);
     let mut degrees = vec![0usize; possible.len()];
@@ -535,12 +491,14 @@ fn resolve_high_degree<I: Iterator<Item = Edge>>(
             degrees[i] += 1;
         }
     }
-    let exact: Vec<(VertexId, usize)> = possible
+    let high: Vec<VertexId> = possible
         .into_iter()
         .zip(degrees)
         .filter(|&(_, d)| 8 * d >= e_here)
+        .map(|(v, _)| v)
         .collect();
-    select_local_high_degree(exact)
+    debug_assert!(high.len() <= MAX_LOCAL_HIGH_DEGREE);
+    high
 }
 
 /// Step 1 of one subproblem: Lemma 1 over the local high-degree vertices,
@@ -670,35 +628,21 @@ fn flatten_removed(removed: &Option<Rc<RemovedSet>>) -> Vec<u32> {
     out
 }
 
-/// A pending subproblem of the explicit depth-first stack — exactly the
-/// arguments the old recursion passed, plus the removal chain a checkpoint
-/// descriptor needs.
+/// A pending subproblem of the explicit depth-first stack: its edge list,
+/// colour vector and depth, the heavy-hitter summary step 1 starts from,
+/// and the removal chain a checkpoint descriptor needs.
 struct PendingNode {
     edges: ExtVec<Edge>,
-    /// Heavy-hitter summary fed by the parent's routing scan; `None` at the
-    /// root and for nodes rebuilt from a checkpoint (which pay one summary
-    /// scan instead — recovery overhead, not a correctness difference: the
-    /// exact high-degree set is resolved from either summary).
-    summary: Option<HeavyHitters>,
+    /// Heavy-hitter summary fed by the parent's routing scan, with its own
+    /// [`HeavyHitters::WORDS`]-word gauge lease, which ends when
+    /// [`process_node`] returns for this node. `None` at the root and for
+    /// nodes rebuilt from a checkpoint (which pay one summary scan instead —
+    /// recovery overhead, not a correctness difference: the exact
+    /// high-degree set is resolved from either summary).
+    summary: Option<(HeavyHitters, MemLease)>,
     target: ColorVector,
     depth: usize,
     removed: Option<Rc<RemovedSet>>,
-}
-
-/// One frame of the explicit stack. `Release` marks where the old recursion
-/// dropped a parent's child-summaries gauge lease (after its whole subtree),
-/// keeping the gauge accounting identical frame for frame.
-enum Frame {
-    Node(Box<PendingNode>),
-    Release(MemLease),
-}
-
-fn descriptor_of(node: &PendingNode) -> NodeDescriptor {
-    NodeDescriptor {
-        depth: node.depth,
-        target: node.target,
-        removed: flatten_removed(&node.removed),
-    }
 }
 
 /// Live checkpointing state of a run with a [`CheckpointSpec`] armed.
@@ -710,39 +654,34 @@ struct CheckpointCtl<'a> {
     last_io: u64,
 }
 
-/// Writes a checkpoint if the I/O interval has elapsed and the stack top is a
-/// node (checkpoints land on subproblem boundaries). The sink is committed
-/// via [`TriangleSink::on_checkpoint`] only *after* the atomic file replace
-/// succeeds, so the persisted high-water mark never runs ahead of the
-/// durably delivered triangles.
+/// Writes a checkpoint if the I/O interval has elapsed (the driver calls it
+/// between nodes, so checkpoints land on subproblem boundaries). The sink is
+/// committed via [`TriangleSink::on_checkpoint`] only *after* the atomic
+/// file replace succeeds, so the persisted high-water mark never runs ahead
+/// of the durably delivered triangles.
 fn maybe_checkpoint(
     ctx: &mut CoContext<'_>,
     machine: &Machine,
-    stack: &[Frame],
+    stack: &[PendingNode],
     ctl: &mut CheckpointCtl<'_>,
 ) {
     if machine.io().total().saturating_sub(ctl.last_io) < ctl.spec.interval_io {
         return;
     }
-    if !matches!(stack.last(), Some(Frame::Node(_))) {
-        return;
-    }
-    let frontier: Vec<FrameDescriptor> = stack
-        .iter()
-        .map(|frame| match frame {
-            Frame::Node(node) => FrameDescriptor::Node(descriptor_of(node)),
-            Frame::Release(lease) => FrameDescriptor::Release {
-                words: lease.words(),
-            },
-        })
-        .collect();
     let checkpoint = Checkpoint {
         version: CHECKPOINT_VERSION,
         seed: ctl.seed,
         edges: ctl.root_edges,
         depth_limit: ctx.depth_limit,
         hwm: ctx.emitted,
-        frontier,
+        frontier: stack
+            .iter()
+            .map(|node| NodeDescriptor {
+                depth: node.depth,
+                target: node.target,
+                removed: flatten_removed(&node.removed),
+            })
+            .collect(),
     };
     checkpoint.write_atomic(&ctl.spec.path).unwrap_or_else(|e| {
         panic!(
@@ -760,38 +699,29 @@ fn maybe_checkpoint(
 /// the root's `(u, v)` order, so the scan recovers the exact list the
 /// crashed run held.
 fn rebuild_stack_from_checkpoint(
-    machine: &Machine,
     coloring: &RefinedColoring,
     root: &ExtVec<Edge>,
     checkpoint: &Checkpoint,
-) -> Vec<Frame> {
-    let mut stack: Vec<Frame> = Vec::new();
-    for frame in &checkpoint.frontier {
-        match frame {
-            FrameDescriptor::Release { words } => {
-                stack.push(Frame::Release(machine.gauge().lease(*words)));
+) -> Vec<PendingNode> {
+    checkpoint
+        .frontier
+        .iter()
+        .map(|desc| {
+            let removed = (!desc.removed.is_empty()).then(|| {
+                Rc::new(RemovedSet {
+                    vertices: desc.removed.clone(),
+                    parent: None,
+                })
+            });
+            PendingNode {
+                edges: reconstruct_edges(coloring, root, desc),
+                summary: None,
+                target: desc.target,
+                depth: desc.depth,
+                removed,
             }
-            FrameDescriptor::Node(desc) => {
-                let edges = reconstruct_edges(coloring, root, desc);
-                let removed = if desc.removed.is_empty() {
-                    None
-                } else {
-                    Some(Rc::new(RemovedSet {
-                        vertices: desc.removed.clone(),
-                        parent: None,
-                    }))
-                };
-                stack.push(Frame::Node(Box::new(PendingNode {
-                    edges,
-                    summary: None,
-                    target: desc.target,
-                    depth: desc.depth,
-                    removed,
-                })));
-            }
-        }
-    }
-    stack
+        })
+        .collect()
 }
 
 /// One order-preserving filter scan of the root recovering a descriptor's
@@ -813,46 +743,46 @@ fn reconstruct_edges(
     })
 }
 
-/// The driver loop: pop a frame, process it, push its children. Identical
-/// operation order to the old recursion (children pushed last-child-first so
-/// child 0 runs next; a parent's summary lease rides as a `Release` frame
-/// below its children), so I/O, work, gauge and emissions are bit-identical.
+/// The driver loop: offer a checkpoint, pop the top node, process it (which
+/// pushes its children last-child-first, so child 0 runs next). The stack
+/// holds pending nodes only; every gauge lease a node carries ends inside
+/// its own [`process_node`] call.
 fn drive_depth_first(
     ctx: &mut CoContext<'_>,
     machine: &Machine,
     coloring: &RefinedColoring,
-    mut stack: Vec<Frame>,
+    mut stack: Vec<PendingNode>,
     mut ckpt: Option<CheckpointCtl<'_>>,
 ) {
     while !stack.is_empty() {
         if let Some(ctl) = ckpt.as_mut() {
             maybe_checkpoint(ctx, machine, &stack, ctl);
         }
-        match stack.pop().expect("loop guard: stack is non-empty") {
-            Frame::Release(lease) => drop(lease),
-            Frame::Node(node) => process_node(ctx, machine, coloring, *node, &mut stack),
-        }
+        let node = stack.pop().expect("loop guard: stack is non-empty");
+        process_node(ctx, machine, coloring, node, &mut stack);
     }
 }
 
-/// Processes one pending subproblem — the body of the old recursion, with
-/// "recurse on the eight children" replaced by "push the eight children".
+/// Processes one pending subproblem: a leaf is closed in place; an internal
+/// node runs step 1, then routes its edges into the eight children and
+/// pushes them. The inherited summary's lease ends when this returns.
 fn process_node(
     ctx: &mut CoContext<'_>,
     machine: &Machine,
     coloring: &RefinedColoring,
     node: PendingNode,
-    stack: &mut Vec<Frame>,
+    stack: &mut Vec<PendingNode>,
 ) {
     let PendingNode {
         edges,
-        summary: inherited,
+        summary,
         target,
         depth,
         removed,
     } = node;
-    ctx.subproblems += 1;
-    ctx.max_depth = ctx.max_depth.max(depth);
+    let (inherited, _summary_lease) = summary.unzip();
+    ctx.stats.subproblems += 1;
+    ctx.stats.max_depth = ctx.stats.max_depth.max(depth);
     let e_here = edges.len();
     if e_here < 3 {
         return;
@@ -876,7 +806,10 @@ fn process_node(
     // passes) are individually sharded so each triangle is emitted exactly
     // once across the pool.
     let gated = depth < DEFAULT_SPAWN_DEPTH;
-    if e_here <= BASE_CASE_EDGES {
+    // A leaf — in-core (constant-size) or an oversized one at the depth
+    // limit — is one emission unit, closed in place.
+    let in_core = e_here <= BASE_CASE_EDGES;
+    if in_core || depth >= ctx.depth_limit {
         if gated
             && !ctx
                 .shard
@@ -884,25 +817,12 @@ fn process_node(
         {
             return;
         }
-        let emitted =
-            solve_leaf_in_core(&edges, |t| proper_at(&t, coloring, depth, target), ctx.sink);
-        ctx.emitted += emitted;
-        return;
-    }
-    if depth >= ctx.depth_limit {
-        if gated
-            && !ctx
-                .shard
-                .claim(WorkUnitKind::RefinementLeaf { depth, target })
-        {
-            return;
-        }
-        ctx.emitted += sort_based_enumeration(
-            &edges,
-            SortKind::Oblivious,
-            |t| proper_at(&t, coloring, depth, target),
-            ctx.sink,
-        );
+        let proper = |t: Triangle| proper_at(&t, coloring, depth, target);
+        ctx.emitted += if in_core {
+            solve_leaf_in_core(&edges, proper, ctx.sink)
+        } else {
+            sort_based_enumeration(&edges, SortKind::Oblivious, proper, ctx.sink)
+        };
         return;
     }
 
@@ -911,8 +831,7 @@ fn process_node(
     // heavy-hitter summary; only the root (and nodes rebuilt from a
     // checkpoint) pay for their own summary scan.
     let summary = inherited.unwrap_or_else(|| HeavyHitters::of_stream(machine, edges.iter()));
-    let (high, truncated) = resolve_high_degree(machine, &summary, e_here, || edges.iter());
-    ctx.high_degree_truncations += u64::from(truncated);
+    let high = resolve_high_degree(machine, &summary, e_here, || edges.iter());
 
     let mut current = edges;
     let mut removed = removed;
@@ -941,13 +860,12 @@ fn process_node(
 
     // ---- Steps 2–3: all eight children in one routing scan (this node's
     // own partition sweep), child degree summaries fed en passant. ----
-    ctx.partition_sweeps += 1;
+    ctx.stats.partition_sweeps += 1;
     let (c0, c1, c2) = target;
     let children = child_vectors(target);
-    // The summaries stay resident until the last child consumes its own, so
-    // the lease must span the whole subtree below this node: it rides the
-    // stack as a Release frame underneath the eight children.
-    let summary_lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
+    // The scan fills all eight summaries at once; afterwards each child
+    // carries its own summary and lease.
+    let scan_lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
     let mut summaries: [HeavyHitters; CHILDREN] = Default::default();
     let buckets = {
         let summaries = &mut summaries;
@@ -978,21 +896,21 @@ fn process_node(
         })
     };
     drop(current);
+    drop(scan_lease);
 
-    stack.push(Frame::Release(summary_lease));
     for ((bucket, &child_target), summary) in buckets
         .into_iter()
         .zip(children.iter())
         .zip(summaries)
         .rev()
     {
-        stack.push(Frame::Node(Box::new(PendingNode {
+        stack.push(PendingNode {
             edges: bucket,
-            summary: Some(summary),
+            summary: Some((summary, machine.gauge().lease(HeavyHitters::WORDS))),
             target: child_target,
             depth: depth + 1,
             removed: removed.clone(),
-        })));
+        });
     }
 }
 
@@ -1052,7 +970,6 @@ mod tests {
                 assert_eq!(got, expected, "seed {seed}, cap {cap:?}");
                 assert!(stats.subproblems > 1);
                 assert!(stats.max_depth <= cap.unwrap_or(usize::MAX));
-                assert_eq!(stats.high_degree_truncations, 0);
             }
         }
     }
@@ -1184,16 +1101,15 @@ mod tests {
             summary.possible_high(e_here).contains(&1000),
             "the hub must be tracked"
         );
-        let (high, truncated) = resolve_high_degree(&machine, &summary, e_here, || v.iter());
+        let high = resolve_high_degree(&machine, &summary, e_here, || v.iter());
         assert_eq!(high, vec![1000]);
-        assert!(!truncated);
 
         // Remove the hub: no candidate survives the error-adjusted bar, so
         // the set resolves empty (and in the common case without any scan).
         let quiet: Vec<Edge> = edges.iter().copied().filter(|e| e.u != 1000).collect();
         let vq = ExtVec::from_slice(&machine, &quiet);
         let sq = HeavyHitters::of_stream(&machine, vq.iter());
-        let (high, _) = resolve_high_degree(&machine, &sq, quiet.len(), || vq.iter());
+        let high = resolve_high_degree(&machine, &sq, quiet.len(), || vq.iter());
         assert!(high.is_empty());
     }
 
@@ -1245,30 +1161,24 @@ mod tests {
         assert!(g.edge_count() <= BASE_CASE_EDGES);
         let (got, _, stats) = run(&g, EmConfig::new(256, 32), 5);
         assert_eq!(got, 560); // C(16, 3)
-        assert_eq!(stats.high_degree_truncations, 0);
         assert_eq!((stats.subproblems, stats.partition_sweeps), (1, 0));
 
         // Step 1 itself, driven directly on the K16 edge list: all 16
-        // vertices resolve as high-degree without truncation, and the
+        // vertices resolve as high-degree — the full summary — and the
         // Lemma 1 passes in ascending vertex order emit every triangle, each
         // through its smallest vertex i, C(15 − i, 2) of them.
         let machine = Machine::new(EmConfig::new(256, 32));
         let edges = ExtVec::from_slice(&machine, g.edges());
         let summary = HeavyHitters::of_stream(&machine, edges.iter());
-        let (high, truncated) =
-            resolve_high_degree(&machine, &summary, edges.len(), || edges.iter());
+        let high = resolve_high_degree(&machine, &summary, edges.len(), || edges.iter());
         assert_eq!(high, (0..16).collect::<Vec<VertexId>>());
-        assert!(!truncated);
         let mut sink = crate::sink::CollectingSink::new();
         let mut shard = ShardCursor::solo();
         let mut ctx = CoContext {
             sink: &mut sink,
             emitted: 0,
             depth_limit: 0,
-            subproblems: 0,
-            max_depth: 0,
-            high_degree_truncations: 0,
-            partition_sweeps: 0,
+            stats: CacheObliviousStats::default(),
             shard: &mut shard,
         };
         let coloring = RefinedColoring::identity();
@@ -1325,28 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn high_degree_selection_keeps_the_invariant_under_overflow() {
-        // Within the invariant: all candidates kept, ascending.
-        let ok: Vec<(VertexId, usize)> = (0..16u32).map(|v| (v, 100 - v as usize)).collect();
-        let (high, truncated) = select_local_high_degree(ok);
-        assert!(!truncated);
-        assert_eq!(high, (0..16u32).collect::<Vec<_>>());
-
-        // Beyond it (only reachable if the degree accounting drifts): the 16
-        // highest-degree candidates survive, ties broken by id, result sorted.
-        let overflow: Vec<(VertexId, usize)> =
-            (0..20u32).map(|v| (v, 1000 - 10 * v as usize)).collect();
-        let (high, truncated) = select_local_high_degree(overflow);
-        assert!(truncated);
-        assert_eq!(high, (0..16u32).collect::<Vec<_>>());
-
-        let tied: Vec<(VertexId, usize)> = (0..18u32).rev().map(|v| (v, 7)).collect();
-        let (high, truncated) = select_local_high_degree(tied);
-        assert!(truncated);
-        assert_eq!(high, (0..16u32).collect::<Vec<_>>(), "ties broken by id");
-    }
-
-    #[test]
     fn checkpointed_run_is_bit_identical_to_a_plain_run() {
         // Arming checkpoints must not change the emission sequence, the I/O
         // count or the work count — the periodic snapshot is pure
@@ -1388,6 +1276,44 @@ mod tests {
         let ck = Checkpoint::load(&spec.path).expect("a checkpoint was written");
         assert_eq!(ck.seed, 9);
         assert_eq!(ck.edges, 1600);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn live_checkpoint_lists_only_pending_nodes_and_round_trips() {
+        let g = generators::erdos_renyi(200, 1600, 21);
+        let machine = Machine::new(EmConfig::new(512, 32));
+        let eg = ExtGraph::load(&machine, &g);
+        let dir = std::env::temp_dir().join(format!("trienum-ckpt-live-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = CheckpointSpec {
+            path: dir.join("ckpt.json"),
+            interval_io: 40,
+        };
+        let mut sink = StrictSink::new();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let recovery = Recovery {
+            spec: Some(&spec),
+            resume: None,
+        };
+        let _ = run_cache_oblivious(
+            &eg,
+            9,
+            &mut sink,
+            &mut rec,
+            &mut ShardCursor::solo(),
+            recovery,
+        );
+        let text = std::fs::read_to_string(&spec.path).expect("a checkpoint was written");
+        let ck = Checkpoint::parse(&text).unwrap();
+        assert_eq!(ck.version, CHECKPOINT_VERSION);
+        assert!(!ck.frontier.is_empty(), "a checkpoint lands between nodes");
+        // Depth-first: deeper pending nodes sit above shallower ones.
+        assert!(ck.frontier.windows(2).all(|w| w[0].depth <= w[1].depth));
+        assert!(ck.frontier.iter().all(|n| n.depth <= ck.depth_limit));
+        assert!(!text.contains("release"), "only node entries: {text}");
+        assert_eq!(ck.to_json(), text);
+        assert_eq!(Checkpoint::parse(&ck.to_json()).unwrap(), ck);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,8 +5,10 @@
 //! parameters (`seed`, root edge count, depth limit — the colour-refinement
 //! tree is a pure function of these), the sink's high-water mark (triangles
 //! durably committed so far) and the stack frontier (one compact descriptor
-//! per pending subproblem). No other state spans subproblems: an oversized
-//! depth-limit leaf is closed before the next boundary.
+//! per pending subproblem — the stack holds nothing else). No other state
+//! spans subproblems: an oversized depth-limit leaf is closed before the
+//! next boundary, and a pending node's heavy-hitter summary is not persisted
+//! (a resumed node rebuilds it with one scan).
 //!
 //! A pending subproblem's *edge list* is deliberately **not** serialised.
 //! Colour-vector compatibility is hereditary (an edge compatible with a
@@ -62,24 +64,10 @@ pub struct NodeDescriptor {
     pub removed: Vec<u32>,
 }
 
-/// One frame of the serialised driver stack, bottom-to-top.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameDescriptor {
-    /// A pending subproblem.
-    Node(NodeDescriptor),
-    /// A gauge-lease marker: the ancestor's child-summary lease of `words`
-    /// words, released when the subtree below it completes. Restored on
-    /// resume so post-resume gauge accounting matches the crashed run's.
-    Release {
-        /// Leased words.
-        words: u64,
-    },
-}
-
 /// A complete, resumable snapshot of a cache-oblivious run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version (current: 2).
+    /// Format version (current: 3).
     pub version: u32,
     /// Seed of the per-level refinement bits.
     pub seed: u64,
@@ -90,13 +78,15 @@ pub struct Checkpoint {
     /// Triangles durably committed when this checkpoint was taken — the
     /// sink's high-water mark. Resume restarts emission numbering here.
     pub hwm: u64,
-    /// The driver stack, bottom-to-top.
-    pub frontier: Vec<FrameDescriptor>,
+    /// The pending subproblems of the driver stack, bottom-to-top.
+    pub frontier: Vec<NodeDescriptor>,
 }
 
 /// Current checkpoint format version. Version 1 also carried a log of
-/// batched oversized leaves; it is rejected, not migrated.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// batched oversized leaves, and versions 1 and 2 interleaved gauge-lease
+/// markers (`release` entries) with the nodes of the frontier; both are
+/// rejected, not migrated.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 impl Checkpoint {
     /// Serialises the checkpoint as flat JSON.
@@ -107,17 +97,12 @@ impl Checkpoint {
             self.version, self.seed, self.edges, self.depth_limit, self.hwm
         ));
         out.push_str("  \"frontier\": [");
-        for (i, frame) in self.frontier.iter().enumerate() {
+        for (i, node) in self.frontier.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    ");
-            match frame {
-                FrameDescriptor::Node(node) => out.push_str(&node_json(node)),
-                FrameDescriptor::Release { words } => {
-                    out.push_str(&format!("{{\"kind\": \"release\", \"words\": {words}}}"));
-                }
-            }
+            out.push_str(&node_json(node));
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -143,17 +128,12 @@ impl Checkpoint {
             .map_err(|_| "field 'edges' out of range".to_string())?;
         let depth_limit = usize::try_from(get_u64(obj, "depth_limit")?)
             .map_err(|_| "field 'depth_limit' out of range".to_string())?;
-        let mut frontier = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-        for frame in get(obj, "frontier")?.as_array("frontier")? {
-            let fobj = frame.as_object("frontier entry")?;
-            if matches!(lookup(fobj, "kind"), Some(Json::Str(k)) if k == "release") {
-                frontier.push(FrameDescriptor::Release {
-                    words: get_u64(fobj, "words")?,
-                });
-            } else {
-                frontier.push(FrameDescriptor::Node(parse_node(fobj)?));
-            }
-        }
+        // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
+        let frontier = get(obj, "frontier")?
+            .as_array("frontier")?
+            .iter()
+            .map(|node| parse_node(node.as_object("frontier entry")?))
+            .collect::<Result<_, _>>()?;
         Ok(Checkpoint {
             version,
             seed: get_u64(obj, "seed")?,
@@ -189,7 +169,7 @@ fn node_json(node: &NodeDescriptor) -> String {
     }
     let (c0, c1, c2) = node.target;
     format!(
-        "{{\"kind\": \"node\", \"depth\": {}, \"target\": [{c0}, {c1}, {c2}], \"removed\": [{removed}]}}",
+        "{{\"depth\": {}, \"target\": [{c0}, {c1}, {c2}], \"removed\": [{removed}]}}",
         node.depth
     )
 }
@@ -237,14 +217,18 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 // ---------------------------------------------------------------------------
 // A minimal recursive-descent JSON reader: just enough for the checkpoint
-// format (objects, arrays, unsigned integers, plain strings). Kept here so
-// the core crate stays free of serialisation dependencies.
+// format (objects, arrays, unsigned integers) and for older versions' plain
+// string values, so that such a file parses far enough to be rejected by its
+// version. Kept here so the core crate stays free of serialisation
+// dependencies.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
     Num(u64),
-    Str(String),
+    /// A string value; only older versions wrote them (`kind` tags), and
+    /// their text is never needed.
+    Str,
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
 }
@@ -283,12 +267,11 @@ impl Json {
     }
 }
 
-fn lookup<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    lookup(obj, key).ok_or_else(|| format!("missing field '{key}'"))
+    obj.iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("missing field '{key}'"))
 }
 
 fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
@@ -306,7 +289,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     match bytes.get(*pos) {
         Some(b'{') => parse_object(bytes, pos),
         Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(bytes, pos).map(|_| Json::Str),
         Some(c) if c.is_ascii_digit() => parse_number(bytes, pos),
         Some(c) => Err(format!("unexpected byte '{}' at {}", *c as char, *pos)),
         None => Err("unexpected end of input".to_string()),
@@ -411,17 +394,16 @@ mod tests {
             depth_limit: 6,
             hwm: 123,
             frontier: vec![
-                FrameDescriptor::Node(NodeDescriptor {
-                    depth: 0,
-                    target: (1, 1, 1),
+                NodeDescriptor {
+                    depth: 1,
+                    target: (1, 1, 2),
                     removed: vec![],
-                }),
-                FrameDescriptor::Release { words: 264 },
-                FrameDescriptor::Node(NodeDescriptor {
+                },
+                NodeDescriptor {
                     depth: 2,
                     target: (3, 4, 4),
                     removed: vec![5, 17, 99],
-                }),
+                },
             ],
         }
     }
@@ -452,10 +434,11 @@ mod tests {
         let truncated = &json[..json.len() / 2];
         assert!(Checkpoint::parse(truncated).is_err());
         assert!(Checkpoint::parse("").is_err());
-        assert!(Checkpoint::parse("{\"version\": 2}")
+        assert!(Checkpoint::parse("{\"version\": 3}")
             .unwrap_err()
             .contains("missing field"));
-        let wrong_version = json.replace("\"version\": 2", "\"version\": 9");
+        let wrong_version = json.replace("\"version\": 3", "\"version\": 9");
+        assert_ne!(wrong_version, json);
         assert!(Checkpoint::parse(&wrong_version)
             .unwrap_err()
             .contains("version"));
@@ -495,6 +478,29 @@ mod tests {
         let err = Checkpoint::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_2_documents_with_release_entries_are_rejected() {
+        // The sample as version 2 wrote it: tagged node entries with the
+        // parent's summary lease as a `release` entry between them.
+        let v2 = r#"{
+  "version": 2,
+  "seed": 7,
+  "edges": 2000,
+  "depth_limit": 6,
+  "hwm": 123,
+  "frontier": [
+    {"kind": "node", "depth": 1, "target": [1, 1, 2], "removed": []},
+    {"kind": "release", "words": 264},
+    {"kind": "node", "depth": 2, "target": [3, 4, 4], "removed": [5, 17, 99]}
+  ]
+}
+"#;
+        assert_eq!(
+            Checkpoint::parse(v2).unwrap_err(),
+            "unsupported checkpoint version 2 (expected 3)"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! fixed `M/5 ≥ M/8` divisor. In-core peak while scanning is ≤ `M` words
 //! (the loader's transient probe buffers reach `M + 5·M/16` for a moment
 //! between increments), within the `1.5·M` envelope the gauge tests
-//! assert. [`ChunkPolicy::FixedDivisor`] keeps the published behaviour —
+//! assert. [`ChunkPolicy::Fixed`] keeps the published behaviour —
 //! it is what the Hu–Tao–Chung baseline runs (its iteration structure is
 //! part of the algorithm being compared against) and what the equivalence
 //! tests pin the adaptive policy bit-identical to.
@@ -54,8 +54,8 @@
 //! Two entry points share the machinery:
 //!
 //! * [`enumerate_with_pivots`] — the literal lemma (one edge set, one pivot
-//!   set, an arbitrary triangle filter). Applied with `E' = E` and the fixed
-//!   policy it is the Hu–Tao–Chung baseline the paper improves upon.
+//!   set). Applied with `E' = E` and the fixed policy it is the
+//!   Hu–Tao–Chung baseline the paper improves upon.
 //! * [`enumerate_multi_cone`] — the pivot-grouped form used by step 3 of the
 //!   cache-aware algorithms: the pivot chunk and its indexes are built
 //!   **once** per chunk and then every cone colour's (one or two) class
@@ -87,18 +87,15 @@ pub(crate) enum ChunkPolicy {
     /// with. See the module docs.
     #[default]
     Adaptive,
-    /// Load exactly `M/divisor` pivot edges per chunk and stream full edge
-    /// sets against it — the published Hu–Tao–Chung iteration structure.
-    FixedDivisor(usize),
+    /// The iteration structure of the SIGMOD 2013 baseline as published:
+    /// exactly `M/`[`CHUNK_DIVISOR`] pivot edges per chunk, full edge sets
+    /// streamed against it, no pruning. The baseline must keep running
+    /// this — its constants are part of the algorithm the paper's
+    /// improvement factor is measured against.
+    Fixed,
 }
 
 impl ChunkPolicy {
-    /// The iteration structure of the SIGMOD 2013 baseline as published:
-    /// fixed `αM` chunks, no pruning. The baseline must keep running this —
-    /// its constants are part of the algorithm the paper's improvement
-    /// factor is measured against.
-    pub(crate) const PUBLISHED_BASELINE: ChunkPolicy = ChunkPolicy::FixedDivisor(CHUNK_DIVISOR);
-
     /// Whether this policy narrows cone scans by the chunk endpoint range.
     fn prunes(&self) -> bool {
         matches!(self, ChunkPolicy::Adaptive)
@@ -195,7 +192,9 @@ impl PivotChunk {
     /// with memory budget `mem_words`, returning the chunk, its gauge lease
     /// (chunk words plus endpoint words) and the exclusive end index of the
     /// consumed pivot range. `start` must be in range (the chunk always
-    /// takes at least one edge).
+    /// takes at least one edge), and `pivots` must be sorted by `(u, v)`:
+    /// the adjacency runs and the pruning bound read the chunk in that
+    /// order, and every caller hands over a sorted view.
     fn load(
         machine: &Machine,
         pivots: &ExtSlice<'_, Edge>,
@@ -203,14 +202,19 @@ impl PivotChunk {
         mem_words: usize,
         policy: ChunkPolicy,
     ) -> (Self, MemLease, usize) {
-        match policy {
-            ChunkPolicy::FixedDivisor(divisor) => {
-                let end = (start + (mem_words / divisor.max(1)).max(1)).min(pivots.len());
+        let loaded = match policy {
+            ChunkPolicy::Fixed => {
+                let end = (start + (mem_words / CHUNK_DIVISOR).max(1)).min(pivots.len());
                 let (chunk, lease) = Self::load_fixed(machine, pivots, start, end);
                 (chunk, lease, end)
             }
             ChunkPolicy::Adaptive => Self::load_adaptive(machine, pivots, start, mem_words),
-        }
+        };
+        debug_assert!(
+            loaded.0.edges.is_sorted(),
+            "pivot chunks must be (u, v)-sorted"
+        );
+        loaded
     }
 
     /// Loads pivot edges `[start, end)` of `pivots` and builds the indexes —
@@ -224,15 +228,8 @@ impl PivotChunk {
         // Lease the chunk *before* materialising it so the words are on the
         // gauge while the buffer is live (flow-soundness, lint rule R5).
         let mut lease = machine.gauge().lease((end - start) as u64);
-        let mut edges: Vec<Edge> = pivots.slice(start, end).load();
+        let edges: Vec<Edge> = pivots.slice(start, end).load();
         machine.work(edges.len() as u64);
-        if !edges.is_sorted() {
-            // Callers normally hand over sorted ranges; the lemma itself
-            // only requires a set, so establish the order locally.
-            machine.work(edges.len() as u64 * (usize::BITS - edges.len().leading_zeros()) as u64);
-            // emlint: charge(work, edges.len() as u64 * (usize::BITS - edges.len().leading_zeros()) as u64)
-            edges.sort_unstable();
-        }
         let endpoints = endpoints_of(machine, &edges);
         lease.grow(endpoints.len() as u64);
         (Self { edges, endpoints }, lease)
@@ -266,11 +263,6 @@ impl PivotChunk {
             let take = step.min(pivots.len() - end);
             let mut inc: Vec<Edge> = pivots.slice(end, end + take).load();
             machine.work(take as u64);
-            if !inc.is_sorted() {
-                machine.work(inc.len() as u64 * (usize::BITS - inc.len().leading_zeros()) as u64);
-                // emlint: charge(work, inc.len() as u64 * (usize::BITS - inc.len().leading_zeros()) as u64)
-                inc.sort_unstable();
-            }
             let inc_eps = endpoints_of(machine, &inc);
             // Probe footprint: committed chunk + increment + its endpoints
             // + the merged endpoint candidate, all simultaneously in core.
@@ -295,14 +287,6 @@ impl PivotChunk {
                 // must make progress) but stop growing.
                 break;
             }
-        }
-
-        if !edges.is_sorted() {
-            // Increments are sorted individually; an unsorted pivot *set*
-            // (allowed by the lemma) needs one final local sort.
-            machine.work(edges.len() as u64 * (usize::BITS - edges.len().leading_zeros()) as u64);
-            // emlint: charge(work, edges.len() as u64 * (usize::BITS - edges.len().leading_zeros()) as u64)
-            edges.sort_unstable();
         }
         (Self { edges, endpoints }, lease, end)
     }
@@ -330,7 +314,7 @@ impl PivotChunk {
 }
 
 /// Closes every triangle `{v} ∪ {u, w}` with `{u, w}` a chunk pivot and
-/// `u, w ∈ Γ_v`, forwarding those passing `filter` to `sink`. `gamma_v` is
+/// `u, w ∈ Γ_v`, forwarding them to `sink`. `gamma_v` is
 /// sorted ascending (the scan produces it in `(u, v)` order), so the inner
 /// membership probe is a binary search.
 fn close_group(
@@ -338,7 +322,6 @@ fn close_group(
     chunk: &PivotChunk,
     v: VertexId,
     gamma_v: &[VertexId],
-    filter: &mut dyn FnMut(Triangle) -> bool,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
     if gamma_v.len() < 2 {
@@ -352,11 +335,8 @@ fn close_group(
                 // All three edges are memory-resident at this point: {u,w}
                 // is in the pivot chunk, and {v,u}, {v,w} were just read
                 // while building Γ_v.
-                let t = Triangle::new(v, u, w);
-                if filter(t) {
-                    sink.emit(t);
-                    emitted += 1;
-                }
+                sink.emit(Triangle::new(v, u, w));
+                emitted += 1;
             }
         }
     }
@@ -376,7 +356,6 @@ fn scan_against_chunk(
     machine: &Machine,
     chunk: &PivotChunk,
     edges: impl Iterator<Item = Edge>,
-    filter: &mut dyn FnMut(Triangle) -> bool,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
     let mut emitted = 0u64;
@@ -393,7 +372,7 @@ fn scan_against_chunk(
         );
         if current_v != Some(e.u) {
             if let Some(v) = current_v {
-                emitted += close_group(machine, chunk, v, &gamma_v, filter, sink);
+                emitted += close_group(machine, chunk, v, &gamma_v, sink);
             }
             // `clear` keeps the capacity; the lease keeps covering it.
             gamma_v.clear();
@@ -406,24 +385,23 @@ fn scan_against_chunk(
         }
     }
     if let Some(v) = current_v {
-        emitted += close_group(machine, chunk, v, &gamma_v, filter, sink);
+        emitted += close_group(machine, chunk, v, &gamma_v, sink);
     }
     emitted
 }
 
 /// Enumerates every triangle of `edge_set` whose pivot edge belongs to
-/// `pivots`, filtered by `filter`, and returns the number emitted.
+/// `pivots`, and returns the number emitted.
 ///
 /// Requirements (all established by the callers):
 /// * `edge_set` is canonical and sorted lexicographically;
-/// * `pivots ⊆ edge_set` (as a set);
+/// * `pivots ⊆ edge_set`, sorted lexicographically too;
 /// * `mem_words` is the internal-memory budget `M` in words.
 pub(crate) fn enumerate_with_pivots(
     edge_set: &ExtVec<Edge>,
     pivots: &ExtVec<Edge>,
     mem_words: usize,
     policy: ChunkPolicy,
-    mut filter: impl FnMut(Triangle) -> bool,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
     let machine: Machine = edge_set.machine().clone();
@@ -445,7 +423,7 @@ pub(crate) fn enumerate_with_pivots(
         } else {
             edge_set.as_slice()
         };
-        emitted += scan_against_chunk(&machine, &chunk, scan.iter(), &mut filter, sink);
+        emitted += scan_against_chunk(&machine, &chunk, scan.iter(), sink);
         start = end;
     }
     emitted
@@ -476,7 +454,6 @@ pub(crate) fn enumerate_multi_cone(
 ) -> Lemma2Stats {
     let machine: Machine = pivots.machine().clone();
     let mut stats = Lemma2Stats::default();
-    let mut keep_all = |_: Triangle| true;
 
     let mut start = 0usize;
     while start < pivots.len() {
@@ -499,7 +476,7 @@ pub(crate) fn enumerate_multi_cone(
                 })
                 .collect();
             let merged = emalgo::kway_merge(&machine, cursors, |e: &Edge| (e.u, e.v));
-            stats.emitted += scan_against_chunk(&machine, &chunk, merged, &mut keep_all, sink);
+            stats.emitted += scan_against_chunk(&machine, &chunk, merged, sink);
         }
         start = end;
     }
@@ -520,8 +497,7 @@ mod tests {
         ExtVec::from_slice(machine, &edges)
     }
 
-    const BOTH_POLICIES: [ChunkPolicy; 2] =
-        [ChunkPolicy::Adaptive, ChunkPolicy::PUBLISHED_BASELINE];
+    const BOTH_POLICIES: [ChunkPolicy; 2] = [ChunkPolicy::Adaptive, ChunkPolicy::Fixed];
 
     #[test]
     fn with_all_edges_as_pivots_enumerates_every_triangle_exactly_once() {
@@ -531,7 +507,7 @@ mod tests {
                 let machine = Machine::new(EmConfig::new(1 << 10, 64));
                 let edges = canonical_ext(&g, &machine);
                 let mut sink = StrictSink::new();
-                let n = enumerate_with_pivots(&edges, &edges, 1 << 10, policy, |_| true, &mut sink);
+                let n = enumerate_with_pivots(&edges, &edges, 1 << 10, policy, &mut sink);
                 assert_eq!(n, naive::count_triangles(&g), "seed {seed} {policy:?}");
                 assert_eq!(sink.len() as u64, n);
             }
@@ -551,7 +527,7 @@ mod tests {
             let pivots_vec: Vec<Edge> = g.edges().iter().copied().filter(|e| e.v == 7).collect();
             let pivots = ExtVec::from_slice(&machine, &pivots_vec);
             let mut sink = CollectingSink::new();
-            let n = enumerate_with_pivots(&edges, &pivots, 1 << 10, policy, |_| true, &mut sink);
+            let n = enumerate_with_pivots(&edges, &pivots, 1 << 10, policy, &mut sink);
             assert_eq!(n, 21, "{policy:?}");
             assert!(sink.triangles().iter().all(|t| t.c == 7));
         }
@@ -564,42 +540,25 @@ mod tests {
             let machine = Machine::new(EmConfig::new(64, 16)); // M = 64 words!
             let edges = canonical_ext(&g, &machine);
             let mut sink = StrictSink::new();
-            let n = enumerate_with_pivots(&edges, &edges, 64, policy, |_| true, &mut sink);
+            let n = enumerate_with_pivots(&edges, &edges, 64, policy, &mut sink);
             assert_eq!(n, naive::count_triangles(&g), "{policy:?}");
         }
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn filter_is_respected() {
-        for policy in BOTH_POLICIES {
-            let g = generators::clique(6);
-            let machine = Machine::new(EmConfig::new(512, 64));
-            let edges = canonical_ext(&g, &machine);
-            let mut sink = CollectingSink::new();
-            let n = enumerate_with_pivots(&edges, &edges, 512, policy, |t| t.a == 0, &mut sink);
-            // Triangles whose smallest vertex is 0: C(5,2) = 10.
-            assert_eq!(n, 10, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn unsorted_pivot_sets_are_indexed_correctly() {
-        // The lemma only needs the pivot *set*; a caller handing over an
-        // unsorted array must still get every triangle — under both chunk
-        // policies (the pruning bound is per-chunk, so it survives a pivot
-        // array whose chunks are not globally ordered).
-        for policy in BOTH_POLICIES {
-            let g = generators::erdos_renyi(50, 350, 9);
-            let machine = Machine::new(EmConfig::new(1 << 10, 64));
-            let edges = canonical_ext(&g, &machine);
-            let mut shuffled: Vec<Edge> = g.edges().to_vec();
-            shuffled.sort_unstable();
-            shuffled.reverse();
-            let pivots = ExtVec::from_slice(&machine, &shuffled);
-            let mut sink = StrictSink::new();
-            let n = enumerate_with_pivots(&edges, &pivots, 1 << 10, policy, |_| true, &mut sink);
-            assert_eq!(n, naive::count_triangles(&g), "{policy:?}");
-        }
+    #[should_panic(expected = "pivot chunks must be (u, v)-sorted")]
+    fn unsorted_pivot_sets_violate_the_sorted_precondition() {
+        // Every caller hands over a (u, v)-sorted pivot view; a reversed one
+        // trips the precondition instead of being re-sorted in core.
+        let g = generators::erdos_renyi(50, 350, 9);
+        let machine = Machine::new(EmConfig::new(1 << 10, 64));
+        let edges = canonical_ext(&g, &machine);
+        let mut reversed = edges.load_all();
+        reversed.reverse();
+        let pivots = ExtVec::from_slice(&machine, &reversed);
+        let mut sink = CollectingSink::new();
+        enumerate_with_pivots(&edges, &pivots, 1 << 10, ChunkPolicy::Adaptive, &mut sink);
     }
 
     #[test]
@@ -614,7 +573,7 @@ mod tests {
                 machine.cold_cache();
                 let before = machine.io().total();
                 let mut sink = CollectingSink::new();
-                enumerate_with_pivots(&edges, &edges, mem, policy, |_| true, &mut sink);
+                enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
                 machine.io().total() - before
             };
             let small = run(1 << 9);
@@ -635,7 +594,7 @@ mod tests {
             let machine = Machine::new(EmConfig::new(mem, 64));
             let edges = canonical_ext(&g, &machine);
             let mut sink = CollectingSink::new();
-            enumerate_with_pivots(&edges, &edges, mem, policy, |_| true, &mut sink);
+            enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
             // The invariant that the Γ_v lease tracks the buffer's retained
             // capacity (not just its live length) is debug-asserted inside
             // the scan on every edge this test streams; the peak below
@@ -662,7 +621,7 @@ mod tests {
             let edges = canonical_ext(&g, &machine);
             let mut sink = CollectingSink::new();
             assert_eq!(
-                enumerate_with_pivots(&edges, &edges, 512, policy, |_| true, &mut sink),
+                enumerate_with_pivots(&edges, &edges, 512, policy, &mut sink),
                 0,
                 "{policy:?}"
             );
@@ -744,13 +703,8 @@ mod tests {
             })
             .collect();
         let mut sink = CollectingSink::new();
-        let grouped = enumerate_multi_cone(
-            edges.as_slice(),
-            &cones,
-            mem,
-            ChunkPolicy::PUBLISHED_BASELINE,
-            &mut sink,
-        );
+        let grouped =
+            enumerate_multi_cone(edges.as_slice(), &cones, mem, ChunkPolicy::Fixed, &mut sink);
         let grouped_io = machine.io().total() - before;
 
         machine.cold_cache();
@@ -758,14 +712,7 @@ mod tests {
         let mut sink2 = CollectingSink::new();
         let mut repeated = 0;
         for _ in 0..k {
-            repeated += enumerate_with_pivots(
-                &edges,
-                &edges,
-                mem,
-                ChunkPolicy::PUBLISHED_BASELINE,
-                |_| true,
-                &mut sink2,
-            );
+            repeated += enumerate_with_pivots(&edges, &edges, mem, ChunkPolicy::Fixed, &mut sink2);
         }
         let repeated_io = machine.io().total() - before;
 
@@ -798,7 +745,7 @@ mod tests {
             let stats = enumerate_multi_cone(edges.as_slice(), &cones, mem, policy, &mut sink);
             (stats, sink.into_triangles(), machine.io().total() - before)
         };
-        let (fixed, mut t_fixed, io_fixed) = run(ChunkPolicy::PUBLISHED_BASELINE);
+        let (fixed, mut t_fixed, io_fixed) = run(ChunkPolicy::Fixed);
         let (adaptive, mut t_adaptive, io_adaptive) = run(ChunkPolicy::Adaptive);
         assert_eq!(adaptive.emitted, naive::count_triangles(&g));
         assert_eq!(adaptive.emitted, fixed.emitted);
@@ -857,7 +804,7 @@ mod tests {
             edges.as_slice(),
             &cones,
             mem,
-            ChunkPolicy::PUBLISHED_BASELINE,
+            ChunkPolicy::Fixed,
             &mut sink2,
         );
         let fixed_io = machine.io().total() - before;
@@ -893,7 +840,7 @@ mod tests {
                 let edges = canonical_ext(&g, &machine);
                 let mut sink = CollectingSink::new();
                 let plain =
-                    enumerate_with_pivots(&edges, &edges, mem, policy, |_| true, &mut sink);
+                    enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
                 let cones = [ConeClasses { ranges: vec![edges.as_slice()] }];
                 let mut msink = CollectingSink::new();
                 let multi =
@@ -905,7 +852,7 @@ mod tests {
                 (plain, t, multi.emitted, tm)
             };
             let (pa, ta, ma, tma) = run(ChunkPolicy::Adaptive);
-            let (pf, tf, mf, tmf) = run(ChunkPolicy::PUBLISHED_BASELINE);
+            let (pf, tf, mf, tmf) = run(ChunkPolicy::Fixed);
             prop_assert_eq!(pa, pf);
             prop_assert_eq!(ta, tf, "plain-lemma emission multiset diverged");
             prop_assert_eq!(ma, mf);

@@ -381,10 +381,6 @@ pub(crate) fn run_pipeline(
             extra.extend([
                 ("subproblems".into(), stats.subproblems as f64),
                 ("max_recursion_depth".into(), stats.max_depth as f64),
-                (
-                    "high_degree_truncations".into(),
-                    stats.high_degree_truncations as f64,
-                ),
                 ("partition_sweeps".into(), stats.partition_sweeps as f64),
             ]);
             n

@@ -20,8 +20,8 @@
 //!   without materialising it. It is the merge pass of the cache-aware sort
 //!   and the on-the-fly colour-class union of the cache-aware triangle
 //!   algorithms' step 3.
-//! * [`merge_sorted`], [`scan_filter`], [`is_sorted_by_key`], [`dedup_sorted`]
-//!   — scanning utilities with the obvious `O(n/B)` costs.
+//! * [`scan_filter`], [`is_sorted_by_key`] — scanning utilities with the
+//!   obvious `O(n/B)` costs.
 //! * [`scan_partition`] — a **multi-way single-pass partition**: every
 //!   element is classified once and routed to any subset of up to
 //!   [`MAX_PARTITION_BUCKETS`] output buckets in one scan.
@@ -41,8 +41,7 @@ mod partition;
 mod sort;
 
 pub use merge::{
-    dedup_sorted, is_sorted_by_key, kway_merge, kway_merge_tagged, merge_sorted, scan_filter,
-    KWayMerge, KWayMergeTagged,
+    is_sorted_by_key, kway_merge, kway_merge_tagged, scan_filter, KWayMerge, KWayMergeTagged,
 };
 pub use oblivious::oblivious_sort_by_key;
 pub use partition::{scan_partition, MAX_PARTITION_BUCKETS};

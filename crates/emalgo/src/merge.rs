@@ -1,4 +1,4 @@
-//! Scanning utilities: merging, filtering, deduplication.
+//! Scanning utilities: merging and filtering.
 
 use emsim::{ExtVec, Machine, MemLease, Record, ScanReader};
 
@@ -147,22 +147,6 @@ where
     }
 }
 
-/// Merges two arrays that are already sorted by `key` into a new sorted
-/// array, in a single simultaneous scan (`O((|a|+|b|)/B)` I/Os). A thin
-/// materialising wrapper over [`kway_merge`].
-pub fn merge_sorted<T, K, F>(a: &ExtVec<T>, b: &ExtVec<T>, key: F) -> ExtVec<T>
-where
-    T: Record,
-    K: Ord + Copy,
-    F: Fn(&T) -> K,
-{
-    let machine = a.machine().clone();
-    let mut out: ExtVec<T> = ExtVec::new(&machine);
-    // emlint: allow(unleased, reason = "two cursor handles, not a data buffer; the merge itself is charged by kway_merge")
-    out.extend(kway_merge(&machine, vec![a.iter(), b.iter()], key));
-    out
-}
-
 /// Scans `input` and writes the elements satisfying `keep` to a new array
 /// (`O(n/B)` I/Os plus the output volume).
 pub fn scan_filter<T, F>(input: &ExtVec<T>, mut keep: F) -> ExtVec<T>
@@ -203,28 +187,6 @@ where
     true
 }
 
-/// Removes adjacent duplicates (by `key`) from a sorted array in one scan,
-/// returning the deduplicated array.
-pub fn dedup_sorted<T, K, F>(input: &ExtVec<T>, key: F) -> ExtVec<T>
-where
-    T: Record,
-    K: Ord + Copy + PartialEq,
-    F: Fn(&T) -> K,
-{
-    let machine = input.machine().clone();
-    let mut out: ExtVec<T> = ExtVec::new(&machine);
-    let mut prev: Option<K> = None;
-    for x in input.iter() {
-        machine.work(1);
-        let k = key(&x);
-        if prev != Some(k) {
-            out.push(x);
-            prev = Some(k);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,13 +196,17 @@ mod tests {
         Machine::new(EmConfig::new(256, 64))
     }
 
+    /// A two-cursor merge, collected.
+    fn merge2(a: &ExtVec<u64>, b: &ExtVec<u64>) -> Vec<u64> {
+        kway_merge(a.machine(), vec![a.iter(), b.iter()], |x| *x).collect()
+    }
+
     #[test]
     fn merge_interleaves_correctly() {
         let machine = m();
         let a = ExtVec::from_slice(&machine, &[1u64, 3, 5, 7]);
         let b = ExtVec::from_slice(&machine, &[2u64, 2, 6, 8, 10]);
-        let out = merge_sorted(&a, &b, |x| *x).load_all();
-        assert_eq!(out, vec![1, 2, 2, 3, 5, 6, 7, 8, 10]);
+        assert_eq!(merge2(&a, &b), vec![1, 2, 2, 3, 5, 6, 7, 8, 10]);
     }
 
     #[test]
@@ -248,8 +214,8 @@ mod tests {
         let machine = m();
         let a = ExtVec::from_slice(&machine, &[1u64, 2]);
         let b: ExtVec<u64> = ExtVec::new(&machine);
-        assert_eq!(merge_sorted(&a, &b, |x| *x).load_all(), vec![1, 2]);
-        assert_eq!(merge_sorted(&b, &a, |x| *x).load_all(), vec![1, 2]);
+        assert_eq!(merge2(&a, &b), vec![1, 2]);
+        assert_eq!(merge2(&b, &a), vec![1, 2]);
     }
 
     #[test]
@@ -271,13 +237,6 @@ mod tests {
         assert!(!is_sorted_by_key(&unsorted, |x| *x));
         let empty: ExtVec<u64> = ExtVec::new(&machine);
         assert!(is_sorted_by_key(&empty, |x| *x));
-    }
-
-    #[test]
-    fn dedup_removes_adjacent_duplicates() {
-        let machine = m();
-        let v = ExtVec::from_slice(&machine, &[1u64, 1, 1, 2, 3, 3, 9]);
-        assert_eq!(dedup_sorted(&v, |x| *x).load_all(), vec![1, 2, 3, 9]);
     }
 
     #[test]

@@ -299,13 +299,6 @@ impl<T: Record> ExtVec<T> {
         }
     }
 
-    /// Appends every element of `other` (scanning it).
-    pub fn extend_from(&mut self, other: &ExtVec<T>) {
-        for v in other.iter() {
-            self.push(v);
-        }
-    }
-
     /// A zero-copy view of elements `[start, end)` — no blocks are touched
     /// until the view is read.
     ///
