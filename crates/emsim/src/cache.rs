@@ -3,16 +3,16 @@
 //! The cache does **not** hold block payloads: it tracks *which* blocks are
 //! resident and *which are dirty*, so that cache misses and dirty evictions
 //! can be charged as read and write I/Os — precisely the quantities the
-//! external-memory model counts. On the in-memory plane the payloads live in
-//! host RAM; on the disk plane the [`crate::BufferPool`] keeps one `B`-word
-//! frame per slot of its own `LruCache`. Both planes therefore run this one
-//! policy, and charged transfer counts are identical on both by
-//! construction (the E11 `DISK_PARITY` gate is the end-to-end witness).
+//! external-memory model counts. The payloads are the machine's buffer
+//! pool's: it keeps one `B`-word frame per slot of its `LruCache`, over
+//! whichever block device the machine runs. Charged transfer counts are
+//! therefore the same on every device (the E11 `DISK_PARITY` gate is the
+//! end-to-end witness).
 //!
 //! # Slots and block handles
 //!
 //! Every resident block occupies a *slot* (an index into the node array,
-//! which on the disk plane is also the frame index). The invariant the rest
+//! which is also the pool's frame index). The invariant the rest
 //! of the crate relies on is: **slot `s` holds key `k` exactly when the map
 //! sends `k` to `s`**. Eviction and [`LruCache::discard`] erase the key from
 //! the slot, and [`LruCache::clear`] drops every slot.
@@ -21,7 +21,7 @@
 //! that held it when the handle was taken. It is *valid* while that slot
 //! still holds that key. What invalidates it is exactly what changes the
 //! slot's key: the block's eviction by other traffic, a `discard` (a freed
-//! segment, or a failed read charge dropping the just-admitted block), and
+//! or truncated segment, or a failed read charge dropping the just-admitted block), and
 //! `clear` (a cold cache). A valid handle re-touches its block by slot — no
 //! hash lookup, and no list splice when the block is already the MRU. That
 //! is the *same* touch a keyed access makes: by the invariant the map lookup
@@ -43,6 +43,11 @@ pub(crate) fn block_key(segment: u32, block: u64) -> BlockKey {
 /// The segment a block key belongs to.
 pub(crate) fn key_segment(key: BlockKey) -> u64 {
     key >> 40
+}
+
+/// The block index of a block key within its segment.
+pub(crate) fn key_block(key: BlockKey) -> u64 {
+    key & ((1 << 40) - 1)
 }
 
 /// A key no block ever has: empty slots and empty handles carry it.
@@ -117,14 +122,17 @@ impl LruCache {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
+    #[cfg(test)]
     pub(crate) fn contains(&self, key: BlockKey) -> bool {
         self.map.contains_key(&key)
     }
@@ -279,26 +287,15 @@ impl LruCache {
         self.nodes[slot as usize].dirty = false;
     }
 
-    /// Write back every dirty resident block, returning how many writes that
-    /// cost, and mark them clean. (Blocks stay resident.)
-    pub(crate) fn flush(&mut self) -> u64 {
-        let dirty = self.dirty_slots();
-        for &slot in &dirty {
-            self.mark_clean(slot);
-        }
-        dirty.len() as u64
-    }
-
-    /// Evict everything (counting dirty write-backs) — used when a run wants
-    /// to start from a cold cache. Every handle becomes invalid.
-    pub(crate) fn clear(&mut self) -> u64 {
-        let writes = self.dirty_slots().len() as u64;
+    /// Evict everything without write-backs (the caller flushes first) —
+    /// used when a run wants to start from a cold cache. Every handle becomes
+    /// invalid.
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-        writes
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -388,12 +385,18 @@ mod tests {
 
     #[test]
     fn flush_writes_each_dirty_block_once() {
+        // The machine's flush: write back each dirty slot, then mark it clean.
         let mut c = LruCache::new(4);
         c.touch(block_key(0, 0), true);
         c.touch(block_key(0, 1), true);
         c.touch(block_key(0, 2), false);
-        assert_eq!(c.flush(), 2);
-        assert_eq!(c.flush(), 0);
+        let dirty = c.dirty_slots();
+        let keys: Vec<_> = dirty.iter().map(|&s| c.key(s)).collect();
+        assert_eq!(keys, [block_key(0, 0), block_key(0, 1)], "LRU-first order");
+        for slot in dirty {
+            c.mark_clean(slot);
+        }
+        assert!(c.dirty_slots().is_empty(), "flushed blocks are clean");
     }
 
     #[test]
@@ -401,8 +404,10 @@ mod tests {
         let mut c = LruCache::new(4);
         c.touch(block_key(0, 0), true);
         c.touch(block_key(0, 1), false);
-        assert_eq!(c.clear(), 1);
+        assert_eq!(c.dirty_slots().len(), 1);
+        c.clear();
         assert_eq!(c.len(), 0);
+        assert!(c.dirty_slots().is_empty());
     }
 
     #[test]

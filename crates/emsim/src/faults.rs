@@ -2,13 +2,15 @@
 //!
 //! A [`FaultPlan`] describes *which* faults to inject — per-mille rates for
 //! transient read errors and torn writes, an optional `CrashAt` kill switch —
-//! and a [`FaultyStorage`] executes the plan. Every decision is a pure
-//! function of `(plan seed, transfer ordinal, direction, attempt number)`,
-//! so the same plan over the same run yields an identical fault trace,
-//! identical retry counts, and an identical crash point: chaos tests are
-//! exactly reproducible.
+//! and every machine's charge lane executes its plan on each charged
+//! transfer. A machine built without a plan runs [`FaultPlan::new`]`(0)`,
+//! which injects nothing and returns before any roll. Every decision is a
+//! pure function of `(plan seed, transfer ordinal, direction, attempt
+//! number)`, so the same plan over the same run yields an identical fault
+//! trace, identical retry counts, and an identical crash point: chaos tests
+//! are exactly reproducible.
 
-use crate::storage::{RetryCost, RetryPolicy, Storage, StorageError, TransferDir};
+use crate::storage::{RetryPolicy, StorageError, TransferDir};
 
 /// What kind of fault fired at one transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,43 +147,30 @@ pub fn silence_simulated_crash_panics() {
     });
 }
 
-/// A [`Storage`] backend injecting the faults of a [`FaultPlan`] and
-/// recording every injected fault in a trace.
-///
-/// The fault schedule *wraps* an arbitrary inner [`Storage`] gate: a
-/// transfer that survives the schedule is forwarded to the inner gate, and
-/// the two layers' retry costs add up. [`FaultyStorage::new`] wraps the
-/// infallible in-memory gate (the common case); [`FaultyStorage::wrapping`]
-/// composes the schedule over any other gate, so faults apply identically
-/// over the in-memory and the real-disk data planes.
-pub struct FaultyStorage {
+/// Retry cost absorbed by one ultimately-successful transfer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RetryCost {
+    /// Failed attempts before the transfer succeeded.
+    pub failed_attempts: u32,
+    /// Simulated backoff work charged for those failures.
+    pub backoff_work: u64,
+}
+
+/// The charge lane's gate: executes a [`FaultPlan`] on each charged
+/// transfer and records every injected fault in a trace.
+pub(crate) struct FaultyStorage {
     plan: FaultPlan,
-    inner: Box<dyn Storage>,
     trace: Vec<FaultEvent>,
 }
 
 impl FaultyStorage {
-    /// Creates a backend executing `plan` over the infallible in-memory
-    /// gate.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self::wrapping(plan, Box::new(crate::storage::MemStorage))
-    }
-
-    /// Creates a backend executing `plan` over an arbitrary inner gate:
-    /// transfers that survive the fault schedule are forwarded to `inner`,
-    /// and retry costs from both layers are summed.
-    pub fn wrapping(plan: FaultPlan, inner: Box<dyn Storage>) -> Self {
+    /// Creates a gate executing `plan`.
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            inner,
             // emlint: allow(unleased, reason = "fault-trace bookkeeping, one entry per injected fault, not a data buffer")
             trace: Vec::new(),
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Deterministic per-attempt roll in `[0, 1000)` for transfer `io`,
@@ -203,10 +192,15 @@ impl FaultyStorage {
         x ^= x >> 31;
         u32::try_from(x % 1000).expect("x % 1000 fits in u32")
     }
-}
 
-impl Storage for FaultyStorage {
-    fn transfer(&mut self, dir: TransferDir, io: u64) -> Result<RetryCost, StorageError> {
+    /// Attempts the transfer with ordinal `io` in direction `dir`: `Ok`
+    /// carries the retry cost absorbed (zero for a clean transfer), `Err` is
+    /// a permanent fault the caller must surface or convert into a crash.
+    pub(crate) fn transfer(
+        &mut self,
+        dir: TransferDir,
+        io: u64,
+    ) -> Result<RetryCost, StorageError> {
         if let Some(crash_at) = self.plan.crash_at {
             if io >= crash_at {
                 self.trace.push(FaultEvent {
@@ -222,7 +216,7 @@ impl Storage for FaultyStorage {
             TransferDir::Write => self.plan.torn_write_per_mille,
         };
         if rate == 0 {
-            return self.inner.transfer(dir, io);
+            return Ok(RetryCost::default());
         }
         let max = self.plan.retry.max_attempts;
         let mut failures = 0u32;
@@ -250,26 +244,15 @@ impl Storage for FaultyStorage {
                 failed_attempts: failures,
             });
         }
-        // The transfer survived the schedule: forward it to the inner gate,
-        // summing both layers' retry costs.
-        let inner_cost = self.inner.transfer(dir, io)?;
         Ok(RetryCost {
-            failed_attempts: failures + inner_cost.failed_attempts,
-            backoff_work: self.plan.retry.backoff_cost(failures) + inner_cost.backoff_work,
+            failed_attempts: failures,
+            backoff_work: self.plan.retry.backoff_cost(failures),
         })
     }
 
-    fn trace(&self) -> &[FaultEvent] {
+    /// The fault events recorded so far.
+    pub(crate) fn trace(&self) -> &[FaultEvent] {
         &self.trace
-    }
-}
-
-impl std::fmt::Debug for FaultyStorage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultyStorage")
-            .field("plan", &self.plan)
-            .field("trace_len", &self.trace.len())
-            .finish()
     }
 }
 
@@ -370,51 +353,6 @@ mod tests {
             }
         }
         assert!(seen_multi, "a 50% rate must produce multi-failure streaks");
-    }
-
-    /// An inner gate that charges a fixed retry cost on every transfer, so
-    /// the wrap test can see both layers' costs being summed.
-    struct Surcharge;
-
-    impl Storage for Surcharge {
-        fn transfer(&mut self, _dir: TransferDir, _io: u64) -> Result<RetryCost, StorageError> {
-            Ok(RetryCost {
-                failed_attempts: 1,
-                backoff_work: 5,
-            })
-        }
-    }
-
-    #[test]
-    fn wrapping_an_inner_gate_sums_both_layers_costs() {
-        let plan = FaultPlan::new(7).with_read_faults(500);
-        let mut plain = FaultyStorage::new(plan);
-        let mut wrapped = FaultyStorage::wrapping(plan, Box::new(Surcharge));
-        for io in 0..500 {
-            match (
-                plain.transfer(TransferDir::Read, io),
-                wrapped.transfer(TransferDir::Read, io),
-            ) {
-                (Ok(p), Ok(w)) => {
-                    assert_eq!(w.failed_attempts, p.failed_attempts + 1);
-                    assert_eq!(w.backoff_work, p.backoff_work + 5);
-                }
-                (p, w) => assert_eq!(p, w, "permanent verdicts are identical"),
-            }
-        }
-        assert_eq!(
-            plain.trace(),
-            wrapped.trace(),
-            "the schedule is independent of the inner gate"
-        );
-    }
-
-    #[test]
-    fn zero_rate_transfers_still_flow_through_the_inner_gate() {
-        let mut s = FaultyStorage::wrapping(FaultPlan::new(0), Box::new(Surcharge));
-        let cost = s.transfer(TransferDir::Write, 0).unwrap();
-        assert_eq!(cost.failed_attempts, 1);
-        assert_eq!(cost.backoff_work, 5);
     }
 
     #[test]

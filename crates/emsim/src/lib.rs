@@ -19,7 +19,7 @@
 //! ## Architecture
 //!
 //! * [`Machine`] — a cheap, clonable handle to the simulated machine. It owns
-//!   the disk segments, the LRU block cache, the [`IoStats`] counters, the
+//!   the disk segments, the buffer pool, the [`IoStats`] counters, the
 //!   [`MemGauge`] tracking in-core working-buffer usage of cache-aware
 //!   algorithms, and a coarse work (RAM-operation) counter.
 //! * [`ExtVec<T>`] — a typed, growable array stored on the simulated disk.
@@ -49,31 +49,28 @@
 //! that its peak gauge usage stays within the configured memory budget, so a
 //! run verifies both the I/O count *and* the memory discipline.
 //!
-//! ## Storage backends and the error taxonomy
+//! ## The machine stack and the error taxonomy
 //!
-//! Underneath the block cache, every *charged* transfer is routed through a
-//! [`Storage`] backend (the *charge gate*). Two gates exist:
+//! Every [`Machine`] is one stack, the model's internal memory over its disk:
 //!
-//! * the infallible in-memory default ([`storage::MemStorage`], what
-//!   [`Machine::new`] installs) — always succeeds at zero cost, so
-//!   fault-free runs account byte-identically to a simulator with no
-//!   storage layer at all;
-//! * [`FaultyStorage`] ([`Machine::with_faults`]) — injects the
-//!   deterministic, seeded faults of a [`FaultPlan`]: transient read
-//!   errors, torn writes, and a `CrashAt(io)` kill switch, recording every
-//!   injected fault in a queryable trace ([`Machine::fault_trace`]). It
-//!   *wraps* an arbitrary inner gate ([`FaultyStorage::wrapping`]), so
-//!   faults compose with either data plane.
+//! * a **charge lane** — the I/O counters and the machine's [`FaultPlan`].
+//!   Every *charged* transfer runs past the plan, which injects
+//!   deterministic, seeded faults: transient read errors, torn writes, and a
+//!   `CrashAt(io)` kill switch, recording every injected fault in a
+//!   queryable trace ([`Machine::fault_trace`]). [`Machine::new`] and
+//!   [`Machine::with_backend`] run an empty plan, which returns before any
+//!   roll, so fault-free runs account exactly as if there were no fault
+//!   layer; [`Machine::with_faults`] takes any plan;
+//! * a **buffer pool** of `M/B` frames of `B` words, which runs the
+//!   simulator's LRU cache, one frame per cache slot;
+//! * a [`BlockDevice`] holding every block that is not resident.
+//!   [`BackendKind`] picks only the device: [`BackendKind::InMemory`] keeps
+//!   each segment's blocks in one host vec; [`BackendKind::Disk`] stores
+//!   them in a real temp file through [`DiskStorage`].
 //!
-//! Orthogonal to the charge gate sits the **data plane**
-//! ([`BackendKind`]): where block *payloads* live. [`BackendKind::InMemory`]
-//! keeps them in host vecs (the pure simulator). [`BackendKind::Disk`]
-//! ([`Machine::with_backend`]) stores them in a real temp file through
-//! [`DiskStorage`], fronted by an explicit [`BufferPool`] of `M/B` frames
-//! that runs the simulator's own LRU cache, one frame per cache slot — so
-//! the charged transfer counts are identical on both planes
-//! (the E11 `DISK_PARITY` gate) while the disk backend performs exactly one
-//! real block read per charged read and one real write per charged write.
+//! The charged transfer counts are therefore identical on both devices (the
+//! E11 `DISK_PARITY` gate), and each device performs exactly one block read
+//! per charged read and one block write per charged write.
 //!
 //! Fault outcomes split into three severities:
 //!
@@ -112,24 +109,19 @@ mod gauge;
 #[cfg(test)]
 mod handle_twin;
 mod machine;
-pub mod pool;
+mod pool;
 mod record;
 mod stats;
 pub mod storage;
 
 pub use config::EmConfig;
 pub use extvec::{ExtSlice, ExtVec, ScanReader};
-pub use faults::{
-    silence_simulated_crash_panics, CrashPoint, FaultEvent, FaultKind, FaultPlan, FaultyStorage,
-};
+pub use faults::{silence_simulated_crash_panics, CrashPoint, FaultEvent, FaultKind, FaultPlan};
 pub use gauge::{MemGauge, MemLease, PhaseSnapshot};
 pub use machine::{BackendKind, Machine};
-pub use pool::{BufferPool, PoolTouch};
 pub use record::Record;
 pub use stats::{IoStats, RunStats, WorkerReport};
-pub use storage::{
-    BlockDevice, DiskCounters, DiskStorage, RetryPolicy, Storage, StorageError, TransferDir,
-};
+pub use storage::{BlockDevice, DiskCounters, DiskStorage, RetryPolicy, StorageError, TransferDir};
 
 #[cfg(test)]
 mod tests {

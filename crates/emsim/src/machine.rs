@@ -1,10 +1,10 @@
 //! The simulated external-memory machine.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use crate::cache::{block_key, key_segment, BlockHandle, LruCache};
+use crate::cache::{block_key, key_segment, BlockHandle};
 use crate::config::EmConfig;
 use crate::faults::{CrashPoint, FaultEvent, FaultPlan, FaultyStorage};
 use crate::gauge::MemGauge;
@@ -12,72 +12,52 @@ use crate::pool::BufferPool;
 use crate::record::Record;
 use crate::stats::{IoStats, RunStats};
 use crate::storage::{
-    BlockDevice, DiskCounters, DiskStorage, MemStorage, Storage, StorageError, TransferDir,
+    BlockDevice, DiskCounters, DiskStorage, MemDevice, StorageError, TransferDir,
 };
 
-/// Which data plane a machine runs on: where block *payloads* live.
+/// Which block device a machine's buffer pool runs over: where the blocks
+/// that are not resident live.
 ///
-/// Orthogonal to the charge gate (the [`Storage`] backend deciding
-/// per-transfer success and faults): a machine combines one of each, so
-/// fault plans compose with either plane.
+/// Every machine is the same stack otherwise — a charge lane executing its
+/// fault plan, then a buffer pool of `M/B` frames running the simulator's
+/// LRU cache — so charged transfer counts are identical on both devices,
+/// and each device sees exactly one block read per charged read and one
+/// block write per charged write.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The pure simulator: payloads live in host vecs, the LRU cache tracks
-    /// residency, nothing touches a file.
+    /// The pure simulator: each segment's blocks live in one host vec,
+    /// dropped when the segment is freed; nothing touches a file.
     #[default]
     InMemory,
-    /// Genuinely out-of-core: payloads live in a real temp file through
-    /// [`DiskStorage`], fronted by a [`BufferPool`] of `M/B` frames that
-    /// runs the simulator's own LRU cache — charged transfer counts are
-    /// identical on both planes by construction, and the device sees
-    /// exactly one real read per charged read and one real write per
-    /// charged write.
+    /// Genuinely out-of-core: blocks live in a real temp file through
+    /// [`DiskStorage`].
     Disk,
 }
 
 struct Segment {
-    /// Payload words — only populated on the in-memory plane (on disk the
-    /// payloads live in the buffer pool and the backing file).
-    words: Vec<u64>,
-    /// Logical length in words, maintained on both planes.
+    /// Logical length in words.
     len: usize,
     live: bool,
 }
 
-/// Where block payloads live, each variant with its residency tracking: the
-/// in-memory plane's [`LruCache`], or the buffer pool that runs the same
-/// `LruCache` over real frames. The charge accounting never looks inside:
-/// both variants drive the same policy and the same charge points.
-/// (Boxed: the disk plane is ~300 bytes of pool + device state, and the
-/// common in-memory variant should not pay for it.)
-enum DataPlane {
-    Mem(LruCache),
-    Disk(Box<DiskPlane>),
-}
-
-struct DiskPlane {
-    pool: BufferPool,
-    dev: DiskStorage,
-}
-
-/// The charge-accounting lane: the counters plus the [`Storage`] gate every
-/// charged transfer routes through. Split from [`MachineInner`] so the disk
-/// plane can charge transfers while holding borrows into the data plane.
+/// The charge-accounting lane: the counters plus the fault plan every
+/// charged transfer runs past. Split from [`MachineInner`] so the machine
+/// can charge transfers while holding borrows into the pool.
 struct ChargeLane {
     io: IoStats,
     work: u64,
-    storage: Box<dyn Storage>,
+    faults: FaultyStorage,
     /// 0-based count of *logical* charged transfers (retries excluded):
-    /// the ordinal stream fed to the storage backend, and the coordinate
-    /// system of `CrashAt` kill switches.
+    /// the ordinal stream fed to the fault plan, and the coordinate system
+    /// of `CrashAt` kill switches.
     transfers: u64,
     retry_io: u64,
     retry_work: u64,
 }
 
 impl ChargeLane {
-    /// Routes one charged block transfer through the storage backend, then
-    /// bumps the direction counter plus any absorbed retry cost.
+    /// Runs one charged block transfer past the fault plan, then bumps the
+    /// direction counter plus any absorbed retry cost.
     ///
     /// A `Crashed` verdict becomes a panic carrying a [`CrashPoint`] — the
     /// simulation of the process dying mid-transfer. Other permanent faults
@@ -86,7 +66,7 @@ impl ChargeLane {
     fn charge(&mut self, dir: TransferDir) -> Result<(), StorageError> {
         let ordinal = self.transfers;
         self.transfers += 1;
-        let cost = match self.storage.transfer(dir, ordinal) {
+        let cost = match self.faults.transfer(dir, ordinal) {
             Ok(cost) => cost,
             Err(StorageError::Crashed { io }) => std::panic::panic_any(CrashPoint { io }),
             Err(permanent) => return Err(permanent),
@@ -109,7 +89,8 @@ struct MachineInner {
     config: EmConfig,
     segments: Vec<Segment>,
     free_segments: Vec<u32>,
-    data: DataPlane,
+    pool: BufferPool,
+    dev: Box<dyn BlockDevice>,
     lane: ChargeLane,
     disk_words: u64,
     peak_disk_words: u64,
@@ -137,14 +118,9 @@ impl MachineInner {
         // charges nothing, so that is the whole touch.
         if key_segment(hint.key) == u64::from(seg)
             && idx.wrapping_sub(hint.first) < self.config.block_words
+            && self.pool.retouch(hint, write)
         {
-            let held = match &mut self.data {
-                DataPlane::Mem(cache) => cache.retouch(hint, write),
-                DataPlane::Disk(plane) => plane.pool.retouch(hint, write),
-            };
-            if held {
-                return Ok((hint.slot, hint.first));
-            }
+            return Ok((hint.slot, hint.first));
         }
         self.touch_by_key(seg, idx, write, hint)
     }
@@ -162,23 +138,16 @@ impl MachineInner {
         let block = idx / block_words;
         let (key, first) = (block_key(seg, block as u64), block * block_words);
         let fresh = write && idx == first && idx == self.segments[seg as usize].len;
-        let touch = match &mut self.data {
-            DataPlane::Mem(cache) => cache.touch_with(hint, key, write),
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                pool.touch_with(hint, key, write, fresh, dev)
-            }
-        };
+        let touch = self
+            .pool
+            .touch_with(hint, key, write, fresh, self.dev.as_mut());
         hint.first = first;
         if touch.miss && !fresh {
             if let Err(e) = self.lane.charge(TransferDir::Read) {
-                // The block never arrived: drop the just-admitted entry (on
-                // disk, its frame) so a retry faces, and is charged for, a
-                // real miss. The block is still intact on the device.
-                match &mut self.data {
-                    DataPlane::Mem(cache) => cache.discard(key),
-                    DataPlane::Disk(plane) => plane.pool.discard(key),
-                }
+                // The block never arrived: drop the just-admitted frame so a
+                // retry faces, and is charged for, a real miss. The block is
+                // still intact on the device.
+                self.pool.discard(key);
                 return Err(e);
             }
         }
@@ -188,22 +157,30 @@ impl MachineInner {
         Ok((touch.slot, first))
     }
 
-    /// Words `range` of segment `seg`, whose block starting at word `first`
-    /// sits in slot `slot`.
-    fn words(&self, seg: u32, slot: u32, first: usize, range: std::ops::Range<usize>) -> &[u64] {
-        match &self.data {
-            DataPlane::Mem(_) => &self.segments[seg as usize].words[range],
-            DataPlane::Disk(plane) => {
-                &plane.pool.frame(slot)[range.start - first..range.end - first]
-            }
+    /// Words `range` of the block starting at word `first`, which sits in
+    /// slot `slot`.
+    fn words(&self, slot: u32, first: usize, range: std::ops::Range<usize>) -> &[u64] {
+        &self.pool.frame(slot)[range.start - first..range.end - first]
+    }
+
+    /// Forgets the blocks of segment `seg` that start at or after word
+    /// `from_words` and below word `to_words`: they leave the pool without a
+    /// write-back (dead data is never charged) and the device releases them.
+    fn drop_blocks(&mut self, seg: u32, from_words: usize, to_words: usize) {
+        let block_words = self.config.block_words;
+        let blocks = from_words.div_ceil(block_words) as u64..to_words.div_ceil(block_words) as u64;
+        for b in blocks.clone() {
+            self.pool.discard(block_key(seg, b));
         }
+        self.dev.free_blocks(seg, blocks);
     }
 }
 
 /// A cheap, clonable handle to a simulated external-memory machine.
 ///
 /// The machine owns the disk (a set of independently growable *segments*, one
-/// per [`crate::ExtVec`]), the LRU block cache standing in for the internal
+/// per [`crate::ExtVec`], whose blocks live in the pool or on the block
+/// device), the buffer pool of `M/B` frames standing in for the internal
 /// memory, the I/O counters and a [`MemGauge`] for in-core working buffers.
 ///
 /// Cloning a `Machine` clones the handle, not the machine: all clones share
@@ -214,12 +191,12 @@ impl MachineInner {
 /// Parallel (PEM) runs do not clone a machine across threads — a handle is
 /// deliberately `!Send`. Instead, each worker thread constructs its *own*
 /// machine from the shared, `Copy` [`EmConfig`]: [`Machine::new`] allocates
-/// only an empty cache and zeroed counters, so per-worker machines are cheap
-/// to spawn, and each worker gets an independent [`IoStats`] and
-/// [`MemGauge`] (gauge-audit included). On the disk plane each worker machine
-/// likewise owns its own backing file and buffer pool (temp-dir scoped,
-/// unlinked on drop). The per-worker counters are aggregated afterwards with
-/// [`crate::IoStats::merge`] / [`crate::WorkerReport`].
+/// only an empty cache and zeroed counters (frames grow as they come into
+/// use), so per-worker machines are cheap to spawn, and each worker gets an
+/// independent pool, device, [`IoStats`] and [`MemGauge`] (gauge-audit
+/// included). On the disk device each worker's backing file is temp-dir
+/// scoped and unlinked on drop. The per-worker counters are aggregated
+/// afterwards with [`crate::IoStats::merge`] / [`crate::WorkerReport`].
 #[derive(Clone)]
 pub struct Machine {
     inner: Rc<RefCell<MachineInner>>,
@@ -228,57 +205,50 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with the given memory/block configuration, a cold
-    /// cache, and the infallible [`MemStorage`] backend.
+    /// Creates a fault-free machine on the in-memory device, with the given
+    /// memory/block configuration and a cold cache.
     pub fn new(config: EmConfig) -> Self {
-        Self::with_parts(config, Box::new(MemStorage), BackendKind::InMemory)
+        Self::with_faults(config, FaultPlan::new(0), BackendKind::InMemory)
     }
 
-    /// Creates a fault-free machine on the chosen data plane.
+    /// Creates a fault-free machine on the chosen block device.
     ///
     /// # Panics
     ///
-    /// Panics if the disk plane's backing file cannot be created.
+    /// Panics if the disk device's backing file cannot be created.
     pub fn with_backend(config: EmConfig, backend: BackendKind) -> Self {
-        Self::with_parts(config, Box::new(MemStorage), backend)
+        Self::with_faults(config, FaultPlan::new(0), backend)
     }
 
-    /// Creates a machine whose storage executes the given fault plan on the
-    /// chosen data plane: reads and writes fail per the plan's seeded
+    /// Creates a machine whose charge lane executes the given fault plan on
+    /// the chosen block device: reads and writes fail per the plan's seeded
     /// schedule, retries are charged to the `retry_io`/`retry_work`
     /// counters, and the `CrashAt` kill switch (if armed) panics with a
     /// [`CrashPoint`] payload mid-run. The schedule is the same on either
-    /// plane, so faults over the real disk backend account like memory.
+    /// device, so faults over the real disk account like memory.
     ///
     /// # Panics
     ///
-    /// Panics if the disk plane's backing file cannot be created.
+    /// Panics if the disk device's backing file cannot be created.
     pub fn with_faults(config: EmConfig, plan: FaultPlan, backend: BackendKind) -> Self {
-        Self::with_parts(config, Box::new(FaultyStorage::new(plan)), backend)
-    }
-
-    fn with_parts(config: EmConfig, storage: Box<dyn Storage>, backend: BackendKind) -> Self {
-        let data = match backend {
-            BackendKind::InMemory => DataPlane::Mem(LruCache::new(config.frames())),
-            BackendKind::Disk => {
-                let dev = DiskStorage::create(config.block_words)
-                    .unwrap_or_else(|e| panic!("failed to create the disk backend file: {e}"));
-                DataPlane::Disk(Box::new(DiskPlane {
-                    pool: BufferPool::new(config.frames(), config.block_words),
-                    dev,
-                }))
-            }
+        let dev: Box<dyn BlockDevice> = match backend {
+            BackendKind::InMemory => Box::new(MemDevice::new(config.block_words)),
+            BackendKind::Disk => Box::new(
+                DiskStorage::create(config.block_words)
+                    .unwrap_or_else(|e| panic!("failed to create the disk backend file: {e}")),
+            ),
         };
         Self {
             inner: Rc::new(RefCell::new(MachineInner {
                 config,
                 segments: Vec::new(),
                 free_segments: Vec::new(),
-                data,
+                pool: BufferPool::new(config.frames(), config.block_words),
+                dev,
                 lane: ChargeLane {
                     io: IoStats::default(),
                     work: 0,
-                    storage,
+                    faults: FaultyStorage::new(plan),
                     transfers: 0,
                     retry_io: 0,
                     retry_work: 0,
@@ -296,43 +266,48 @@ impl Machine {
         self.config
     }
 
-    /// Which data plane this machine runs on.
+    /// Which block device this machine runs on.
     pub fn backend(&self) -> BackendKind {
-        match self.inner.borrow().data {
-            DataPlane::Mem(_) => BackendKind::InMemory,
-            DataPlane::Disk(_) => BackendKind::Disk,
+        match self.inner.borrow().dev.file() {
+            None => BackendKind::InMemory,
+            Some(_) => BackendKind::Disk,
         }
     }
 
-    /// The real-I/O counters of the disk backend (`None` on the in-memory
-    /// plane): executed block reads/writes and fsyncs, as opposed to the
-    /// *charged* transfers in [`Machine::io`]. On a fault-free disk machine
-    /// the two agree exactly — real reads equal charged reads, real writes
-    /// equal charged writes — which is what E11 verifies.
+    /// The real-I/O counters of the disk device (`None` on the in-memory
+    /// device): executed block reads/writes and fsyncs, as opposed to the
+    /// *charged* transfers in [`Machine::io`]. On a fault-free machine the
+    /// two agree exactly — real reads equal charged reads, real writes equal
+    /// charged writes — which is what E11 verifies.
     pub fn disk_counters(&self) -> Option<DiskCounters> {
-        match &self.inner.borrow().data {
-            DataPlane::Mem(_) => None,
-            DataPlane::Disk(plane) => Some(plane.dev.counters()),
-        }
+        let inner = self.inner.borrow();
+        inner.dev.file().map(|_| inner.dev.counters())
     }
 
-    /// The disk plane's backing-file path (`None` on the in-memory plane).
+    /// The disk device's backing-file path (`None` on the in-memory device).
     /// The file is unlinked when the last machine handle drops.
     pub fn disk_file(&self) -> Option<PathBuf> {
-        match &self.inner.borrow().data {
-            DataPlane::Mem(_) => None,
-            DataPlane::Disk(plane) => Some(plane.dev.path().to_path_buf()),
-        }
+        self.inner.borrow().dev.file().map(Path::to_path_buf)
     }
 
-    /// Durability barrier on the disk plane (`fsync` of the backing file);
+    /// Durability barrier on the disk device (`fsync` of the backing file);
     /// a no-op in memory. Not a charged transfer. Note this persists what
     /// the *device* has seen — call [`Machine::flush`] first to push dirty
     /// pool frames (as charged writes) if you want a full barrier.
     pub fn sync(&self) {
-        if let DataPlane::Disk(plane) = &mut self.inner.borrow_mut().data {
-            plane.dev.sync();
-        }
+        self.inner.borrow_mut().dev.sync();
+    }
+
+    /// The block device's real-I/O counters, on either device.
+    #[cfg(test)]
+    pub(crate) fn device_counters(&self) -> DiskCounters {
+        self.inner.borrow().dev.counters()
+    }
+
+    /// Words of block payload the block device holds.
+    #[cfg(test)]
+    pub(crate) fn device_payload_words(&self) -> usize {
+        self.inner.borrow().dev.payload_words()
     }
 
     /// The gauge tracking in-core working-buffer usage.
@@ -373,72 +348,35 @@ impl Machine {
         self.inner.borrow().lane.transfers
     }
 
-    /// The fault events the storage backend recorded so far (always empty on
-    /// the infallible default backend).
+    /// The fault events the fault plan injected so far (always empty for a
+    /// machine built without a plan).
     pub fn fault_trace(&self) -> Vec<FaultEvent> {
-        self.inner.borrow().lane.storage.trace().to_vec()
+        self.inner.borrow().lane.faults.trace().to_vec()
     }
 
-    /// Evicts the entire cache (charging write I/Os for dirty blocks), so
-    /// that a subsequent measurement starts cold. On the disk plane every
-    /// dirty frame is also really written to the backing file, so the charge
-    /// and the device write stay one-to-one. Returns the number of
-    /// write-backs charged.
+    /// Evicts the entire cache (charging one write I/O per dirty block, and
+    /// writing each to the device), so that a subsequent measurement starts
+    /// cold. Returns the number of write-backs charged.
     pub fn cold_cache(&self) -> u64 {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        match &mut inner.data {
-            DataPlane::Mem(cache) => {
-                let writes = cache.clear();
-                for _ in 0..writes {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while emptying the cache: {e}");
-                    }
-                }
-                writes
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_slots();
-                for &slot in &dirty {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while emptying the cache: {e}");
-                    }
-                    pool.write_back(slot, dev);
-                }
-                pool.clear();
-                dirty.len() as u64
-            }
-        }
+        let writes = self.flush();
+        self.inner.borrow_mut().pool.clear();
+        writes
     }
 
-    /// Flushes dirty cached blocks to disk (charging write I/Os) without
-    /// evicting them.
+    /// Flushes dirty cached blocks to the device (charging one write I/O
+    /// each) without evicting them. Returns the number of write-backs
+    /// charged.
     pub fn flush(&self) -> u64 {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        match &mut inner.data {
-            DataPlane::Mem(cache) => {
-                let writes = cache.flush();
-                for _ in 0..writes {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while flushing the cache: {e}");
-                    }
-                }
-                writes
+        let dirty = inner.pool.dirty_slots();
+        for &slot in &dirty {
+            if let Err(e) = inner.lane.charge(TransferDir::Write) {
+                panic!("unrecoverable storage fault while flushing the cache: {e}");
             }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_slots();
-                for &slot in &dirty {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while flushing the cache: {e}");
-                    }
-                    pool.write_back(slot, dev);
-                }
-                dirty.len() as u64
-            }
+            inner.pool.write_back(slot, inner.dev.as_mut());
         }
+        dirty.len() as u64
     }
 
     /// Number of block frames in the simulated internal memory (`M / B`).
@@ -453,63 +391,32 @@ impl Machine {
     pub(crate) fn new_segment(&self) -> u32 {
         let mut inner = self.inner.borrow_mut();
         if let Some(id) = inner.free_segments.pop() {
-            inner.segments[id as usize] = Segment {
-                words: Vec::new(),
-                len: 0,
-                live: true,
-            };
+            inner.segments[id as usize] = Segment { len: 0, live: true };
             id
         } else {
-            inner.segments.push(Segment {
-                words: Vec::new(),
-                len: 0,
-                live: true,
-            });
+            inner.segments.push(Segment { len: 0, live: true });
             u32::try_from(inner.segments.len() - 1).expect("segment count exceeds u32")
         }
     }
 
     pub(crate) fn free_segment(&self, seg: u32) {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let block_words = inner.config.block_words as u64;
-        let seg_words;
-        {
-            let s = &mut inner.segments[seg as usize];
-            if !s.live {
-                return;
-            }
-            s.live = false;
-            seg_words = s.len as u64;
-            s.len = 0;
-            s.words = Vec::new();
+        let mut inner = self.inner.borrow_mut();
+        let s = &mut inner.segments[seg as usize];
+        if !s.live {
+            return;
         }
-        inner.disk_words -= seg_words;
-        // Forget the dead blocks so their eviction is never charged (and, on
-        // disk, release their file slots for recycling).
-        let nblocks = seg_words.div_ceil(block_words);
-        match &mut inner.data {
-            DataPlane::Mem(cache) => {
-                for b in 0..nblocks {
-                    cache.discard(block_key(seg, b));
-                }
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                for b in 0..nblocks {
-                    let key = block_key(seg, b);
-                    pool.discard(key);
-                    dev.free_block(key);
-                }
-            }
-        }
+        s.live = false;
+        let len = std::mem::take(&mut s.len);
+        inner.disk_words -= len as u64;
+        // Forget the dead blocks so their eviction is never charged, and
+        // release them on the device.
+        inner.drop_blocks(seg, 0, len);
         inner.free_segments.push(seg);
     }
 
     /// Reads the record at word `idx` of segment `seg` through the cursor
     /// handle `hint`, charging a read I/O for every block of the record that
-    /// is not cached. The record is decoded in place from the segment or the
-    /// pool frame. Permanent storage faults (retry exhaustion) come back as
+    /// is not cached. The record is decoded in place from the pool frame. Permanent storage faults (retry exhaustion) come back as
     /// errors; a `CrashAt` kill switch still panics — a crash is not
     /// handleable.
     pub(crate) fn read_record<T: Record>(
@@ -530,7 +437,7 @@ impl Machine {
         let block_words = inner.config.block_words;
         let (mut slot, mut first) = inner.touch(seg, idx, false, hint)?;
         if end <= first + block_words {
-            return Ok(T::decode(inner.words(seg, slot, first, idx..end)));
+            return Ok(T::decode(inner.words(slot, first, idx..end)));
         }
         // The record straddles a block boundary: touch each block it spans,
         // in word order, exactly as word-by-word reads would.
@@ -538,7 +445,7 @@ impl Machine {
         let mut at = idx;
         loop {
             let stop = end.min(first + block_words);
-            buf[at - idx..stop - idx].copy_from_slice(inner.words(seg, slot, first, at..stop));
+            buf[at - idx..stop - idx].copy_from_slice(inner.words(slot, first, at..stop));
             if stop == end {
                 return Ok(T::decode(&buf[..T::WORDS]));
             }
@@ -585,17 +492,7 @@ impl Machine {
             if k == 0 || at == first + block_words {
                 (slot, first) = inner.touch(seg, at, true, hint)?;
             }
-            match &mut inner.data {
-                DataPlane::Mem(_) => {
-                    let segment = &mut inner.segments[seg as usize].words;
-                    if append {
-                        segment.push(value);
-                    } else {
-                        segment[at] = value;
-                    }
-                }
-                DataPlane::Disk(plane) => plane.pool.frame_mut(slot)[at - first] = value,
-            }
+            inner.pool.frame_mut(slot)[at - first] = value;
             if append {
                 inner.segments[seg as usize].len += 1;
                 inner.disk_words += 1;
@@ -609,10 +506,7 @@ impl Machine {
     /// block, so the next touch through it skips the lookup.
     #[cfg(test)]
     pub(crate) fn holds(&self, h: &BlockHandle) -> bool {
-        match &self.inner.borrow().data {
-            DataPlane::Mem(cache) => cache.holds(h),
-            DataPlane::Disk(plane) => plane.pool.holds(h),
-        }
+        self.inner.borrow().pool.holds(h)
     }
 
     /// Reads one word with no cursor handle: the keyed path of
@@ -636,14 +530,16 @@ impl Machine {
         }
     }
 
+    /// Shortens segment `seg` to `new_words` words. The blocks wholly past
+    /// the new end are dead: they leave the cache uncharged, as a freed
+    /// segment's do.
     pub(crate) fn truncate_segment(&self, seg: u32, new_words: usize) {
         let mut inner = self.inner.borrow_mut();
         let old = inner.segments[seg as usize].len;
         if new_words < old {
-            let s = &mut inner.segments[seg as usize];
-            s.len = new_words;
-            s.words.truncate(new_words);
+            inner.segments[seg as usize].len = new_words;
             inner.disk_words -= (old - new_words) as u64;
+            inner.drop_blocks(seg, new_words, old);
         }
     }
 }
@@ -901,17 +797,58 @@ mod tests {
 
     #[test]
     fn disk_plane_real_ops_equal_charged_ops() {
+        for backend in [BackendKind::InMemory, BackendKind::Disk] {
+            let m = Machine::with_backend(EmConfig::new(256, 64), backend);
+            exercise(&m);
+            let io = m.io();
+            let real = m.device_counters();
+            assert_eq!(real.block_reads, io.reads, "one real read per charged read");
+            assert_eq!(
+                real.block_writes, io.writes,
+                "one real write per charged write"
+            );
+        }
+        let mem = Machine::new(EmConfig::new(256, 64));
+        exercise(&mem);
+        assert_eq!(mem.disk_counters(), None, "only a file device reports");
         let disk = Machine::with_backend(EmConfig::new(256, 64), BackendKind::Disk);
         exercise(&disk);
-        let io = disk.io();
-        let real = disk.disk_counters().expect("disk plane has counters");
-        assert_eq!(real.block_reads, io.reads, "one real read per charged read");
-        assert_eq!(
-            real.block_writes, io.writes,
-            "one real write per charged write"
-        );
+        assert_eq!(disk.disk_counters(), Some(disk.device_counters()));
         disk.sync();
         assert_eq!(disk.disk_counters().unwrap().syncs, 1);
+    }
+
+    #[test]
+    fn freed_segments_leave_no_payload_on_the_device() {
+        for backend in [BackendKind::InMemory, BackendKind::Disk] {
+            let m = Machine::with_backend(EmConfig::new(256, 64), backend);
+            let vecs: Vec<crate::ExtVec<u64>> = (0..3u64)
+                .map(|k| crate::ExtVec::from_slice(&m, &vec![k; 700]))
+                .collect();
+            m.cold_cache();
+            assert!(m.device_payload_words() >= 3 * 700);
+            drop(vecs);
+            assert_eq!(m.device_payload_words(), 0, "{backend:?}");
+        }
+    }
+
+    /// Blocks wholly past a truncated segment's end are dead: neither a cold
+    /// cache nor a later free may charge their write-back.
+    #[test]
+    fn truncation_never_charges_dead_blocks() {
+        for backend in [BackendKind::InMemory, BackendKind::Disk] {
+            let m = Machine::with_backend(EmConfig::new(1024, 64), backend);
+            let mut a = crate::ExtVec::from_slice(&m, &[1u64; 128]);
+            a.truncate(64);
+            m.cold_cache();
+            assert_eq!(m.io().writes, 1, "one live block, one write");
+            let mut b = crate::ExtVec::from_slice(&m, &[2u64; 128]);
+            b.clear();
+            drop((a, b));
+            m.cold_cache();
+            assert_eq!(m.io().writes, 1, "no live block, no further write");
+            assert_eq!(m.device_payload_words(), 0);
+        }
     }
 
     #[test]

@@ -1,33 +1,25 @@
-//! Storage backends beneath the simulated disk: the error taxonomy, the
-//! retry policy, the infallible in-memory default, and the real file-backed
-//! block device.
+//! The block devices beneath the simulated disk, and the error taxonomy and
+//! retry policy of the charge lane above them.
 //!
-//! The storage layer has two orthogonal seams:
+//! Every [`crate::Machine`] is one stack:
 //!
-//! 1. **The charge gate** ([`Storage`]). Every *charged* block transfer of
-//!    the [`crate::Machine`] — a cache-miss read, a read-modify-write fill,
-//!    a dirty eviction, a flush — is routed through a [`Storage`] backend
-//!    before the I/O counters are bumped. The backend decides whether the
-//!    transfer succeeds, and at what retry cost:
+//! 1. **The charge lane** counts every charged block transfer — a cache-miss
+//!    read, a read-modify-write fill, a dirty eviction, a flush — and runs it
+//!    past the machine's [`crate::FaultPlan`] first. The plan decides whether
+//!    the transfer succeeds and at what retry cost: transient read errors and
+//!    torn writes are absorbed by a bounded [`RetryPolicy`] and charged to the
+//!    `retry_io` / `retry_work` counters of [`crate::RunStats`], and a
+//!    `CrashAt` kill switch aborts the run mid-transfer. A machine built
+//!    without a plan runs an empty one, which returns before any roll.
+//! 2. **The buffer pool** holds `M/B` frames of `B` words and runs the
+//!    simulator's LRU cache over them, one frame per cache slot.
+//! 3. **The [`BlockDevice`]** holds every block that is not resident:
+//!    [`crate::BackendKind`] picks the in-memory device (each segment's blocks
+//!    in one host vec) or [`DiskStorage`] (a real temp file).
 //!
-//!    * [`MemStorage`] (the default) always succeeds at zero cost, so the
-//!      accounting of fault-free runs is byte-identical to a machine without
-//!      a storage layer at all — the fault machinery is pay-for-what-you-use.
-//!    * [`crate::FaultyStorage`] injects deterministic, seeded faults:
-//!      transient read errors and torn writes (absorbed by a bounded
-//!      [`RetryPolicy`] and charged to the `retry_io` / `retry_work`
-//!      counters of [`crate::RunStats`]), plus a `CrashAt` kill switch that
-//!      aborts the run mid-transfer. Its fault schedule wraps an arbitrary
-//!      inner [`Storage`] ([`crate::FaultyStorage::wrapping`]), so faults
-//!      compose with any charge gate underneath.
-//!
-//! 2. **The data plane** ([`BlockDevice`]). The charge gate carries no
-//!    payload; block *data* lives either in host RAM (the pure simulator) or
-//!    on a real [`DiskStorage`] file fronted by a [`crate::BufferPool`]
-//!    (machines built with [`crate::BackendKind::Disk`]). The two seams are
-//!    independent: faults wrap either backend, and the disk backend executes
-//!    one real block read/write at exactly the points the simulator charges
-//!    one — which is what the E11 parity experiment verifies.
+//! The pool executes one device read per charged read and one device write
+//! per charged write on either device, which is what the E11 parity
+//! experiment verifies on the file.
 //!
 //! Permanent failures — retry exhaustion and disk-full — surface as typed
 //! [`StorageError`]s through the `try_*` accessors of [`crate::ExtVec`];
@@ -37,10 +29,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Direction of a block transfer, as seen by a [`Storage`] backend.
+use crate::cache::{block_key, key_block, key_segment};
+
+/// Direction of a charged block transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferDir {
     /// Disk-to-memory: a cache miss or a read-modify-write fill.
@@ -162,48 +157,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Retry cost absorbed by one ultimately-successful transfer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryCost {
-    /// Failed attempts before the transfer succeeded.
-    pub failed_attempts: u32,
-    /// Simulated backoff work charged for those failures.
-    pub backoff_work: u64,
-}
-
-/// A storage backend: decides, per charged block transfer, whether the
-/// transfer succeeds and at what retry cost.
-///
-/// The machine calls [`Storage::transfer`] exactly once per *logical*
-/// transfer, with a running 0-based ordinal; the backend's decision must be
-/// a pure function of `(its own seed, ordinal, direction)` so that fault
-/// schedules are reproducible run over run.
-pub trait Storage {
-    /// Attempts the transfer with ordinal `io` in direction `dir`.
-    ///
-    /// `Ok` carries the retry cost absorbed (zero for a clean transfer);
-    /// `Err` is a permanent fault the caller must surface or convert into a
-    /// crash.
-    fn transfer(&mut self, dir: TransferDir, io: u64) -> Result<RetryCost, StorageError>;
-
-    /// The fault events recorded so far (empty for infallible backends).
-    fn trace(&self) -> &[crate::FaultEvent] {
-        &[]
-    }
-}
-
-/// The default infallible in-memory backend: every transfer succeeds at zero
-/// retry cost, so fault-free machines account identically to the pre-fault
-/// simulator.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MemStorage;
-
-impl Storage for MemStorage {
-    fn transfer(&mut self, _dir: TransferDir, _io: u64) -> Result<RetryCost, StorageError> {
-        Ok(RetryCost::default())
-    }
-}
-
 /// Real-I/O counters of a [`BlockDevice`]: the *measured* side of the E11
 /// sim-vs-disk correlation experiment, kept apart from the simulated
 /// [`crate::IoStats`] so the spec (charged transfers) and the witness
@@ -225,29 +178,134 @@ impl DiskCounters {
     }
 }
 
-/// A data-carrying block store: the device a [`crate::BufferPool`] fills
+/// A data-carrying block store: the device the machine's buffer pool fills
 /// missed frames from and writes evicted dirty frames to.
 ///
-/// Keys are the machine's opaque `(segment, block)` block keys; a block is
-/// always transferred whole (`block_words` words). Implementations panic on
-/// unrecoverable real I/O errors — a failing *simulated* transfer is the
-/// [`Storage`] gate's job, a failing host filesystem is not recoverable by
-/// the algorithm under test.
+/// Keys are the machine's `(segment, block)` block keys — the segment id
+/// above bit 40, the block index below it; a block is always transferred
+/// whole (`B` words). Implementations panic on unrecoverable real I/O
+/// errors: a failing *simulated* transfer is the charge lane's job, a
+/// failing host filesystem is not recoverable by the algorithm under test.
 pub trait BlockDevice {
-    /// Words per block (every `read_block`/`write_block` buffer is this long).
-    fn block_words(&self) -> usize;
-    /// Whether `key` has ever been written to the device (and not freed).
+    /// Whether `key` has been written to the device (and not freed since).
     fn contains(&self, key: u64) -> bool;
     /// Reads block `key` into `buf`. Panics if the block is absent.
     fn read_block(&mut self, key: u64, buf: &mut [u64]);
-    /// Writes block `key` from `data`, allocating a slot on first write.
+    /// Writes block `key` from `data`, allocating room on first write.
     fn write_block(&mut self, key: u64, data: &[u64]);
-    /// Releases the slot of `key` (freeing a dead segment's blocks).
-    fn free_block(&mut self, key: u64);
+    /// Releases blocks `blocks` of segment `segment`: the blocks wholly past
+    /// a truncated segment's new end, or every block of a freed segment.
+    fn free_blocks(&mut self, segment: u32, blocks: Range<u64>);
     /// Durability barrier (`fsync` on a real device).
     fn sync(&mut self);
     /// The real-I/O counters so far.
     fn counters(&self) -> DiskCounters;
+    /// The backing file (`None` for a device that keeps blocks in host RAM).
+    fn file(&self) -> Option<&Path>;
+    /// Words of block payload the device holds.
+    #[cfg(test)]
+    fn payload_words(&self) -> usize;
+}
+
+/// The in-memory block device: segment `s`'s block `b` lives at words
+/// `b·B ..` of the segment's one host vec. The vec grows to the highest
+/// block written and is dropped when its segment is freed, so the device
+/// never holds a dead segment's payload.
+pub(crate) struct MemDevice {
+    block_words: usize,
+    segments: Vec<MemSegment>,
+    counters: DiskCounters,
+}
+
+#[derive(Default)]
+struct MemSegment {
+    words: Vec<u64>,
+    /// Whether block `b` has been written: evictions reach the device in LRU
+    /// order, so the vec can hold zeroed gaps for blocks not yet written.
+    written: Vec<bool>,
+}
+
+impl MemDevice {
+    pub(crate) fn new(block_words: usize) -> Self {
+        Self {
+            block_words,
+            // emlint: allow(unleased, reason = "the in-memory device's per-segment table, below the charge boundary; one entry per segment id, not algorithm memory")
+            segments: Vec::new(),
+            counters: DiskCounters::default(),
+        }
+    }
+
+    /// The segment index and block index of `key`.
+    fn locate(key: u64) -> (usize, usize) {
+        let index = |x: u64| usize::try_from(x).expect("block key fits in usize");
+        (index(key_segment(key)), index(key_block(key)))
+    }
+}
+
+impl BlockDevice for MemDevice {
+    fn contains(&self, key: u64) -> bool {
+        let (seg, block) = Self::locate(key);
+        self.segments
+            .get(seg)
+            .and_then(|s| s.written.get(block))
+            .is_some_and(|&written| written)
+    }
+
+    fn read_block(&mut self, key: u64, buf: &mut [u64]) {
+        assert!(
+            self.contains(key),
+            "block {key:#x} was never written to the in-memory device"
+        );
+        let (seg, block) = Self::locate(key);
+        let first = block * self.block_words;
+        buf.copy_from_slice(&self.segments[seg].words[first..first + self.block_words]);
+        self.counters.block_reads += 1;
+    }
+
+    fn write_block(&mut self, key: u64, data: &[u64]) {
+        let (seg, block) = Self::locate(key);
+        if self.segments.len() <= seg {
+            self.segments.resize_with(seg + 1, MemSegment::default);
+        }
+        let s = &mut self.segments[seg];
+        let end = (block + 1) * self.block_words;
+        if s.words.len() < end {
+            s.words.resize(end, 0);
+            s.written.resize(block + 1, false);
+        }
+        s.words[end - self.block_words..end].copy_from_slice(data);
+        s.written[block] = true;
+        self.counters.block_writes += 1;
+    }
+
+    fn free_blocks(&mut self, segment: u32, blocks: Range<u64>) {
+        let Some(s) = self.segments.get_mut(segment as usize) else {
+            return;
+        };
+        // The machine frees a suffix: everything from `blocks.start` on.
+        let keep = usize::try_from(blocks.start).expect("block index fits in usize");
+        if keep == 0 {
+            *s = MemSegment::default();
+        } else if keep < s.written.len() {
+            s.words.truncate(keep * self.block_words);
+            s.written.truncate(keep);
+        }
+    }
+
+    fn sync(&mut self) {}
+
+    fn counters(&self) -> DiskCounters {
+        self.counters
+    }
+
+    fn file(&self) -> Option<&Path> {
+        None
+    }
+
+    #[cfg(test)]
+    fn payload_words(&self) -> usize {
+        self.segments.iter().map(|s| s.words.capacity()).sum()
+    }
 }
 
 /// Process-unique suffix for backing-file names: several machines (one per
@@ -290,7 +348,7 @@ fn write_block_at(mut file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
 /// are stored little-endian, independent of the host.
 ///
 /// `DiskStorage` holds no cache of its own — residency and eviction policy
-/// belong to the [`crate::BufferPool`] in front of it — and it counts every
+/// belong to the machine's buffer pool in front of it — and it counts every
 /// executed transfer in [`DiskCounters`], the measured side of E11.
 pub struct DiskStorage {
     file: File,
@@ -337,21 +395,12 @@ impl DiskStorage {
         })
     }
 
-    /// The backing file's path (until drop unlinks it).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn slot_offset(&self, slot: u64) -> u64 {
         slot * (self.block_words as u64) * 8
     }
 }
 
 impl BlockDevice for DiskStorage {
-    fn block_words(&self) -> usize {
-        self.block_words
-    }
-
     fn contains(&self, key: u64) -> bool {
         self.slots.contains_key(&key)
     }
@@ -401,9 +450,11 @@ impl BlockDevice for DiskStorage {
         self.counters.block_writes += 1;
     }
 
-    fn free_block(&mut self, key: u64) {
-        if let Some(slot) = self.slots.remove(&key) {
-            self.free_slots.push(slot);
+    fn free_blocks(&mut self, segment: u32, blocks: Range<u64>) {
+        for block in blocks {
+            if let Some(slot) = self.slots.remove(&block_key(segment, block)) {
+                self.free_slots.push(slot);
+            }
         }
     }
 
@@ -416,6 +467,15 @@ impl BlockDevice for DiskStorage {
 
     fn counters(&self) -> DiskCounters {
         self.counters
+    }
+
+    fn file(&self) -> Option<&Path> {
+        Some(&self.path)
+    }
+
+    #[cfg(test)]
+    fn payload_words(&self) -> usize {
+        self.slots.len() * self.block_words
     }
 }
 
@@ -442,16 +502,6 @@ impl Drop for DiskStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_storage_is_free_and_infallible() {
-        let mut s = MemStorage;
-        for io in 0..1000 {
-            assert_eq!(s.transfer(TransferDir::Read, io), Ok(RetryCost::default()));
-            assert_eq!(s.transfer(TransferDir::Write, io), Ok(RetryCost::default()));
-        }
-        assert!(s.trace().is_empty());
-    }
 
     #[test]
     fn backoff_cost_is_exponential() {
@@ -505,18 +555,24 @@ mod tests {
         let mut dev = DiskStorage::create(4).expect("temp file");
         dev.write_block(1, &[1; 4]);
         dev.write_block(2, &[2; 4]);
-        let len_two = std::fs::metadata(dev.path()).unwrap().len();
-        dev.free_block(1);
+        let len_two = std::fs::metadata(dev.file().unwrap()).unwrap().len();
+        dev.free_blocks(0, 1..2);
         assert!(!dev.contains(1));
         // The freed slot is reused: the file does not grow.
         dev.write_block(9, &[9; 4]);
-        assert_eq!(std::fs::metadata(dev.path()).unwrap().len(), len_two);
+        assert_eq!(
+            std::fs::metadata(dev.file().unwrap()).unwrap().len(),
+            len_two
+        );
         let mut back = vec![0u64; 4];
         dev.read_block(9, &mut back);
         assert_eq!(back, [9; 4]);
         // Overwrites reuse the existing slot too.
         dev.write_block(2, &[7; 4]);
-        assert_eq!(std::fs::metadata(dev.path()).unwrap().len(), len_two);
+        assert_eq!(
+            std::fs::metadata(dev.file().unwrap()).unwrap().len(),
+            len_two
+        );
         dev.read_block(2, &mut back);
         assert_eq!(back, [7; 4]);
     }
@@ -524,10 +580,45 @@ mod tests {
     #[test]
     fn disk_storage_unlinks_its_file_on_drop() {
         let dev = DiskStorage::create(4).expect("temp file");
-        let path = dev.path().to_path_buf();
+        let path = dev.file().unwrap().to_path_buf();
         assert!(path.exists());
         drop(dev);
         assert!(!path.exists(), "the backing file is temp-scoped");
+    }
+
+    #[test]
+    fn mem_device_round_trips_blocks_written_out_of_order() {
+        let mut dev = MemDevice::new(4);
+        dev.write_block(block_key(2, 3), &[3; 4]);
+        assert!(dev.contains(block_key(2, 3)));
+        assert!(
+            !dev.contains(block_key(2, 1)),
+            "a gap below a written block is not on the device"
+        );
+        dev.write_block(block_key(2, 1), &[1; 4]);
+        let mut back = [0u64; 4];
+        dev.read_block(block_key(2, 3), &mut back);
+        assert_eq!(back, [3; 4]);
+        dev.read_block(block_key(2, 1), &mut back);
+        assert_eq!(back, [1; 4]);
+        let c = dev.counters();
+        assert_eq!((c.block_reads, c.block_writes), (2, 2));
+        assert!(dev.file().is_none());
+    }
+
+    #[test]
+    fn mem_device_frees_a_tail_and_drops_a_freed_segment() {
+        let mut dev = MemDevice::new(4);
+        for b in 0..4 {
+            dev.write_block(block_key(0, b), &[b; 4]);
+            dev.write_block(block_key(1, b), &[b; 4]);
+        }
+        dev.free_blocks(0, 2..4);
+        assert!(dev.contains(block_key(0, 1)) && !dev.contains(block_key(0, 2)));
+        dev.free_blocks(1, 0..4);
+        assert!(!dev.contains(block_key(1, 0)));
+        dev.free_blocks(0, 0..2);
+        assert_eq!(dev.payload_words(), 0, "freed segments hold no words");
     }
 
     #[test]

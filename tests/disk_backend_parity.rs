@@ -1,11 +1,12 @@
-//! Disk-backend parity pins: the in-memory simulator is the spec, the
-//! file-backed [`BackendKind::Disk`] plane is the witness. Across the oracle
-//! graph-family matrix, sequentially and at `P ∈ {1, 4}`, the two planes
-//! must produce bit-identical triangle multisets and identical charged
-//! transfer counts (the buffer pool runs the simulator's own LRU policy);
-//! faults injected over the real disk must account identically to faults
-//! over memory. (Temp-file hygiene has its own test binary,
-//! `tests/disk_temp_hygiene.rs`.)
+//! Disk-backend parity pins. Every machine runs the same stack — a charge
+//! lane executing its fault plan, then a buffer pool running the
+//! simulator's LRU cache — over one of two block devices: the in-memory
+//! device is the spec, the file-backed [`BackendKind::Disk`] device is the
+//! witness. Across the oracle graph-family matrix, sequentially and at
+//! `P ∈ {1, 4}`, the two devices must yield bit-identical triangle
+//! multisets and identical charged transfer counts; faults injected over
+//! the real disk must account identically to faults over memory.
+//! (Temp-file hygiene has its own test binary, `tests/disk_temp_hygiene.rs`.)
 
 use emsim::{BackendKind, EmConfig, FaultPlan, Machine};
 use graphgen::{generators, Graph};
@@ -128,11 +129,10 @@ proptest! {
     }
 }
 
-/// Regression for the `FaultyStorage` wrap: the same transient-fault plan
-/// injected over the real [`BackendKind::Disk`] plane must produce the
-/// identical accounting, fault trace, and triangle multiset as over memory —
-/// the fault schedule is a pure function of the transfer ordinal stream,
-/// which the disk plane reproduces exactly.
+/// The same transient-fault plan injected over the real
+/// [`BackendKind::Disk`] device must produce the identical accounting, fault
+/// trace, and triangle multiset as over memory — the fault schedule is a pure
+/// function of the transfer ordinal stream, which is the same on every device.
 #[test]
 fn transient_faults_over_the_disk_backend_account_like_memory() {
     let g = generators::erdos_renyi(120, 900, 11);
