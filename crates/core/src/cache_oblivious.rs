@@ -166,7 +166,7 @@ const CHILDREN: usize = 8;
 /// This is an upper bound, and a loose one: each child summary's lease ends
 /// when that child has been processed, so below a routing ancestor only its
 /// still-pending children (at most 7 once the path has descended into one)
-/// hold summaries.
+/// hold summaries, and of those only the ones that will route themselves.
 pub const CACHE_OBLIVIOUS_WORDS_PER_LEVEL: u64 =
     CHILDREN as u64 * HeavyHitters::WORDS + FourWise::WORDS;
 
@@ -635,10 +635,11 @@ struct PendingNode {
     edges: ExtVec<Edge>,
     /// Heavy-hitter summary fed by the parent's routing scan, with its own
     /// [`HeavyHitters::WORDS`]-word gauge lease, which ends when
-    /// [`process_node`] returns for this node. `None` at the root and for
-    /// nodes rebuilt from a checkpoint (which pay one summary scan instead —
-    /// recovery overhead, not a correctness difference: the exact
-    /// high-degree set is resolved from either summary).
+    /// [`process_node`] returns for this node. `None` for a leaf-bound node
+    /// (it never reaches step 1), at the root and for nodes rebuilt from a
+    /// checkpoint (which pay one summary scan instead — recovery overhead,
+    /// not a correctness difference: the exact high-degree set is resolved
+    /// from either summary).
     summary: Option<(HeavyHitters, MemLease)>,
     target: ColorVector,
     depth: usize,
@@ -904,9 +905,12 @@ fn process_node(
         .zip(summaries)
         .rev()
     {
+        // A leaf-bound child (in core, or at the depth limit) never reads
+        // its summary, so it holds no lease while it is pending.
+        let routes = bucket.len() > BASE_CASE_EDGES && depth + 1 < ctx.depth_limit;
         stack.push(PendingNode {
             edges: bucket,
-            summary: Some((summary, machine.gauge().lease(HeavyHitters::WORDS))),
+            summary: routes.then(|| (summary, machine.gauge().lease(HeavyHitters::WORDS))),
             target: child_target,
             depth: depth + 1,
             removed: removed.clone(),
