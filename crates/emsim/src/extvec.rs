@@ -780,6 +780,27 @@ mod tests {
     }
 
     #[test]
+    fn failed_append_leaves_no_dirty_block_behind() {
+        // One frame: the 65th append evicts the full first block, every
+        // write tears, so the victim's write-back fails permanently. The
+        // fresh block that append admitted must not stay resident and
+        // dirty, or the flush after the vec is gone writes it back.
+        let plan = crate::FaultPlan::new(1)
+            .with_torn_writes(1000)
+            .with_retry(crate::RetryPolicy::new(2, 1));
+        let m = Machine::with_faults(EmConfig::new(64, 64), plan, BackendKind::InMemory);
+        let mut v: ExtVec<u64> = ExtVec::new(&m);
+        for i in 0..64u64 {
+            assert_eq!(v.try_push(i), Ok(()));
+        }
+        assert!(v.try_push(64).is_err());
+        assert_eq!(v.len(), 64);
+        drop(v);
+        assert_eq!(m.stats().disk_words, 0);
+        assert_eq!(m.flush(), 0, "no dirty block outlives its vec");
+    }
+
+    #[test]
     fn try_get_propagates_permanent_read_faults_without_panicking() {
         // A 100% read-fault schedule exhausts every retry on the first
         // uncached read.

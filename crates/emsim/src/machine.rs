@@ -152,7 +152,15 @@ impl MachineInner {
             }
         }
         if touch.writeback {
-            self.lane.charge(TransferDir::Write)?;
+            if let Err(e) = self.lane.charge(TransferDir::Write) {
+                // A failed append leaves nothing behind: the fresh block it
+                // admitted lies past the segment's end, so no later drop or
+                // truncate would ever release it.
+                if fresh {
+                    self.pool.discard(key);
+                }
+                return Err(e);
+            }
         }
         Ok((touch.slot, first))
     }
