@@ -317,7 +317,7 @@ pub const EXPERIMENTS: [(&str, Run); 11] = [
         experiment_e2(if q { &[4, 8, 16] } else { &[4, 8, 16, 32, 64] })
     }),
     ("e3", |q| match q {
-        true => experiment_e3(4_000, &[(1 << 10, 32), (1 << 13, 32)]),
+        true => experiment_e3(4_000, &[(1 << 10, 32), (1 << 12, 64), (1 << 13, 32)]),
         false => experiment_e3(
             12_000,
             &[
@@ -752,8 +752,12 @@ pub const CACHE_OBLIVIOUS_IO_CEILING: ColumnGate = ColumnGate {
     column: "io/bound",
     bound: Bound::Ceiling,
     limit: 42.0,
-    reads: |_| true,
+    reads: |row| row.label.starts_with("M="),
 };
+
+/// The machine whose E3 run also reports the per-depth profile of the
+/// refinement tree.
+const E3_PROFILED: (usize, usize) = (1 << 12, 64);
 
 /// **E3 — cache-obliviousness.** One fixed graph and one fixed algorithm
 /// (which never reads `M`/`B`), swept across machine configurations; the
@@ -763,6 +767,7 @@ pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> Outcome {
     let alg = Algorithm::CacheObliviousRandomized { seed: 11 };
     let mut rows = Vec::new();
     let mut peaks = Vec::new();
+    let mut profile = Vec::new();
     for &(m, b) in configs {
         let cfg = EmConfig::new(m, b);
         let r = run(&g, alg, cfg);
@@ -778,7 +783,11 @@ pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> Outcome {
                 .col("io/bound", r.normalized_to_triangle_bound())
                 .col("subproblems", r.extra("subproblems").unwrap_or(0.0)),
         );
+        if (m, b) == E3_PROFILED {
+            profile = depth_rows(&r, &format!("M={m} B={b}"));
+        }
     }
+    rows.extend(profile);
     Outcome {
         gates: vec![
             CACHE_OBLIVIOUS_IO_CEILING.check(&rows),
@@ -790,6 +799,31 @@ pub fn experiment_e3(e: usize, configs: &[(usize, usize)]) -> Outcome {
             rows,
         )
     }
+}
+
+/// The per-depth rows of a cache-oblivious run's report (its `depth<d>.*`
+/// extras): nodes, edges in, edges routed, own I/O, and the copy factor —
+/// edges in over the edges the depth above routed (at the root, over E).
+pub fn depth_rows(report: &RunReport, case: &str) -> Vec<Row> {
+    let mut rows = Vec::new();
+    let mut routed_above = report.edges as f64;
+    for d in 0.. {
+        let col = |name: &str| report.extra(&format!("depth{d}.{name}"));
+        let (Some(nodes), Some(edges_in)) = (col("nodes"), col("edges_in")) else {
+            break;
+        };
+        let routed = col("routed").unwrap_or(f64::NAN);
+        rows.push(
+            Row::new(format!("depth {d} ({case})"))
+                .col("nodes", nodes)
+                .col("edges_in", edges_in)
+                .col("routed", routed)
+                .col("io", col("io").unwrap_or(f64::NAN))
+                .col("copy", edges_in / routed_above),
+        );
+        routed_above = routed;
+    }
+    rows
 }
 
 /// **E4 — optimality against Theorem 3.** Cliques (the lower-bound witness,

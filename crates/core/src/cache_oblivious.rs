@@ -323,14 +323,49 @@ struct CoContext<'a> {
 }
 
 /// Statistics of a cache-oblivious run (besides the emitted count).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CacheObliviousStats {
-    /// Number of subproblems of the refinement tree solved.
-    pub subproblems: u64,
-    /// Deepest tree level reached.
-    pub max_depth: usize,
     /// Number of multi-way partition sweeps performed: one per internal node.
     pub partition_sweeps: u64,
+    /// One row per tree depth, root first.
+    pub depths: Vec<DepthRow>,
+}
+
+/// The count profile of one depth of the refinement tree. Reading it costs
+/// nothing: the rows are host-side tallies, and `io` is read off the
+/// machine's counters around each node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DepthRow {
+    /// Nodes popped at this depth (dead and unowned ones included).
+    pub nodes: u64,
+    /// Edges those nodes received.
+    pub edges_in: u64,
+    /// Edges this depth's routing scans read, after high-degree removal.
+    /// Each is copied into exactly two children, so the next depth's
+    /// `edges_in` is twice this.
+    pub routed: u64,
+    /// Blocks the nodes charged themselves, children excluded.
+    pub io: u64,
+}
+
+impl CacheObliviousStats {
+    /// Number of subproblems of the refinement tree solved.
+    pub fn subproblems(&self) -> u64 {
+        self.depths.iter().map(|row| row.nodes).sum()
+    }
+
+    /// Deepest tree level reached.
+    pub fn max_depth(&self) -> usize {
+        self.depths.len().saturating_sub(1)
+    }
+
+    /// The row of `depth`, grown on first use.
+    fn depth_row(&mut self, depth: usize) -> &mut DepthRow {
+        if self.depths.len() <= depth {
+            self.depths.resize(depth + 1, DepthRow::default());
+        }
+        &mut self.depths[depth]
+    }
 }
 
 /// Runs the cache-oblivious randomized algorithm on `graph` with the given
@@ -370,7 +405,11 @@ pub(crate) fn run_cache_oblivious(
         return (
             resume.map_or(0, |c| c.hwm),
             CacheObliviousStats {
-                subproblems: 1,
+                depths: vec![DepthRow {
+                    nodes: 1,
+                    edges_in: e as u64,
+                    ..DepthRow::default()
+                }],
                 ..CacheObliviousStats::default()
             },
         );
@@ -760,7 +799,13 @@ fn drive_depth_first(
             maybe_checkpoint(ctx, machine, &stack, ctl);
         }
         let node = stack.pop().expect("loop guard: stack is non-empty");
+        let (depth, edges_in) = (node.depth, node.edges.len() as u64);
+        let io0 = machine.io().total();
         process_node(ctx, machine, coloring, node, &mut stack);
+        let row = ctx.stats.depth_row(depth);
+        row.nodes += 1;
+        row.edges_in += edges_in;
+        row.io += machine.io().total() - io0;
     }
 }
 
@@ -782,8 +827,6 @@ fn process_node(
         removed,
     } = node;
     let (inherited, _summary_lease) = summary.unzip();
-    ctx.stats.subproblems += 1;
-    ctx.stats.max_depth = ctx.stats.max_depth.max(depth);
     let e_here = edges.len();
     if e_here < 3 {
         return;
@@ -862,6 +905,7 @@ fn process_node(
     // ---- Steps 2–3: all eight children in one routing scan (this node's
     // own partition sweep), child degree summaries fed en passant. ----
     ctx.stats.partition_sweeps += 1;
+    ctx.stats.depth_row(depth).routed += current.len() as u64;
     let (c0, c1, c2) = target;
     let children = child_vectors(target);
     // The scan fills all eight summaries at once; afterwards each child
@@ -972,8 +1016,8 @@ mod tests {
                 let (got, _, stats) =
                     with_depth_cap(cap, || run(&g, EmConfig::new(1 << 9, 32), seed));
                 assert_eq!(got, expected, "seed {seed}, cap {cap:?}");
-                assert!(stats.subproblems > 1);
-                assert!(stats.max_depth <= cap.unwrap_or(usize::MAX));
+                assert!(stats.subproblems() > 1);
+                assert!(stats.max_depth() <= cap.unwrap_or(usize::MAX));
             }
         }
     }
@@ -1081,7 +1125,7 @@ mod tests {
         let g = generators::erdos_renyi(200, 1600, 3);
         let (_, _, stats) = run(&g, EmConfig::new(512, 32), 11);
         let limit = ((1600f64).ln() / 4f64.ln()).ceil() as usize;
-        assert!(stats.max_depth <= limit);
+        assert!(stats.max_depth() <= limit);
     }
 
     #[test]
@@ -1165,7 +1209,7 @@ mod tests {
         assert!(g.edge_count() <= BASE_CASE_EDGES);
         let (got, _, stats) = run(&g, EmConfig::new(256, 32), 5);
         assert_eq!(got, 560); // C(16, 3)
-        assert_eq!((stats.subproblems, stats.partition_sweeps), (1, 0));
+        assert_eq!((stats.subproblems(), stats.partition_sweeps), (1, 0));
 
         // Step 1 itself, driven directly on the K16 edge list: all 16
         // vertices resolve as high-degree — the full summary — and the
@@ -1236,6 +1280,59 @@ mod tests {
                 assert!(stat("partition_sweeps") >= 1.0, "E = {e} must route");
             }
         }
+    }
+
+    #[test]
+    fn depth_rows_account_for_every_node_and_every_recursion_block() {
+        use crate::sink::CountingSink;
+        use crate::{enumerate_triangles, Algorithm};
+        let g = generators::erdos_renyi(500, 4000, 7);
+        let cfg = EmConfig::new(1 << 10, 32);
+        let report = enumerate_triangles(
+            &g,
+            Algorithm::CacheObliviousRandomized { seed: 11 },
+            cfg,
+            &mut CountingSink::default(),
+        );
+        let (_, stats) = {
+            let machine = Machine::new(cfg);
+            let eg = ExtGraph::load(&machine, &g);
+            let mut rec = PhaseRecorder::new(machine.gauge());
+            run_cache_oblivious(
+                &eg,
+                11,
+                &mut CountingSink::default(),
+                &mut rec,
+                &mut ShardCursor::solo(),
+                Recovery::default(),
+            )
+        };
+        let recursion = report
+            .phases
+            .iter()
+            .find(|(name, _)| name == "recursion")
+            .expect("a recursion phase")
+            .1;
+        let rows = &stats.depths;
+        assert_eq!(rows[0].nodes, 1);
+        assert_eq!(rows[0].edges_in, 4000);
+        assert_eq!(rows.iter().map(|r| r.io).sum::<u64>(), recursion.total());
+        assert_eq!(
+            rows.iter().map(|r| r.nodes).sum::<u64>() as f64,
+            report.extra("subproblems").unwrap()
+        );
+        for (d, row) in rows.iter().enumerate() {
+            assert_eq!(
+                report.extra(&format!("depth{d}.nodes")),
+                Some(row.nodes as f64)
+            );
+            assert_eq!(report.extra(&format!("depth{d}.io")), Some(row.io as f64));
+        }
+        assert_eq!(
+            rows.last().unwrap().routed,
+            0,
+            "the deepest level only closes leaves"
+        );
     }
 
     #[test]

@@ -379,10 +379,18 @@ pub(crate) fn run_pipeline(
                 recovery,
             );
             extra.extend([
-                ("subproblems".into(), stats.subproblems as f64),
-                ("max_recursion_depth".into(), stats.max_depth as f64),
+                ("subproblems".into(), stats.subproblems() as f64),
+                ("max_recursion_depth".into(), stats.max_depth() as f64),
                 ("partition_sweeps".into(), stats.partition_sweeps as f64),
             ]);
+            for (d, row) in stats.depths.iter().enumerate() {
+                extra.extend([
+                    (format!("depth{d}.nodes"), row.nodes as f64),
+                    (format!("depth{d}.edges_in"), row.edges_in as f64),
+                    (format!("depth{d}.routed"), row.routed as f64),
+                    (format!("depth{d}.io"), row.io as f64),
+                ]);
+            }
             n
         }
         Algorithm::HuTaoChung => {
