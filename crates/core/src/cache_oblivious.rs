@@ -1,10 +1,10 @@
 //! The cache-oblivious randomized algorithm (paper Section 3, Theorem 1).
 //!
-//! The algorithm solves the more general `(c0, c1, c2)`-enumeration problem:
+//! The algorithm solves the more general `{c0, c1, c2}`-enumeration problem:
 //! given a colouring `ξ` of the vertices, enumerate the triangles
-//! `{u, v, w}`, `u < v < w`, with `(ξ(u), ξ(v), ξ(w)) = (c0, c1, c2)`.
-//! Plain triangle enumeration is the `(1, 1, 1)` problem under the constant
-//! colouring.
+//! `{u, v, w}` whose colour multiset `{ξ(u), ξ(v), ξ(w)}` is the target
+//! `{c0, c1, c2}` (stored sorted, `c0 ≤ c1 ≤ c2`). Plain triangle
+//! enumeration is the `{1, 1, 1}` problem under the constant colouring.
 //!
 //! Each subproblem of the colour-refinement tree:
 //!
@@ -19,9 +19,15 @@
 //!    the same refinement and the whole tree is a function of the seed and
 //!    the level alone (which is what lets sharded workers and resumed runs
 //!    rebuild the identical tree);
-//! 3. splits into the 8 colour vectors
-//!    `{2c0−1, 2c0} × {2c1−1, 2c1} × {2c2−1, 2c2}`, each restricted to the
-//!    edges compatible with that vector.
+//! 3. splits into the distinct sorted refinements of the target — the
+//!    multisets `{z0, z1, z2}` with each `zi ∈ {2ci−1, 2ci}`: 4 children for
+//!    `{a, a, a}`, 6 for `{a, a, b}` or `{a, b, b}`, 8 for three distinct
+//!    colours ([`Split`]) — each holding the edges whose child-colour pair it
+//!    contains. Every edge of the node lands in **exactly two** children at
+//!    every depth, the copy factor 2 Theorem 1's bound assumes, and every
+//!    triangle's refined multiset names exactly one child. (Ordered targets
+//!    `(c0, c1, c2)`, split into all 8 vectors, copied each edge 4 times at
+//!    the root and 2.5 and ~2.2 times at depths 1–2.)
 //!
 //! The recursion bottoms out on constant-size inputs or at depth `log₄ E` —
 //! neither involves the machine parameters. The **code below never reads
@@ -59,18 +65,20 @@
 //! ## Colour resolution
 //!
 //! The colouring is the paper's `O(depth)`-word function: `⌈log₄ E⌉` bit
-//! functions and nothing per vertex. Every edge inside the node of vector
-//! `(c0, c1, c2)` is compatible with it, so its smaller endpoint's colour is
-//! `c0` or `c1` and its larger endpoint's `c1` or `c2`, and
-//! [`RefinedColoring::resolve`] picks between two candidates with one bit
-//! evaluation. The routing scan computes each child colour as
-//! `2·resolve(…) − b_d(v)` ([`RefinedColoring::resolve_child`]), at most two
-//! evaluations per endpoint from one shared computation of the endpoint's
-//! powers instead of `d + 1`, and resolves the smaller endpoint once per run
-//! of the `(u, v)`-sorted list. The properness filter resolves triangle
-//! vertices the same way. Only the checkpoint's root filter scan, whose
-//! edges are not yet known to be compatible, pays the full
-//! [`RefinedColoring::color_at`].
+//! functions and nothing per vertex. Every edge inside the node of target
+//! `{c0, c1, c2}` has its colour pair inside the target, so each endpoint's
+//! colour is one of the ≤ 3 sorted candidates, and
+//! [`RefinedColoring::resolve`] picks it with at most two bit evaluations.
+//! The routing scan computes each child colour as `2·resolve(…) − b_d(v)`
+//! ([`RefinedColoring::resolve_child`]), at most three evaluations per
+//! endpoint from one shared computation of the endpoint's powers instead of
+//! `d + 1`, resolves the smaller endpoint once per run of the
+//! `(u, v)`-sorted list, and reads the edge's child mask from the node's
+//! 6 × 6 [`Split`] table indexed by the two child colours. The properness
+//! filter resolves triangle vertices the same way. Only the checkpoint's
+//! rebuild scan, whose root edges are not yet known to be compatible, pays
+//! the full [`RefinedColoring::color_at`] — once per endpoint, at the
+//! deepest frontier depth.
 //!
 //! ## Base cases
 //!
@@ -82,7 +90,7 @@
 //!   working storage. The constant only sets where the tree stops: a
 //!   subproblem this small is finished in one read, where routing it would
 //!   pay a summary check, possibly a degree-counting scan and Lemma 1
-//!   passes, and eight child lists.
+//!   passes, and up to eight child lists.
 //! * **oversized depth-limit leaves** (`E > `[`BASE_CASE_EDGES`] at depth
 //!   `⌈log₄ E⌉`, rare): closed in place by Dementiev's wedge join
 //!   ([`sort_based_enumeration`]) — the leaf's wedges are sorted by their
@@ -93,13 +101,13 @@
 //! ## Tree-evaluation order
 //!
 //! The tree is evaluated depth-first over an **explicit stack of pending
-//! subproblems** and nothing else: each pending child owns its edge list and
-//! its [`HeavyHitters`] summary, whose gauge lease ends when the child has
-//! been processed. The explicit stack is what makes the run
-//! *checkpointable*: at any subproblem boundary the whole frontier can be
-//! serialised as `O(1)`-word descriptors (depth, colour vector, removed
-//! vertices) and the edge lists recovered later by order-preserving filter
-//! scans of the root — see [`crate::checkpoint`].
+//! subproblems** and nothing else: each pending child owns its edge list and,
+//! if it will route, its [`HeavyHitters`] summary, whose gauge lease ends
+//! when the child has been processed. The explicit stack is what makes the
+//! run *checkpointable*: at any subproblem boundary the whole frontier can be
+//! serialised as `O(1)`-word descriptors (depth, colour multiset, removed
+//! vertices) and the edge lists recovered later by order-preserving routed
+//! scans of the root, up to 32 nodes per scan — see [`crate::checkpoint`].
 //! Depth-first order is what makes the run cache-adaptive: a subtree whose
 //! working set fits internal memory is created, consumed and freed before
 //! the LRU cache ever evicts it, so deep levels cost no I/O at all and the
@@ -152,7 +160,8 @@ const BASE_CASE_EDGES: usize = 288;
 /// hand Lemma 1 more than 16 vertices.
 const MAX_LOCAL_HIGH_DEGREE: usize = 16;
 
-/// Fan-out of the colour refinement (2³ child colour vectors per node).
+/// Largest fan-out of the colour refinement: a target of three distinct
+/// colours has 2³ = 8 children (see [`Split`]).
 const CHILDREN: usize = 8;
 
 /// Gauge words one level of the refinement tree may hold, derived from the
@@ -214,8 +223,84 @@ pub fn cache_oblivious_phase_budget(e: usize) -> u64 {
     CACHE_OBLIVIOUS_WORDS_PER_LEVEL * (depth_limit(e) as u64 + 1) + BASE_CASE_EDGES as u64
 }
 
-/// A colour vector `(c0, c1, c2)` of a subproblem.
-type ColorVector = (u64, u64, u64);
+/// The target of a subproblem: a colour multiset `{c0, c1, c2}`, stored
+/// sorted (`c0 ≤ c1 ≤ c2`).
+type ColorMultiset = [u64; 3];
+
+/// `[a, b, c]` sorted, by three compare-exchanges.
+fn sorted3([a, b, c]: [u64; 3]) -> [u64; 3] {
+    let (a, b) = (a.min(b), a.max(b));
+    let (b, c) = (b.min(c), b.max(c));
+    [a.min(b), a.max(b), c]
+}
+
+/// How one node splits: its children, which are the distinct sorted
+/// refinements of its target in lexicographic order, and the routing table
+/// that sends an edge to every child whose multiset contains the edge's
+/// child-colour pair.
+///
+/// Each colour `c` of the target refines to `2c − 1` or `2c`, so `{a, a, a}`
+/// has 4 children, `{a, a, b}` and `{a, b, b}` have 6, and three distinct
+/// colours have 8. An edge of the node has a colour pair inside the target,
+/// so its child pair `{x, y}` lies in a child exactly when the child's third
+/// colour refines the target colour the pair leaves over: 2 children, at
+/// every depth. A triangle of the node, whose colour multiset is the
+/// target, has exactly one child multiset.
+struct Split {
+    target: ColorMultiset,
+    children: [ColorMultiset; CHILDREN],
+    len: usize,
+    /// `masks[slot(x)][slot(y)]`: the children containing the pair `{x, y}`.
+    masks: [[u8; 6]; 6],
+}
+
+impl Split {
+    fn new(target: ColorMultiset) -> Split {
+        let [c0, c1, c2] = target;
+        let mut split = Split {
+            target,
+            children: [[0; 3]; CHILDREN],
+            len: 0,
+            masks: [[0; 6]; 6],
+        };
+        // Choice k refines colour i by bit 2 − i of k. Since the target is
+        // sorted, the first occurrence of each distinct sorted refinement
+        // comes in lexicographic order.
+        for k in 0..CHILDREN {
+            let refine = |c: u64, bit: usize| 2 * c - 1 + (k >> bit & 1) as u64;
+            let child = sorted3([refine(c0, 2), refine(c1, 1), refine(c2, 0)]);
+            if split.children().contains(&child) {
+                continue;
+            }
+            let bit = 1u8 << split.len;
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                let (x, y) = (split.slot(child[a]), split.slot(child[b]));
+                split.masks[x][y] |= bit;
+                split.masks[y][x] |= bit;
+            }
+            split.children[split.len] = child;
+            split.len += 1;
+        }
+        split
+    }
+
+    /// The table slot of child colour `x`: two slots per distinct target
+    /// colour, for its two refinements.
+    fn slot(&self, x: u64) -> usize {
+        let parent = x.div_ceil(2);
+        let [c0, c1, _] = self.target;
+        2 * (usize::from(parent > c0) + usize::from(parent > c1)) + usize::from(x.is_multiple_of(2))
+    }
+
+    /// The children the edge of child colours `(x, y)` is routed to.
+    fn mask(&self, x: u64, y: u64) -> u32 {
+        u32::from(self.masks[self.slot(x)][self.slot(y)])
+    }
+
+    fn children(&self) -> &[ColorMultiset] {
+        &self.children[..self.len]
+    }
+}
 
 /// A Misra–Gries heavy-hitter summary of a subproblem's endpoint stream
 /// (each edge contributes both endpoints, so a vertex's frequency is its
@@ -385,7 +470,7 @@ impl CacheObliviousStats {
 /// checkpoint at each subproblem boundary that crosses the I/O interval
 /// (committing the sink via [`TriangleSink::on_checkpoint`] right after each
 /// write); when `recovery.resume` is given the run starts from that
-/// checkpoint instead of the root — rebuilding the stack frontier by filter
+/// checkpoint instead of the root — rebuilding the stack frontier by routed
 /// scans of the re-sorted root and continuing the exactly-once emission
 /// numbering at the checkpoint's high-water mark. With both `None` the
 /// checkpoint plumbing costs nothing.
@@ -450,7 +535,7 @@ pub(crate) fn run_cache_oblivious(
         None => vec![PendingNode {
             edges: root,
             summary: None,
-            target: (1, 1, 1),
+            target: [1, 1, 1],
             depth: 0,
             removed: None,
         }],
@@ -474,32 +559,33 @@ pub(crate) fn run_cache_oblivious(
     (ctx.emitted, ctx.stats)
 }
 
-/// Whether the ordered colour pair `(cu, cv)` (colours of an edge's smaller
-/// and larger endpoint) appears among the pairs a proper triangle of `target`
-/// would use.
-fn pair_compatible(cu: u64, cv: u64, target: ColorVector) -> bool {
-    let (c0, c1, c2) = target;
-    (cu, cv) == (c0, c1) || (cu, cv) == (c1, c2) || (cu, cv) == (c0, c2)
-}
-
-/// Whether edge `e` is compatible with colour vector `target` under the full
-/// depth of `coloring`: the reference definition the partition-routing test
-/// checks the resolved colours of the routing scan against.
-#[cfg_attr(not(test), allow(dead_code))]
-fn compatible(e: &Edge, coloring: &RefinedColoring, target: ColorVector) -> bool {
-    pair_compatible(coloring.color(e.u), coloring.color(e.v), target)
+/// Whether the colour pair `{cu, cv}` of an edge's endpoints is a
+/// sub-multiset of `target`: the edges a node of that target holds.
+fn pair_in(cu: u64, cv: u64, target: ColorMultiset) -> bool {
+    let [c0, c1, c2] = target;
+    let rest = if cu == c0 {
+        [c1, c2]
+    } else if cu == c1 {
+        [c0, c2]
+    } else if cu == c2 {
+        [c0, c1]
+    } else {
+        return false;
+    };
+    rest.contains(&cv)
 }
 
 /// Whether triangle `t` is proper for `target` under the depth-`depth`
-/// prefix of `coloring`. `t`'s edges lie in the node of `target`, so `t.a`'s
-/// colour is `c0` or `c1` and `t.b`'s and `t.c`'s are `c1` or `c2`.
-fn proper_at(t: &Triangle, coloring: &RefinedColoring, depth: usize, target: ColorVector) -> bool {
-    let (c0, c1, c2) = target;
-    (
-        coloring.resolve(t.a, depth, c0, c1),
-        coloring.resolve(t.b, depth, c1, c2),
-        coloring.resolve(t.c, depth, c1, c2),
-    ) == target
+/// prefix of `coloring`: its vertices' colours, as a multiset, are the
+/// target. `t`'s edges lie in the node of `target`, so each vertex's colour
+/// is one of the target's.
+fn proper_at(
+    t: &Triangle,
+    coloring: &RefinedColoring,
+    depth: usize,
+    target: ColorMultiset,
+) -> bool {
+    sorted3([t.a, t.b, t.c].map(|v| coloring.resolve(v, depth, target))) == target
 }
 
 /// Resolves the exact local high-degree set from a [`HeavyHitters`] summary,
@@ -549,7 +635,7 @@ fn enumerate_high_degree(
     high: &[VertexId],
     coloring: &RefinedColoring,
     depth: usize,
-    target: ColorVector,
+    target: ColorMultiset,
 ) -> ExtVec<Edge> {
     let mut enumerated_all = true;
     for &v in high {
@@ -577,20 +663,11 @@ fn enumerate_high_degree(
     edges
 }
 
-/// The eight child colour vectors of `target`, in slot order.
-fn child_vectors(target: ColorVector) -> [ColorVector; CHILDREN] {
-    let (c0, c1, c2) = target;
-    let mut children = [(0u64, 0u64, 0u64); CHILDREN];
-    let mut k = 0;
-    for z0 in [2 * c0 - 1, 2 * c0] {
-        for z1 in [2 * c1 - 1, 2 * c1] {
-            for z2 in [2 * c2 - 1, 2 * c2] {
-                children[k] = (z0, z1, z2);
-                k += 1;
-            }
-        }
-    }
-    children
+/// Whether a node of `edges` edges at `depth` routes (runs step 1 and
+/// splits) rather than closing as a leaf: in core at most
+/// [`BASE_CASE_EDGES`] edges, or oversized at the depth limit.
+fn routes(edges: usize, depth: usize, depth_limit: usize) -> bool {
+    edges > BASE_CASE_EDGES && depth < depth_limit
 }
 
 /// Constant-size base case, entirely in core: the sorted edge list is leased
@@ -644,7 +721,7 @@ fn solve_leaf_in_core(
 // ---------------------------------------------------------------------------
 
 /// The set of vertices removed by high-degree enumeration at one node, linked
-/// to the ancestor sets above it. Shared (`Rc`) by all eight children so the
+/// to the ancestor sets above it. Shared (`Rc`) by all the children so the
 /// per-frame cost stays `O(1)` words; removal sets at different levels are
 /// disjoint (a removed vertex has no edges left below its removal level), so
 /// the flattened union needs no dedup.
@@ -668,19 +745,18 @@ fn flatten_removed(removed: &Option<Rc<RemovedSet>>) -> Vec<u32> {
 }
 
 /// A pending subproblem of the explicit depth-first stack: its edge list,
-/// colour vector and depth, the heavy-hitter summary step 1 starts from,
+/// colour multiset and depth, the heavy-hitter summary step 1 starts from,
 /// and the removal chain a checkpoint descriptor needs.
 struct PendingNode {
     edges: ExtVec<Edge>,
-    /// Heavy-hitter summary fed by the parent's routing scan, with its own
-    /// [`HeavyHitters::WORDS`]-word gauge lease, which ends when
+    /// Heavy-hitter summary fed by the scan that built the edge list (the
+    /// parent's routing scan, or the rebuild scan of a resumed run), with
+    /// its own [`HeavyHitters::WORDS`]-word gauge lease, which ends when
     /// [`process_node`] returns for this node. `None` for a leaf-bound node
-    /// (it never reaches step 1), at the root and for nodes rebuilt from a
-    /// checkpoint (which pay one summary scan instead — recovery overhead,
-    /// not a correctness difference: the exact high-degree set is resolved
-    /// from either summary).
+    /// (it never reaches step 1) and at the root, which pays one summary
+    /// scan instead.
     summary: Option<(HeavyHitters, MemLease)>,
-    target: ColorVector,
+    target: ColorMultiset,
     depth: usize,
     removed: Option<Rc<RemovedSet>>,
 }
@@ -733,53 +809,83 @@ fn maybe_checkpoint(
     ctl.last_io = machine.io().total();
 }
 
-/// Rebuilds the driver stack persisted in `checkpoint`: each frontier node's
-/// edge list comes back by one order-preserving filter scan of the re-sorted
-/// root — compatibility is hereditary and both removal and routing preserve
-/// the root's `(u, v)` order, so the scan recovers the exact list the
-/// crashed run held.
+/// Rebuilds the driver stack persisted in `checkpoint` by routed scans of
+/// the re-sorted root, one bucket per frontier descriptor and up to
+/// [`emalgo::MAX_PARTITION_BUCKETS`] descriptors per scan. Compatibility is
+/// hereditary and both removal and routing preserve the root's `(u, v)`
+/// order, so each bucket is the exact list the crashed run held. Each
+/// bucket's heavy-hitter summary is fed en passant, as routing does, so a
+/// rebuilt node that routes pays no summary scan of its own.
 fn rebuild_stack_from_checkpoint(
     coloring: &RefinedColoring,
     root: &ExtVec<Edge>,
     checkpoint: &Checkpoint,
 ) -> Vec<PendingNode> {
-    checkpoint
-        .frontier
-        .iter()
-        .map(|desc| {
+    let machine = root.machine();
+    let mut stack = Vec::with_capacity(checkpoint.frontier.len());
+    for group in checkpoint.frontier.chunks(emalgo::MAX_PARTITION_BUCKETS) {
+        let scan_lease = machine
+            .gauge()
+            .lease(group.len() as u64 * HeavyHitters::WORDS);
+        let mut summaries: [HeavyHitters; emalgo::MAX_PARTITION_BUCKETS] =
+            std::array::from_fn(|_| HeavyHitters::default());
+        let buckets = route_frontier(coloring, root, group, |i, e| summaries[i].feed_edge(e));
+        drop(scan_lease);
+        for ((edges, desc), summary) in buckets.into_iter().zip(group).zip(summaries) {
             let removed = (!desc.removed.is_empty()).then(|| {
                 Rc::new(RemovedSet {
                     vertices: desc.removed.clone(),
                     parent: None,
                 })
             });
-            PendingNode {
-                edges: reconstruct_edges(coloring, root, desc),
-                summary: None,
+            let will_route = routes(edges.len(), desc.depth, checkpoint.depth_limit);
+            stack.push(PendingNode {
+                edges,
+                summary: will_route.then(|| (summary, machine.gauge().lease(HeavyHitters::WORDS))),
                 target: desc.target,
                 depth: desc.depth,
                 removed,
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    stack
 }
 
-/// One order-preserving filter scan of the root recovering a descriptor's
-/// exact edge list: keep each edge whose colour pair is compatible with the
-/// node's vector at its depth and which touches no removed vertex.
-fn reconstruct_edges(
+/// One order-preserving routed scan of the root into one bucket per
+/// descriptor of `group` (at most [`emalgo::MAX_PARTITION_BUCKETS`]): an
+/// edge goes to each descriptor whose target holds its colour pair at the
+/// descriptor's depth and none of whose removed vertices it touches, and
+/// `feed(i, e)` sees every edge bucket `i` keeps. One
+/// [`RefinedColoring::color_at`] per endpoint at the group's deepest depth
+/// gives every shallower prefix colour: `ξ_d − 1` is `ξ_D − 1` shifted right
+/// by `D − d` bits.
+fn route_frontier(
     coloring: &RefinedColoring,
     root: &ExtVec<Edge>,
-    desc: &NodeDescriptor,
-) -> ExtVec<Edge> {
-    let removed = &desc.removed;
-    emalgo::scan_filter(root, |e| {
-        pair_compatible(
-            coloring.color_at(e.u, desc.depth),
-            coloring.color_at(e.v, desc.depth),
-            desc.target,
-        ) && removed.binary_search(&e.u).is_err()
-            && removed.binary_search(&e.v).is_err()
+    group: &[NodeDescriptor],
+    mut feed: impl FnMut(usize, &Edge),
+) -> Vec<ExtVec<Edge>> {
+    let deepest = group.iter().map(|d| d.depth).max().unwrap_or(0);
+    let prefix = |c: u64, depth: usize| ((c - 1) >> (deepest - depth)) + 1;
+    let mut prev_u = None;
+    let mut cu = 0;
+    emalgo::scan_partition(root, group.len(), |e: &Edge| {
+        if prev_u != Some(e.u) {
+            cu = coloring.color_at(e.u, deepest);
+            prev_u = Some(e.u);
+        }
+        let cv = coloring.color_at(e.v, deepest);
+        let mut mask = 0u32;
+        for (i, desc) in group.iter().enumerate() {
+            if pair_in(prefix(cu, desc.depth), prefix(cv, desc.depth), desc.target)
+                && desc.removed.binary_search(&e.u).is_err()
+                && desc.removed.binary_search(&e.v).is_err()
+            {
+                mask |= 1 << i;
+                feed(i, e);
+            }
+        }
+        mask
     })
 }
 
@@ -810,7 +916,7 @@ fn drive_depth_first(
 }
 
 /// Processes one pending subproblem: a leaf is closed in place; an internal
-/// node runs step 1, then routes its edges into the eight children and
+/// node runs step 1, then routes its edges into its children and
 /// pushes them. The inherited summary's lease ends when this returns.
 fn process_node(
     ctx: &mut CoContext<'_>,
@@ -852,8 +958,7 @@ fn process_node(
     let gated = depth < DEFAULT_SPAWN_DEPTH;
     // A leaf — in-core (constant-size) or an oversized one at the depth
     // limit — is one emission unit, closed in place.
-    let in_core = e_here <= BASE_CASE_EDGES;
-    if in_core || depth >= ctx.depth_limit {
+    if !routes(e_here, depth, ctx.depth_limit) {
         if gated
             && !ctx
                 .shard
@@ -862,7 +967,7 @@ fn process_node(
             return;
         }
         let proper = |t: Triangle| proper_at(&t, coloring, depth, target);
-        ctx.emitted += if in_core {
+        ctx.emitted += if e_here <= BASE_CASE_EDGES {
             solve_leaf_in_core(&edges, proper, ctx.sink)
         } else {
             sort_based_enumeration(&edges, SortKind::Oblivious, proper, ctx.sink)
@@ -871,9 +976,8 @@ fn process_node(
     }
 
     // ---- Step 1: local high-degree vertices. ----
-    // Below the root the parent's routing scan already built this child's
-    // heavy-hitter summary; only the root (and nodes rebuilt from a
-    // checkpoint) pay for their own summary scan.
+    // Below the root the scan that built this node's list already built its
+    // heavy-hitter summary; only the root pays for its own summary scan.
     let summary = inherited.unwrap_or_else(|| HeavyHitters::of_stream(machine, edges.iter()));
     let high = resolve_high_degree(machine, &summary, e_here, || edges.iter());
 
@@ -902,21 +1006,24 @@ fn process_node(
         }
     }
 
-    // ---- Steps 2–3: all eight children in one routing scan (this node's
-    // own partition sweep), child degree summaries fed en passant. ----
+    // ---- Steps 2–3: all children in one routing scan (this node's own
+    // partition sweep), child degree summaries fed en passant. ----
     ctx.stats.partition_sweeps += 1;
     ctx.stats.depth_row(depth).routed += current.len() as u64;
-    let (c0, c1, c2) = target;
-    let children = child_vectors(target);
-    // The scan fills all eight summaries at once; afterwards each child
-    // carries its own summary and lease.
-    let scan_lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
+    let split = Split::new(target);
+    let children = split.children();
+    // The scan fills every child's summary at once; afterwards each child
+    // that routes carries its own summary and lease.
+    let scan_lease = machine
+        .gauge()
+        .lease(children.len() as u64 * HeavyHitters::WORDS);
     let mut summaries: [HeavyHitters; CHILDREN] = Default::default();
     let buckets = {
         let summaries = &mut summaries;
+        let split = &split;
         let mut prev: Option<Edge> = None;
         let mut cu = 0;
-        emalgo::scan_partition(&current, CHILDREN, move |e: &Edge| {
+        emalgo::scan_partition(&current, children.len(), move |e: &Edge| {
             // The one-scan sortedness debug-assert: children must inherit
             // the parent's (u, v) order, checked inline at zero extra I/O.
             debug_assert!(
@@ -926,16 +1033,16 @@ fn process_node(
             // See "Colour resolution" in the module docs. The smaller
             // endpoint's colour is resolved once per (u, v)-sorted run.
             if prev.is_none_or(|p| p.u != e.u) {
-                cu = coloring.resolve_child(e.u, depth, c0, c1);
+                cu = coloring.resolve_child(e.u, depth, target);
             }
             prev = Some(*e);
-            let cv = coloring.resolve_child(e.v, depth, c1, c2);
-            let mut mask = 0u32;
-            for (i, &child) in children.iter().enumerate() {
-                if pair_compatible(cu, cv, child) {
-                    mask |= 1 << i;
-                    summaries[i].feed_edge(e);
-                }
+            let cv = coloring.resolve_child(e.v, depth, target);
+            let mask = split.mask(cu, cv);
+            debug_assert_eq!(mask.count_ones(), 2, "{e:?} under {target:?}");
+            let mut rest = mask;
+            while rest != 0 {
+                summaries[rest.trailing_zeros() as usize].feed_edge(e);
+                rest &= rest - 1;
             }
             mask
         })
@@ -949,12 +1056,12 @@ fn process_node(
         .zip(summaries)
         .rev()
     {
-        // A leaf-bound child (in core, or at the depth limit) never reads
-        // its summary, so it holds no lease while it is pending.
-        let routes = bucket.len() > BASE_CASE_EDGES && depth + 1 < ctx.depth_limit;
+        // A leaf-bound child never reads its summary, so it holds no lease
+        // while it is pending.
+        let will_route = routes(bucket.len(), depth + 1, ctx.depth_limit);
         stack.push(PendingNode {
             edges: bucket,
-            summary: routes.then(|| (summary, machine.gauge().lease(HeavyHitters::WORDS))),
+            summary: will_route.then(|| (summary, machine.gauge().lease(HeavyHitters::WORDS))),
             target: child_target,
             depth: depth + 1,
             removed: removed.clone(),
@@ -982,10 +1089,10 @@ mod tests {
 
     /// The depth caps the oracle and resume tests run under: the natural
     /// limit, then limits that stop the tree at depth 1 (above
-    /// [`DEFAULT_SPAWN_DEPTH`]) and at depth 2 (at it). A depth-1 node
-    /// holds about E/2 edges and a depth-2 node about E/6, so on the inputs
-    /// below (E ≥ 1 400) both capped runs close leaves above
-    /// [`BASE_CASE_EDGES`].
+    /// [`DEFAULT_SPAWN_DEPTH`]) and at depth 2 (at it). Each depth copies
+    /// every edge twice, so a depth-1 node holds about 2E/4 = E/2 edges and
+    /// a depth-2 node about 4E/20 = E/5; on the inputs below (E ≥ 1 400)
+    /// both capped runs close leaves above [`BASE_CASE_EDGES`].
     const CAPS: [Option<usize>; 3] = [None, Some(1), Some(2)];
 
     fn run(g: &graphgen::Graph, cfg: EmConfig, seed: u64) -> (u64, u64, CacheObliviousStats) {
@@ -1161,10 +1268,35 @@ mod tests {
         assert!(high.is_empty());
     }
 
+    /// The reference compatibility filter: whether `e`'s colour pair under
+    /// the full depth of `coloring` lies in `target`.
+    fn compatible(e: &Edge, coloring: &RefinedColoring, target: ColorMultiset) -> bool {
+        pair_in(coloring.color(e.u), coloring.color(e.v), target)
+    }
+
+    /// The reference frontier rebuild: one filter scan of `root` per
+    /// descriptor, with every colour from [`RefinedColoring::color_at`] at
+    /// the descriptor's own depth.
+    fn reconstruct_edges(
+        coloring: &RefinedColoring,
+        root: &ExtVec<Edge>,
+        desc: &NodeDescriptor,
+    ) -> ExtVec<Edge> {
+        let removed = &desc.removed;
+        emalgo::scan_filter(root, |e| {
+            pair_in(
+                coloring.color_at(e.u, desc.depth),
+                coloring.color_at(e.v, desc.depth),
+                desc.target,
+            ) && removed.binary_search(&e.u).is_err()
+                && removed.binary_search(&e.v).is_err()
+        })
+    }
+
     #[test]
     fn partition_routing_agrees_with_per_child_compatibility_filters() {
-        // The single-pass router must produce, for every child vector,
-        // exactly the edges the old eight-filter implementation kept.
+        // The single-pass router must produce, for every child multiset,
+        // exactly the edges a per-child compatibility filter keeps.
         let g = generators::erdos_renyi(80, 400, 4);
         let machine = Machine::new(EmConfig::new(1 << 12, 64));
         let eg = ExtGraph::load(&machine, &g);
@@ -1174,28 +1306,159 @@ mod tests {
         let mut coloring = RefinedColoring::identity();
         coloring.push(fam.function(0));
 
-        let children: Vec<ColorVector> = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
-            .into_iter()
-            .chain([(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)])
-            .collect();
+        let split = Split::new([1, 1, 1]);
+        assert_eq!(
+            split.children(),
+            [[1, 1, 1], [1, 1, 2], [1, 2, 2], [2, 2, 2]]
+        );
         let coloring_ref = &coloring;
-        let buckets = emalgo::scan_partition(&edges, 8, |e: &Edge| {
-            let (cu, cv) = (coloring_ref.color(e.u), coloring_ref.color(e.v));
-            let mut mask = 0u32;
-            for (i, &child) in children.iter().enumerate() {
-                if pair_compatible(cu, cv, child) {
-                    mask |= 1 << i;
-                }
-            }
+        let buckets = emalgo::scan_partition(&edges, split.len, |e: &Edge| {
+            let mask = split.mask(coloring_ref.color(e.u), coloring_ref.color(e.v));
+            assert_eq!(mask.count_ones(), 2);
             mask
         });
         for (i, bucket) in buckets.iter().enumerate() {
-            let expected =
-                emalgo::scan_filter(&edges, |e| compatible(e, coloring_ref, children[i]));
+            let child = split.children()[i];
+            let expected = emalgo::scan_filter(&edges, |e| compatible(e, coloring_ref, child));
             assert_eq!(bucket.load_all(), expected.load_all(), "child {i}");
             // Sortedness is inherited by every bucket.
             assert!(emalgo::is_sorted_by_key(bucket, |e| (e.u, e.v)));
         }
+    }
+
+    #[test]
+    fn splits_have_four_six_or_eight_children_in_lexicographic_order() {
+        // Every sorted target over the depth-3 colours 1..=8.
+        for target in
+            (1..=8u64).flat_map(|a| (a..=8).flat_map(move |b| (b..=8).map(move |c| [a, b, c])))
+        {
+            let split = Split::new(target);
+            let children = match (target[0] == target[1], target[1] == target[2]) {
+                (true, true) => 4,
+                (false, false) => 8,
+                _ => 6,
+            };
+            assert_eq!(split.children().len(), children, "{target:?}");
+            assert!(
+                split.children().windows(2).all(|w| w[0] < w[1]),
+                "{target:?}"
+            );
+            for child in split.children() {
+                assert!(child.is_sorted());
+                assert_eq!(sorted3(child.map(|z| z.div_ceil(2))), target);
+            }
+        }
+        assert_eq!(
+            Split::new([1, 2, 2]).children(),
+            [
+                [1, 3, 3],
+                [1, 3, 4],
+                [1, 4, 4],
+                [2, 3, 3],
+                [2, 3, 4],
+                [2, 4, 4]
+            ]
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_edge_routes_to_two_children_and_every_triangle_to_one(
+            colours in (1u64..9, 1u64..9, 1u64..9),
+            refine in (0u64..2, 0u64..2, 0u64..2),
+        ) {
+            // A target over the depth-3 colours 1..=8, and a triangle whose
+            // vertices take its colours and refine them by `refine`.
+            let target = sorted3([colours.0, colours.1, colours.2]);
+            let refine = [refine.0, refine.1, refine.2];
+            let split = Split::new(target);
+            let child_colours: [u64; 3] =
+                std::array::from_fn(|i| 2 * target[i] - 1 + refine[i]);
+            // The triangle's child multiset names exactly one child.
+            let mine = sorted3(child_colours);
+            let named: Vec<usize> = (0..split.len)
+                .filter(|&i| split.children()[i] == mine)
+                .collect();
+            proptest::prop_assert_eq!(named.len(), 1);
+            // Each of its edges routes to exactly two children, one of them
+            // the triangle's own.
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                let (x, y) = (child_colours[a], child_colours[b]);
+                for mask in [split.mask(x, y), split.mask(y, x)] {
+                    proptest::prop_assert_eq!(mask.count_ones(), 2);
+                    proptest::prop_assert!(mask & 1 << named[0] != 0);
+                    for i in 0..split.len {
+                        let held = pair_in(x, y, split.children()[i]);
+                        proptest::prop_assert_eq!(mask & 1 << i != 0, held);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_routing_matches_one_filter_scan_per_descriptor() {
+        // A frontier at mixed depths, some with removed vertices, more than
+        // one scan's worth of descriptors: every bucket of the routed
+        // rebuild must be byte-identical to the filter scan it replaces,
+        // and its summary must be the one a scan of the bucket builds.
+        let g = generators::erdos_renyi(120, 900, 6);
+        let machine = Machine::new(EmConfig::new(1 << 10, 32));
+        let eg = ExtGraph::load(&machine, &g);
+        let root = emalgo::oblivious_sort_by_key(eg.edges(), |e| (e.u, e.v));
+        let fam = BitFunctionFamily::new(3, 5);
+        let mut coloring = RefinedColoring::identity();
+        coloring.push_batch((0..3).map(|i| fam.function(i)));
+        let mut frontier = Vec::new();
+        for depth in 0..=3usize {
+            let top = 1u64 << depth;
+            for c0 in 1..=top {
+                for c1 in c0..=top {
+                    for c2 in c1..=top {
+                        let removed = if (c0 + c1 + c2) % 3 == 0 {
+                            vec![1, 7, 40]
+                        } else {
+                            vec![]
+                        };
+                        frontier.push(NodeDescriptor {
+                            depth,
+                            target: [c0, c1, c2],
+                            removed,
+                        });
+                    }
+                }
+            }
+        }
+        assert!(frontier.len() > emalgo::MAX_PARTITION_BUCKETS);
+        let checkpoint = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            seed: 0,
+            edges: root.len(),
+            depth_limit: 3,
+            hwm: 0,
+            frontier: frontier.clone(),
+        };
+        let stack = rebuild_stack_from_checkpoint(&coloring, &root, &checkpoint);
+        assert_eq!(stack.len(), frontier.len());
+        for (node, desc) in stack.iter().zip(&frontier) {
+            let expected = reconstruct_edges(&coloring, &root, desc);
+            assert_eq!(node.edges.load_all(), expected.load_all(), "{desc:?}");
+            assert_eq!((node.depth, node.target), (desc.depth, desc.target));
+            let will_route = routes(node.edges.len(), desc.depth, 3);
+            assert_eq!(node.summary.is_some(), will_route, "{desc:?}");
+            if let Some((summary, _)) = &node.summary {
+                let rescanned = HeavyHitters::of_stream(&machine, expected.iter());
+                let mut got: Vec<_> = summary.counters().collect();
+                let mut want: Vec<_> = rescanned.counters().collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{desc:?}");
+            }
+        }
+        assert!(
+            stack.iter().any(|n| n.summary.is_some()),
+            "some node routes"
+        );
     }
 
     #[test]
@@ -1230,7 +1493,7 @@ mod tests {
             shard: &mut shard,
         };
         let coloring = RefinedColoring::identity();
-        let rest = enumerate_high_degree(&mut ctx, edges, &high, &coloring, 0, (1, 1, 1));
+        let rest = enumerate_high_degree(&mut ctx, edges, &high, &coloring, 0, [1, 1, 1]);
         assert_eq!(ctx.emitted, 560);
         assert!(rest.is_empty(), "step 1 consumes every edge");
         let mut through = [0u64; 16];
@@ -1333,6 +1596,10 @@ mod tests {
             0,
             "the deepest level only closes leaves"
         );
+        // Every routing depth copies each surviving edge exactly twice.
+        for d in 1..rows.len() {
+            assert_eq!(rows[d].edges_in, 2 * rows[d - 1].routed, "depth {d}");
+        }
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //! per pending subproblem — the stack holds nothing else). No other state
 //! spans subproblems: an oversized depth-limit leaf is closed before the
 //! next boundary, and a pending node's heavy-hitter summary is not persisted
-//! (a resumed node rebuilds it with one scan).
+//! (the scan that rebuilds a resumed node's edges feeds it again).
 //!
 //! A pending subproblem's *edge list* is deliberately **not** serialised.
-//! Colour-vector compatibility is hereditary (an edge compatible with a
-//! node's vector at its depth is compatible with every ancestor's), and both
+//! Compatibility is hereditary (an edge whose colour pair lies in a node's
+//! colour multiset at its depth lies in every ancestor's), and both
 //! high-degree removal and partition routing preserve the root's `(u, v)`
-//! order — so the node's exact edge list is recovered by one order-preserving
-//! scan of the (re-sorted) root: keep each edge whose colour pair is
-//! compatible at `(depth, target)` and which is not incident to a vertex in
-//! the node's accumulated `removed` set. That makes checkpoints `O(frontier)`
-//! words instead of `O(E)`.
+//! order — so the node's exact edge list is recovered by an order-preserving
+//! scan of the (re-sorted) root: keep each edge whose colour pair lies in the
+//! node's target at its depth and which is not incident to a vertex in the
+//! node's accumulated `removed` set. One routed scan recovers up to 32
+//! frontier nodes at once, one bucket each. That makes checkpoints
+//! `O(frontier)` words instead of `O(E)`.
 //!
 //! Checkpoints are serialised with the repo's hand-rolled flat-JSON style (no
 //! serde in the dependency tree) and written **atomically**: the bytes go to
@@ -56,8 +57,8 @@ pub(crate) struct Recovery<'a> {
 pub struct NodeDescriptor {
     /// Depth of the node in the colour-refinement tree.
     pub depth: usize,
-    /// The node's colour vector `(c0, c1, c2)`.
-    pub target: (u64, u64, u64),
+    /// The node's colour multiset `{c0, c1, c2}`, sorted.
+    pub target: [u64; 3],
     /// Sorted vertex ids removed by high-degree enumeration along the node's
     /// ancestor path (removal sets at different levels are disjoint: a
     /// removed vertex has no edges left below its removal level).
@@ -67,7 +68,7 @@ pub struct NodeDescriptor {
 /// A complete, resumable snapshot of a cache-oblivious run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version (current: 3).
+    /// Format version (current: 4).
     pub version: u32,
     /// Seed of the per-level refinement bits.
     pub seed: u64,
@@ -84,9 +85,11 @@ pub struct Checkpoint {
 
 /// Current checkpoint format version. Version 1 also carried a log of
 /// batched oversized leaves, and versions 1 and 2 interleaved gauge-lease
-/// markers (`release` entries) with the nodes of the frontier; both are
-/// rejected, not migrated.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// markers (`release` entries) with the nodes of the frontier. Versions 1–3
+/// name each node by an *ordered* colour vector `(c0, c1, c2)`, while
+/// version 4's target is a sorted colour multiset of a different tree. All
+/// older versions are rejected, not migrated.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 impl Checkpoint {
     /// Serialises the checkpoint as flat JSON.
@@ -167,7 +170,7 @@ fn node_json(node: &NodeDescriptor) -> String {
         }
         removed.push_str(&v.to_string());
     }
-    let (c0, c1, c2) = node.target;
+    let [c0, c1, c2] = node.target;
     format!(
         "{{\"depth\": {}, \"target\": [{c0}, {c1}, {c2}], \"removed\": [{removed}]}}",
         node.depth
@@ -181,11 +184,14 @@ fn parse_node(obj: &[(String, Json)]) -> Result<NodeDescriptor, String> {
     if target.len() != 3 {
         return Err("field 'target' must hold exactly three colours".to_string());
     }
-    let target = (
+    let target = [
         target[0].as_u64("target[0]")?,
         target[1].as_u64("target[1]")?,
         target[2].as_u64("target[2]")?,
-    );
+    ];
+    if !target.is_sorted() {
+        return Err("field 'target' must list its colours in ascending order".to_string());
+    }
     let mut removed = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
     for v in get(obj, "removed")?.as_array("removed")? {
         removed.push(
@@ -396,12 +402,12 @@ mod tests {
             frontier: vec![
                 NodeDescriptor {
                     depth: 1,
-                    target: (1, 1, 2),
+                    target: [1, 1, 2],
                     removed: vec![],
                 },
                 NodeDescriptor {
                     depth: 2,
-                    target: (3, 4, 4),
+                    target: [3, 4, 4],
                     removed: vec![5, 17, 99],
                 },
             ],
@@ -434,10 +440,10 @@ mod tests {
         let truncated = &json[..json.len() / 2];
         assert!(Checkpoint::parse(truncated).is_err());
         assert!(Checkpoint::parse("").is_err());
-        assert!(Checkpoint::parse("{\"version\": 3}")
+        assert!(Checkpoint::parse("{\"version\": 4}")
             .unwrap_err()
             .contains("missing field"));
-        let wrong_version = json.replace("\"version\": 3", "\"version\": 9");
+        let wrong_version = json.replace("\"version\": 4", "\"version\": 9");
         assert_ne!(wrong_version, json);
         assert!(Checkpoint::parse(&wrong_version)
             .unwrap_err()
@@ -499,8 +505,33 @@ mod tests {
 "#;
         assert_eq!(
             Checkpoint::parse(v2).unwrap_err(),
-            "unsupported checkpoint version 2 (expected 3)"
+            "unsupported checkpoint version 2 (expected 4)"
         );
+    }
+
+    #[test]
+    fn version_3_documents_are_rejected() {
+        // The same format, but version 3's targets are ordered colour
+        // vectors of the old tree: [1, 2, 1] names a node there and no
+        // multiset here.
+        let v3 = r#"{
+  "version": 3,
+  "seed": 7,
+  "edges": 2000,
+  "depth_limit": 6,
+  "hwm": 123,
+  "frontier": [
+    {"depth": 1, "target": [1, 2, 1], "removed": []},
+    {"depth": 2, "target": [3, 4, 4], "removed": [5, 17, 99]}
+  ]
+}
+"#;
+        assert_eq!(
+            Checkpoint::parse(v3).unwrap_err(),
+            "unsupported checkpoint version 3 (expected 4)"
+        );
+        let v4 = v3.replace("\"version\": 3", "\"version\": 4");
+        assert!(Checkpoint::parse(&v4).unwrap_err().contains("ascending"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::util::{sort_by_key, SortKind};
 /// The `filter` hook is how callers implement the paper's variations: the
 /// cache-aware step 1 uses it to avoid double-emitting triangles with several
 /// high-degree vertices, and the cache-oblivious step 1 uses it to keep only
-/// triangles that are *proper* for the current colour vector.
+/// triangles that are *proper* for the current colour multiset.
 pub(crate) fn enumerate_through_vertex(
     edges: &ExtVec<Edge>,
     v: VertexId,

@@ -47,10 +47,10 @@ use crate::stats::RunReport;
 use crate::{run_pipeline, Algorithm};
 
 /// Spawn depth of the cache-oblivious driver: subtrees rooted at
-/// depth 2 of the colour-refinement tree become work units (up to `8² = 64`
-/// of them — comfortably more than the worker counts E10 sweeps, so the
-/// round-robin assignment balances well), while the two levels above are
-/// replicated on every worker.
+/// depth 2 of the colour-refinement tree become work units (one per colour
+/// multiset of size 3 over 4 colours, `C(6, 3) = 20` of them — more than
+/// the worker counts E10 sweeps), while the two levels above are replicated
+/// on every worker.
 pub const DEFAULT_SPAWN_DEPTH: usize = 2;
 
 /// One schedulable piece of a driver's execution, as logged by the unit
@@ -75,24 +75,24 @@ pub enum WorkUnitKind {
     RefinementSubtree {
         /// Depth of the subtree root (always the plan's spawn depth).
         depth: usize,
-        /// Colour-vector target of the subtree root.
-        target: (u64, u64, u64),
+        /// Colour-multiset target of the subtree root.
+        target: [u64; 3],
     },
     /// Cache-oblivious: an in-core (or oversized) leaf above the spawn
     /// depth, emitted as its own unit.
     RefinementLeaf {
         /// Depth of the leaf.
         depth: usize,
-        /// Colour-vector target of the leaf.
-        target: (u64, u64, u64),
+        /// Colour-multiset target of the leaf.
+        target: [u64; 3],
     },
     /// Cache-oblivious: the Lemma 1 high-degree enumeration of a replicated
     /// top-of-tree node, emitted as its own unit.
     RefinementHighDegree {
         /// Depth of the node.
         depth: usize,
-        /// Colour-vector target of the node.
-        target: (u64, u64, u64),
+        /// Colour-multiset target of the node.
+        target: [u64; 3],
     },
 }
 

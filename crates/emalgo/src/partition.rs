@@ -1,10 +1,10 @@
 //! Multi-way single-pass partitioning.
 //!
 //! The cache-oblivious recursion of the paper (Section 3) splits a subproblem
-//! into eight children, each child keeping the edges compatible with one of
-//! the eight refined colour vectors. Implemented naively that is eight
-//! independent filtering scans over the same input — eight times the read
-//! volume and eight evaluations of the colouring per element. The
+//! into up to eight children, each child keeping the edges compatible with
+//! one refined colour multiset. Implemented naively that is one independent
+//! filtering scan per child over the same input — up to eight times the
+//! read volume and as many evaluations of the colouring per element. The
 //! [`scan_partition`] primitive below does the same routing in **one** scan:
 //! the caller classifies each element once and returns a bitmask naming every
 //! bucket that should receive a copy.

@@ -41,9 +41,10 @@ impl RandomColoring {
 /// Only the chosen bit functions are stored (`O(i)` words) and every colour
 /// is recomputed from them, so the colouring keeps no per-vertex state.
 ///
-/// A caller that already knows a vertex's colour is one of two candidates
-/// asks [`RefinedColoring::resolve`], which costs at most one bit evaluation
-/// instead of the `depth` that [`RefinedColoring::color_at`] pays.
+/// A caller that already knows a vertex's colour is one of up to three
+/// candidates asks [`RefinedColoring::resolve`], which costs at most two bit
+/// evaluations instead of the `depth` that [`RefinedColoring::color_at`]
+/// pays.
 #[derive(Debug, Clone, Default)]
 pub struct RefinedColoring {
     levels: Vec<FourWise>,
@@ -107,57 +108,83 @@ impl RefinedColoring {
     }
 
     /// The depth-`depth` prefix colour of `v` (as [`RefinedColoring::color_at`]),
-    /// given that it is one of the candidates `a` and `b`, at the cost of at
-    /// most one bit evaluation.
+    /// given that it is one of the sorted candidates `c0 ≤ c1 ≤ c2` (repeats
+    /// allowed, so one to three distinct colours), at the cost of at most
+    /// two bit evaluations.
     ///
     /// From `ξ_0 ≡ 1`, `ξ_d(v) − 1` is the complement of the bit string
     /// `b_0(v) … b_{d−1}(v)` read with `b_0` most significant. Two candidates
-    /// therefore first differ at level `d − 1 − ⌊log₂((a−1) ⊕ (b−1))⌋`, and
-    /// `v`'s bit at that level picks one; equal candidates need no
-    /// evaluation. Callers that cannot guarantee the candidates use
-    /// [`RefinedColoring::color_at`].
+    /// `x < y` therefore first differ at level `d − 1 − ⌊log₂((x−1) ⊕ (y−1))⌋`,
+    /// and `v`'s bit at that level picks one. Three distinct candidates take
+    /// one such bit to split `c0` from `c2`; `c1` falls on one side of it,
+    /// and only if `v` does too does a second bit split the pair. Equal
+    /// candidates need no evaluation. Callers that cannot guarantee the
+    /// candidates use [`RefinedColoring::color_at`].
     ///
     /// # Panics
     ///
-    /// Debug builds check the result against [`RefinedColoring::color_at`]
-    /// and panic if `v`'s colour is neither candidate (release builds return
-    /// one of them). Panics if the candidates differ and `depth` exceeds the
-    /// number of stored levels or is too shallow for both to occur.
-    pub fn resolve(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
-        self.resolve_from(powers(u64::from(v)), v, depth, a, b)
+    /// Debug builds check that the candidates are sorted and the result
+    /// against [`RefinedColoring::color_at`], and panic if `v`'s colour is not
+    /// among them (release builds return one of them). Panics if the
+    /// candidates differ and `depth` exceeds the number of stored levels or
+    /// is too shallow for them to occur.
+    pub fn resolve(&self, v: u32, depth: usize, candidates: [u64; 3]) -> u64 {
+        self.resolve_from(powers(u64::from(v)), v, depth, candidates)
     }
 
-    /// The depth-`depth + 1` colour of `v`, `2·resolve(v, depth, a, b) −
-    /// b_depth(v)`, given that its depth-`depth` colour is `a` or `b`: the
-    /// colour `v` takes in the child node it is routed to. Both bit
-    /// evaluations share one computation of `v`'s powers, as
-    /// [`crate::BitFunctionFamily::eval_all`] shares them across candidates.
+    /// The depth-`depth + 1` colour of `v`, `2·resolve(v, depth, candidates)
+    /// − b_depth(v)`, given that its depth-`depth` colour is one of the
+    /// sorted `candidates`: the colour `v` takes in the child node it is
+    /// routed to. Every bit evaluation shares one computation of `v`'s
+    /// powers, as [`crate::BitFunctionFamily::eval_all`] shares them across
+    /// candidates.
     ///
     /// # Panics
     ///
     /// As [`RefinedColoring::resolve`], and if `depth` is not below the
     /// number of stored levels.
-    pub fn resolve_child(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
+    pub fn resolve_child(&self, v: u32, depth: usize, candidates: [u64; 3]) -> u64 {
         let p = powers(u64::from(v));
-        let c = self.resolve_from(p, v, depth, a, b);
+        let c = self.resolve_from(p, v, depth, candidates);
         2 * c - u64::from(bit_of(self.levels[depth].eval_at(p)))
     }
 
     /// [`RefinedColoring::resolve`] with `v`'s powers already computed.
-    fn resolve_from(&self, p: [u64; 3], v: u32, depth: usize, a: u64, b: u64) -> u64 {
-        let diff = (a - 1) ^ (b - 1);
-        let c = if diff == 0 {
-            a
-        } else {
-            let k = diff.ilog2() as usize;
-            // Bit k of a − 1 is the complement of a's bit at that level.
-            if bit_of(self.levels[depth - 1 - k].eval_at(p)) == ((a - 1) >> k & 1 == 0) {
-                a
+    fn resolve_from(&self, p: [u64; 3], v: u32, depth: usize, [lo, mid, hi]: [u64; 3]) -> u64 {
+        debug_assert!(
+            lo <= mid && mid <= hi,
+            "unsorted candidates {lo}, {mid}, {hi}"
+        );
+        // Of two candidates x ≤ y, the one v's bit picks. Bit k of y − 1 is
+        // set, and v's colour − 1 has it set iff v's bit at that level is 0.
+        let pick = |x: u64, y: u64| {
+            if x == y {
+                return x;
+            }
+            let k = ((x - 1) ^ (y - 1)).ilog2() as usize;
+            if bit_of(self.levels[depth - 1 - k].eval_at(p)) {
+                x
             } else {
-                b
+                y
             }
         };
-        debug_assert_eq!(c, self.color_at(v, depth), "{v}: neither {a} nor {b}");
+        let c = if mid == lo || mid == hi {
+            pick(lo, hi)
+        } else {
+            let k = ((lo - 1) ^ (hi - 1)).ilog2();
+            let mid_high = (mid - 1) >> k & 1 == 1;
+            match (pick(lo, hi) == hi, mid_high) {
+                (true, true) => pick(mid, hi),
+                (false, false) => pick(lo, mid),
+                (true, false) => hi,
+                (false, true) => lo,
+            }
+        };
+        debug_assert_eq!(
+            c,
+            self.color_at(v, depth),
+            "{v}: not among {lo}, {mid}, {hi}"
+        );
         c
     }
 }
@@ -252,23 +279,39 @@ mod tests {
         }
     }
 
+    /// Every sorted candidate triple over the depth-`depth` colours
+    /// `1..=2^depth` that contains `c`, repeats included.
+    fn candidate_sets(depth: usize, c: u64) -> Vec<[u64; 3]> {
+        let top = 1u64 << depth;
+        let mut sets = Vec::new();
+        for x in 1..=top {
+            for y in x..=top {
+                for z in y..=top {
+                    if [x, y, z].contains(&c) {
+                        sets.push([x, y, z]);
+                    }
+                }
+            }
+        }
+        sets
+    }
+
     #[test]
-    fn resolve_agrees_with_the_prefix_colour_for_every_candidate_pair() {
-        // Random bit schedules, every depth up to 8, and every candidate
-        // pair that contains the vertex's true depth-d colour, in both
-        // orders.
+    fn resolve_agrees_with_the_prefix_colour_for_every_candidate_set() {
+        // Random bit schedules, every depth up to 5, and every sorted set of
+        // up to three candidates that contains the vertex's true depth-d
+        // colour.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for _ in 0..4 {
             let mut r = RefinedColoring::identity();
-            r.push_batch((0..8).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
-            for depth in 0..=8usize {
-                for _ in 0..32 {
+            r.push_batch((0..5).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=5usize {
+                for _ in 0..8 {
                     let v: u32 = rng.random_range(0..u32::MAX);
                     let c = r.color_at(v, depth);
-                    for other in 1..=1u64 << depth {
-                        assert_eq!(r.resolve(v, depth, c, other), c, "v={v} d={depth}");
-                        assert_eq!(r.resolve(v, depth, other, c), c, "v={v} d={depth}");
+                    for set in candidate_sets(depth, c) {
+                        assert_eq!(r.resolve(v, depth, set), c, "v={v} d={depth} {set:?}");
                     }
                 }
             }
@@ -277,24 +320,22 @@ mod tests {
 
     #[test]
     fn resolve_child_is_twice_resolve_minus_the_next_bit() {
-        // As above, with one more level stored so that every depth up to 8
+        // As above, with one more level stored so that every depth up to 5
         // has a next bit.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0xc41d);
         for _ in 0..4 {
             let mut r = RefinedColoring::identity();
-            r.push_batch((0..9).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
-            for depth in 0..=8usize {
-                for _ in 0..32 {
+            r.push_batch((0..6).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=5usize {
+                for _ in 0..8 {
                     let v: u32 = rng.random_range(0..u32::MAX);
                     let c = r.color_at(v, depth);
                     let bit = u64::from(r.levels[depth].eval_bit(u64::from(v)));
                     assert_eq!(2 * c - bit, r.color_at(v, depth + 1), "v={v} d={depth}");
-                    for other in 1..=1u64 << depth {
-                        for (a, b) in [(c, other), (other, c)] {
-                            let want = 2 * r.resolve(v, depth, a, b) - bit;
-                            assert_eq!(r.resolve_child(v, depth, a, b), want, "v={v} d={depth}");
-                        }
+                    for set in candidate_sets(depth, c) {
+                        let want = 2 * r.resolve(v, depth, set) - bit;
+                        assert_eq!(r.resolve_child(v, depth, set), want, "v={v} d={depth}");
                     }
                 }
             }

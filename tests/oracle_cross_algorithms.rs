@@ -250,14 +250,21 @@ fn degenerate_graphs_run_clean_on_every_algorithm() {
 ///
 /// Recorded on ER(500 vertices, 4000 edges, gen-seed 6) at
 /// `M = 4096, B = 64`, colouring seed `0xA11CE`, with the 288-edge in-core
-/// base case: subproblems = 561, work/E^1.5 = 2.96, I/O = 1 606,
-/// partition sweeps = 70 (depth-first).
-/// (The 96-edge base case: subproblems = 4 521, work/E^1.5 = 3.50,
-/// I/O = 1 612, partition sweeps = 565. The 24-edge base case:
-/// subproblems = 39 465, work/E^1.5 = 6.10, I/O = 1 668, partition
-/// sweeps = 4 933. The PR 2–4 incidence-list implementation:
-/// work/E^1.5 = 10.25, I/O = 5 381; the pre-PR 2 implementation ≈ 52.7×
-/// work at E = 16000.)
+/// base case and colour-multiset targets: subproblems = 573,
+/// work/E^1.5 = 1.36, I/O = 970, partition sweeps = 77 (depth-first).
+/// The multiset tree copies each edge twice per level, so its nodes are
+/// fewer but larger than the ordered tree's at the same depth: at depth 2,
+/// 20 nodes of 800 edges on average against 64 of about 625, and at depth
+/// 3 about 280 against 175, close to the base case. About half the depth-3
+/// nodes still route, which adds the sweeps and the leaves of a fourth
+/// level.
+/// (Ordered `(c0, c1, c2)` targets with the same base case: subproblems =
+/// 561, work/E^1.5 = 2.96, I/O = 1 606, partition sweeps = 70. The 96-edge
+/// base case: subproblems = 4 521, work/E^1.5 = 3.50, I/O = 1 612,
+/// partition sweeps = 565. The 24-edge base case: subproblems = 39 465,
+/// work/E^1.5 = 6.10, I/O = 1 668, partition sweeps = 4 933. The PR 2–4
+/// incidence-list implementation: work/E^1.5 = 10.25, I/O = 5 381; the
+/// pre-PR 2 implementation ≈ 52.7× work at E = 16000.)
 #[test]
 fn cache_oblivious_counters_stay_within_post_rewrite_baseline() {
     let g = generators::erdos_renyi(500, 4_000, 6);
@@ -271,21 +278,21 @@ fn cache_oblivious_counters_stay_within_post_rewrite_baseline() {
 
     let subproblems = report.extra("subproblems").expect("subproblems reported");
     assert!(
-        subproblems <= 561.0,
-        "recursion tree grew: {subproblems} subproblems (baseline 561)"
+        subproblems <= 573.0,
+        "recursion tree grew: {subproblems} subproblems (baseline 573)"
     );
     assert!(
-        report.work_ratio() <= 3.4,
-        "work/E^1.5 = {:.2} exceeds the recorded baseline 2.96 (+margin)",
+        report.work_ratio() <= 1.55,
+        "work/E^1.5 = {:.2} exceeds the recorded baseline 1.36 (+margin)",
         report.work_ratio()
     );
     assert!(
-        (report.io.total() as f64) <= 1.25 * 1_606.0,
-        "I/O count {} regressed past the recorded 1 606 (+25%)",
+        report.io.total() <= 970,
+        "I/O count {} regressed past the recorded 970",
         report.io.total()
     );
     assert!(
-        report.extra("partition_sweeps").expect("sweeps reported") <= 70.0,
+        report.extra("partition_sweeps").expect("sweeps reported") <= 77.0,
         "the depth-first driver routed more nodes than the recorded tree has"
     );
 }
