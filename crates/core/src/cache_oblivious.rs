@@ -25,9 +25,7 @@
 //!    colours ([`Split`]) — each holding the edges whose child-colour pair it
 //!    contains. Every edge of the node lands in **exactly two** children at
 //!    every depth, the copy factor 2 Theorem 1's bound assumes, and every
-//!    triangle's refined multiset names exactly one child. (Ordered targets
-//!    `(c0, c1, c2)`, split into all 8 vectors, copied each edge 4 times at
-//!    the root and 2.5 and ~2.2 times at depths 1–2.)
+//!    triangle's refined multiset names exactly one child.
 //!
 //! The recursion bottoms out on constant-size inputs or at depth `log₄ E` —
 //! neither involves the machine parameters. The **code below never reads
