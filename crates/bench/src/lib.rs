@@ -1812,7 +1812,7 @@ mod tests {
 
     #[test]
     fn e3_io_gate_passes_current_code_and_catches_regressions() {
-        let outcome = experiment_e3(4_000, &[(1 << 10, 32), E3_PROFILED]);
+        let outcome = experiment_e3(4_000, &[(1 << 10, 32), (1 << 13, 32), E3_PROFILED]);
         assert_all_pass(&outcome);
         // The profiled run's depth rows follow the machine rows, which the
         // gate alone reads: every routing depth copies each edge twice.
@@ -1821,7 +1821,7 @@ mod tests {
             .iter()
             .filter(|row| row.label.starts_with("depth "))
             .collect();
-        assert_eq!(outcome.rows.len(), 2 + depths.len());
+        assert_eq!(outcome.rows.len(), 3 + depths.len());
         assert!(depths.len() >= 4, "the tree routes at depths 0-3");
         assert_eq!(depths[0].get("edges_in"), 4000.0);
         assert!(depths[1..].iter().all(|row| row.get("copy") == 2.0));

@@ -279,38 +279,59 @@ mod tests {
         }
     }
 
-    /// Every sorted candidate triple over the depth-`depth` colours
-    /// `1..=2^depth` that contains `c`, repeats included.
-    fn candidate_sets(depth: usize, c: u64) -> Vec<[u64; 3]> {
+    /// Sorted candidate triples over the depth-`depth` colours `1..=2^depth`
+    /// that contain `c`, repeats included. Up to depth 5 this is every such
+    /// triple. Deeper, it is every two-colour form `{c, c, x}` and `{c, x, x}`
+    /// plus 64 random triples `{c, x, y}`, since listing them all would take
+    /// `Θ(4^depth)` sets per vertex.
+    fn candidate_sets(depth: usize, c: u64, rng: &mut impl rand::Rng) -> Vec<[u64; 3]> {
         let top = 1u64 << depth;
         let mut sets = Vec::new();
-        for x in 1..=top {
-            for y in x..=top {
-                for z in y..=top {
-                    if [x, y, z].contains(&c) {
-                        sets.push([x, y, z]);
+        if depth <= 5 {
+            for x in 1..=top {
+                for y in x..=top {
+                    for z in y..=top {
+                        if [x, y, z].contains(&c) {
+                            sets.push([x, y, z]);
+                        }
                     }
                 }
             }
+            return sets;
+        }
+        for x in 1..=top {
+            for mut set in [[c, c, x], [c, x, x]] {
+                set.sort_unstable();
+                sets.push(set);
+            }
+        }
+        for _ in 0..64 {
+            let mut set = [
+                c,
+                rng.random_range(1..top + 1),
+                rng.random_range(1..top + 1),
+            ];
+            set.sort_unstable();
+            sets.push(set);
         }
         sets
     }
 
     #[test]
     fn resolve_agrees_with_the_prefix_colour_for_every_candidate_set() {
-        // Random bit schedules, every depth up to 5, and every sorted set of
-        // up to three candidates that contains the vertex's true depth-d
-        // colour.
+        // Random bit schedules, every depth up to 8, and sorted sets of up
+        // to three candidates that contain the vertex's true depth-d colour:
+        // all of them up to depth 5, a sample of them deeper.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for _ in 0..4 {
             let mut r = RefinedColoring::identity();
-            r.push_batch((0..5).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
-            for depth in 0..=5usize {
-                for _ in 0..8 {
+            r.push_batch((0..8).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=8usize {
+                for _ in 0..32 {
                     let v: u32 = rng.random_range(0..u32::MAX);
                     let c = r.color_at(v, depth);
-                    for set in candidate_sets(depth, c) {
+                    for set in candidate_sets(depth, c, &mut rng) {
                         assert_eq!(r.resolve(v, depth, set), c, "v={v} d={depth} {set:?}");
                     }
                 }
@@ -320,20 +341,20 @@ mod tests {
 
     #[test]
     fn resolve_child_is_twice_resolve_minus_the_next_bit() {
-        // As above, with one more level stored so that every depth up to 5
+        // As above, with one more level stored so that every depth up to 8
         // has a next bit.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0xc41d);
         for _ in 0..4 {
             let mut r = RefinedColoring::identity();
-            r.push_batch((0..6).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
-            for depth in 0..=5usize {
-                for _ in 0..8 {
+            r.push_batch((0..9).map(|_| FourWise::new(rng.random_range(0..u64::MAX))));
+            for depth in 0..=8usize {
+                for _ in 0..32 {
                     let v: u32 = rng.random_range(0..u32::MAX);
                     let c = r.color_at(v, depth);
                     let bit = u64::from(r.levels[depth].eval_bit(u64::from(v)));
                     assert_eq!(2 * c - bit, r.color_at(v, depth + 1), "v={v} d={depth}");
-                    for set in candidate_sets(depth, c) {
+                    for set in candidate_sets(depth, c, &mut rng) {
                         let want = 2 * r.resolve(v, depth, set) - bit;
                         assert_eq!(r.resolve_child(v, depth, set), want, "v={v} d={depth}");
                     }
