@@ -30,6 +30,9 @@ pub(crate) fn run_hu_tao_chung(
         graph.edges(),
         graph.edges(),
         cfg.mem_words,
+        // The baseline measures no forward degree: its Γ_v reserve is the
+        // whole endpoint count, as published.
+        usize::MAX,
         ChunkPolicy::Fixed,
         sink,
     )

@@ -121,21 +121,27 @@ impl Deref for LowDegreeEdges<'_> {
 /// `V_h` is the window's suffix whose count exceeds `T` — `E/B` I/Os and no
 /// sort. `E_l` is one more filter scan keeping the edges with
 /// `e.v < min V_h`, skipped (no copy) when `V_h = ∅`.
+///
+/// The third value is `E_l`'s maximum forward degree, the longest run of
+/// one smaller endpoint in the `(u, v)`-sorted list, which bounds step 3's
+/// `Γ_v` buffers. Whichever scan produces `E_l` measures it on the way.
 pub(crate) fn split_high_low_degree(
     graph: &ExtGraph,
     mem_words: usize,
-) -> (Range<VertexId>, LowDegreeEdges<'_>) {
+) -> (Range<VertexId>, LowDegreeEdges<'_>, usize) {
     let machine = graph.machine();
     let edges = graph.edges();
     let threshold = high_degree_threshold(edges.len(), mem_words);
     let vertices = graph.vertex_count() as VertexId;
     let window = (2 * edges.len() as u64 / (u64::from(threshold) + 1) + 1).min(u64::from(vertices));
     let lo = vertices - window as VertexId;
+    let mut all_runs = LongestRun::default();
     let first_high = {
         let _window_lease = machine.gauge().lease(window);
         let mut degree = vec![0u32; window as usize];
         for e in edges.iter() {
             machine.work(1);
+            all_runs.push(e);
             // u < v, so only v can be in the window when u is not.
             if e.v >= lo {
                 degree[(e.v - lo) as usize] += 1;
@@ -150,19 +156,44 @@ pub(crate) fn split_high_low_degree(
         );
         lo + degree.partition_point(|&d| d <= threshold) as VertexId
     };
-    let el = if first_high == vertices {
-        LowDegreeEdges::All(edges)
-    } else {
-        let mut el = ExtVec::new(machine);
-        for e in edges.iter() {
-            machine.work(1);
-            if e.v < first_high {
-                el.push(e);
-            }
+    if first_high == vertices {
+        return (
+            first_high..vertices,
+            LowDegreeEdges::All(edges),
+            all_runs.longest,
+        );
+    }
+    let mut el = ExtVec::new(machine);
+    let mut low_runs = LongestRun::default();
+    for e in edges.iter() {
+        machine.work(1);
+        if e.v < first_high {
+            low_runs.push(e);
+            el.push(e);
         }
-        LowDegreeEdges::Filtered(el)
-    };
-    (first_high..vertices, el)
+    }
+    (
+        first_high..vertices,
+        LowDegreeEdges::Filtered(el),
+        low_runs.longest,
+    )
+}
+
+/// The longest run of one smaller endpoint in a `(u, v)`-sorted edge
+/// stream: the stream's maximum forward degree.
+#[derive(Default)]
+struct LongestRun {
+    u: Option<VertexId>,
+    run: usize,
+    longest: usize,
+}
+
+impl LongestRun {
+    fn push(&mut self, e: Edge) {
+        self.run = if self.u == Some(e.u) { self.run + 1 } else { 1 };
+        self.u = Some(e.u);
+        self.longest = self.longest.max(self.run);
+    }
 }
 
 /// Shared driver for the randomized (Section 2) and derandomized (Section 4)
@@ -194,7 +225,7 @@ pub(crate) fn run_colored(
 
     // ---- Step 1: triangles with a high-degree vertex (Lemma 1 per vertex). ----
     let before: IoStats = machine.io();
-    let (high, el) = split_high_low_degree(graph, cfg.mem_words);
+    let (high, el, forward_degree) = split_high_low_degree(graph, cfg.mem_words);
     // Emit a triangle through high-degree vertex v only if v is the first
     // high-degree vertex of that triangle, so that triangles with several
     // high-degree vertices are emitted exactly once.
@@ -273,8 +304,14 @@ pub(crate) fn run_colored(
             }
             // The cone table is O(c) in-core words of view metadata.
             let _cone_lease = machine.gauge().lease((cones.len() * 4) as u64);
-            let stats =
-                enumerate_multi_cone(pivots, &cones, cfg.mem_words, ChunkPolicy::default(), sink);
+            let stats = enumerate_multi_cone(
+                pivots,
+                &cones,
+                cfg.mem_words,
+                forward_degree,
+                ChunkPolicy::default(),
+                sink,
+            );
             triangles += stats.emitted;
             step3_chunk_passes += stats.chunk_passes;
         }
@@ -297,7 +334,7 @@ pub fn measure_random_coloring_balance(graph: &ExtGraph, cfg: EmConfig, seed: u6
     let e = graph.edge_count();
     let c = number_of_colors(e, cfg.mem_words);
     let coloring = RandomColoring::new(c, seed);
-    let (_high, el) = split_high_low_degree(graph, cfg.mem_words);
+    let (_high, el, _) = split_high_low_degree(graph, cfg.mem_words);
     let partition = ColorPartition::build(&el, c, &|v| coloring.color(v));
     (c, partition.x_statistic())
 }
@@ -402,7 +439,9 @@ mod tests {
     }
 
     /// Checks the step-1 split of `g` at memory `mem` against degrees the
-    /// test computes in memory from the canonical graph; returns `|V_h|`.
+    /// test computes in memory from the canonical graph, and its forward
+    /// degree against the longest run of one `u` in the expected `E_l`;
+    /// returns `|V_h|`.
     fn assert_split_matches_in_memory_degrees(g: &graphgen::Graph, mem: usize) -> usize {
         let (canonical, _) = g.degree_ordered();
         let deg = canonical.degrees();
@@ -417,15 +456,22 @@ mod tests {
             .filter(|e| deg[e.u as usize] <= threshold && deg[e.v as usize] <= threshold)
             .collect();
 
+        let longest_run = expected_low
+            .chunk_by(|a, b| a.u == b.u)
+            .map(<[Edge]>::len)
+            .max()
+            .unwrap_or(0);
+
         let machine = Machine::new(EmConfig::new(64, 16));
         let eg = ExtGraph::load(&machine, g);
-        let (high, el) = split_high_low_degree(&eg, mem);
+        let (high, el, forward_degree) = split_high_low_degree(&eg, mem);
         assert_eq!(
             high.clone().collect::<Vec<_>>(),
             expected_high,
             "V_h at M = {mem}"
         );
         assert_eq!(el.load_all(), expected_low, "E_l at M = {mem}");
+        assert_eq!(forward_degree, longest_run, "forward degree at M = {mem}");
         assert_eq!(
             matches!(el, LowDegreeEdges::All(_)),
             high.is_empty(),
@@ -467,6 +513,29 @@ mod tests {
             }
         }
         assert_eq!(assert_split_matches_in_memory_degrees(&g, 64), 1);
+    }
+
+    #[test]
+    fn split_measures_the_forward_degree_of_the_low_degree_edges() {
+        // With and without a hub cut: each graph at a memory size that keeps
+        // every vertex low and at one that cuts its top degrees.
+        // A dense ER graph (mean degree 40): T = ⌊√1200⌋ = 34 at M = 1.
+        let er = generators::erdos_renyi(60, 1200, 4);
+        assert_eq!(assert_split_matches_in_memory_degrees(&er, 512), 0);
+        let cut = assert_split_matches_in_memory_degrees(&er, 1);
+        assert!(cut > 0 && cut < 60, "a partial cut, got {cut}");
+        let cl = generators::chung_lu_power_law(400, 2500, 2.2, 4);
+        assert_eq!(assert_split_matches_in_memory_degrees(&cl, 1 << 12), 0);
+        assert!(assert_split_matches_in_memory_degrees(&cl, 8) > 0);
+        // The star's centre has the top id, so every low edge is a leaf's
+        // one forward edge; cut, the centre takes all of them with it.
+        let star = generators::star(300);
+        assert_eq!(assert_split_matches_in_memory_degrees(&star, 1 << 12), 0);
+        assert_eq!(assert_split_matches_in_memory_degrees(&star, 64), 1);
+        // K24: vertex 0 reaches all 23 others; at M = 1 every vertex is cut.
+        let clique = generators::clique(24);
+        assert_eq!(assert_split_matches_in_memory_degrees(&clique, 64), 0);
+        assert_eq!(assert_split_matches_in_memory_degrees(&clique, 1), 24);
     }
 
     #[test]
@@ -519,7 +588,7 @@ mod tests {
         let eg = ExtGraph::load(&machine, &g);
         machine.cold_cache();
         let (io0, disk0) = (machine.io(), machine.stats());
-        let (high, el) = split_high_low_degree(&eg, cfg.mem_words);
+        let (high, el, _) = split_high_low_degree(&eg, cfg.mem_words);
         let (io1, disk1) = (machine.io(), machine.stats());
         assert!(high.is_empty());
         assert!(matches!(el, LowDegreeEdges::All(_)));
@@ -564,7 +633,7 @@ mod tests {
         let machine = Machine::new(EmConfig::new(mem, 16));
         let eg = ExtGraph::load(&machine, &g);
         assert_eq!(eg.edge_count(), 100);
-        let (high, el) = split_high_low_degree(&eg, mem);
+        let (high, el, _) = split_high_low_degree(&eg, mem);
         assert!(
             high.is_empty(),
             "degree == ⌊√(E·M)⌋ exactly must NOT be high-degree (strict >)"
@@ -576,7 +645,7 @@ mod tests {
         assert_eq!(high_degree_threshold(101, mem), 40);
         let machine = Machine::new(EmConfig::new(mem, 16));
         let eg = ExtGraph::load(&machine, &g);
-        let (high, el) = split_high_low_degree(&eg, mem);
+        let (high, el, _) = split_high_low_degree(&eg, mem);
         assert_eq!(
             high.len(),
             1,

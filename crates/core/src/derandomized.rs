@@ -84,7 +84,7 @@ pub(crate) fn run_derandomized(
     // The greedy selection operates on the low-degree edge set E_l, exactly
     // like the colouring it replaces.
     let before: IoStats = machine.io();
-    let (_high, el) = split_high_low_degree(graph, cfg.mem_words);
+    let (_high, el, _) = split_high_low_degree(graph, cfg.mem_words);
     let el_len = el.len() as f64;
 
     let alpha = if levels == 0 {
@@ -323,7 +323,7 @@ mod tests {
         let machine = Machine::new(cfg);
         let eg = ExtGraph::load(&machine, &g);
         let before = machine.io();
-        let (_, el) = split_high_low_degree(&eg, cfg.mem_words);
+        let (_, el, _) = split_high_low_degree(&eg, cfg.mem_words);
         Incidence::new(el).evaluate(&RefinedColoring::identity(), &level_family(24, 1, 1));
         assert_eq!(charged, machine.io().since(before));
     }

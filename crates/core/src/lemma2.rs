@@ -15,27 +15,40 @@
 //! The published subroutine loads a *fixed* `αM` pivot edges per iteration
 //! (here `α = 1/8`, [`CHUNK_DIVISOR`]), a constant chosen so that the chunk,
 //! its endpoint index and the per-vertex `Γ_v` buffer fit in memory even in
-//! the worst case of five words per pivot edge (one edge word plus two
-//! deduplicated-endpoint words plus up to two words of `Γ_v` headroom). Most
-//! chunks cost far less: pivot classes confine both endpoints to two colour
-//! classes, so the endpoint set saturates as the chunk grows.
+//! the worst case. [`ChunkPolicy::Adaptive`] (the production policy) sizes
+//! each chunk by its measured cost instead:
 //!
-//! [`ChunkPolicy::Adaptive`] (the production policy) therefore sizes each
-//! chunk by the **measured** gauge cost instead of the worst case: pivot
-//! edges are appended in `M/16`-edge increments, the deduplicated
-//! endpoint set is maintained by sorted merges, and the chunk stops growing
-//! when the measured lease — `edges + endpoints` words, plus `endpoints`
-//! words reserved for the peak `Γ_v` buffer (pre-allocated at exactly that
-//! reserve, so no hidden capacity doubling) — would exceed the chunk budget
-//! of `M` words. Typical inputs get 2–3 passes over the edge set per `M`
-//! words of pivot class instead of 8; the worst case degenerates to a
-//! fixed `M/5 ≥ M/8` divisor. In-core peak while scanning is ≤ `M` words
-//! (the loader's transient probe buffers reach `M + 5·M/16` for a moment
-//! between increments), within the `1.5·M` envelope the gauge tests
-//! assert. [`ChunkPolicy::Fixed`] keeps the published behaviour —
-//! it is what the Hu–Tao–Chung baseline runs (its iteration structure is
-//! part of the algorithm being compared against) and what the equivalence
-//! tests pin the adaptive policy bit-identical to.
+//! * **Cost rule.** A chunk costs `edges + |V⁺| + min(D, |Γ_mem|)` words:
+//!   the pivot edges, the sorted index `V⁺` of their distinct *larger*
+//!   endpoints, and the `Γ_v` reserve. The smaller endpoints need no index:
+//!   the chunk is `(u, v)`-sorted, so `u ∈ Γ_mem` is a binary search over
+//!   the edges themselves. `|Γ_mem|` is kept as an exact count. The chunk
+//!   grows in `M/16`-edge increments while its cost stays within `M`.
+//! * **Reserve.** `Γ_v ⊆ N⁺(v) ∩ Γ_mem`, so no `Γ_v` outgrows
+//!   `min(D, |Γ_mem|)`, where `D` bounds the forward degree of every
+//!   streamed edge's smaller endpoint (step 1's counting scan measures the
+//!   exact maximum, the longest run of one `u` in the canonical list, at no
+//!   extra I/O). The buffer is allocated at exactly that reserve and never
+//!   reallocates (debug-asserted on every push).
+//! * **Probe bound.** An increment is probed before it is committed: its
+//!   larger endpoints are sorted and deduplicated, the ones already indexed
+//!   are dropped in place, and its contribution to `|Γ_mem|` is counted by
+//!   binary search without building the union. Only a committed increment
+//!   is merged into the index, in place. The probe holds the committed
+//!   chunk (at most `M` words less the reserve), the increment and its
+//!   endpoints: at most `M + M/8` words, within the `1.5·M` envelope the
+//!   gauge tests assert. The all-distinct worst case still packs `M/4`
+//!   pivots per chunk, twice the fixed `M/8`.
+//! * **Top-down loading.** With endpoint-range pruning (below) a pass costs
+//!   the cone prefix below the chunk's largest smaller endpoint. Chunks are
+//!   therefore cut from the top of each pivot class downward: the full
+//!   chunks take the high `u`-bands, and the remainder chunk, whatever its
+//!   size, lands at the low end, where its pass is cheapest.
+//!
+//! [`ChunkPolicy::Fixed`] keeps the published behaviour (`M/8`-edge chunks
+//! from the bottom up, full scans). It is what the Hu–Tao–Chung baseline
+//! runs (its iteration structure is part of the algorithm being compared
+//! against) and what the equivalence tests pin the adaptive policy to.
 //!
 //! ## Endpoint-range pruning
 //!
@@ -48,8 +61,7 @@
 //! ([`emsim::ExtSlice::partition_point`], `O(log)` probes) before streaming
 //! it — charging only the narrowed scan to the machine instead of whole
 //! class views. Chunks are consecutive ranges of a `(u, v)`-sorted pivot
-//! class, so their `U` grows from the class's smallest `u`-band upward and
-//! the early chunks skip most of every cone view.
+//! class, so the chunks of its low `u`-bands skip most of every cone view.
 //!
 //! Two entry points share the machinery:
 //!
@@ -67,31 +79,34 @@
 //! The in-memory chunk indexes are pure sorted-vec + binary-search
 //! structures — no hashing anywhere in the per-vertex `Γ_v` loop.
 
+use std::ops::Range;
+
 use emsim::{ExtSlice, ExtVec, Machine, MemLease};
 use graphgen::{Edge, Triangle, VertexId};
 
 use crate::sink::TriangleSink;
 
 /// Fraction of the memory budget devoted to one chunk of pivot edges under
-/// the published fixed sizing (`α = 1/8`): the worst-case five words per
-/// pivot edge then stay within `5M/8` (see the accounting in the unit
-/// tests).
+/// the published fixed sizing (`α = 1/8`): the worst case of four words per
+/// pivot edge (the edge, its larger endpoint and two words of `Γ_v`
+/// reserve) then stays within `M/2`.
 const CHUNK_DIVISOR: usize = 8;
 
 /// How Lemma 2 sizes its pivot chunks (and whether it prunes cone scans).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum ChunkPolicy {
-    /// Production policy: size each chunk by its measured gauge cost
-    /// (edges + deduplicated endpoints + `Γ_v` reserve ≤ `M`) and narrow
-    /// every cone scan to the endpoint range the chunk can close triangles
-    /// with. See the module docs.
+    /// Production policy: size each chunk by its measured cost (edges +
+    /// larger-endpoint index + `Γ_v` reserve ≤ `M`), cut the chunks from
+    /// the top of the pivot set down, and narrow every cone scan to the
+    /// endpoint range the chunk can close triangles with. See the module
+    /// docs.
     #[default]
     Adaptive,
     /// The iteration structure of the SIGMOD 2013 baseline as published:
-    /// exactly `M/`[`CHUNK_DIVISOR`] pivot edges per chunk, full edge sets
-    /// streamed against it, no pruning. The baseline must keep running
-    /// this — its constants are part of the algorithm the paper's
-    /// improvement factor is measured against.
+    /// exactly `M/`[`CHUNK_DIVISOR`] pivot edges per chunk from the bottom
+    /// up, full edge sets streamed against it, no pruning. The baseline
+    /// must keep running this — its constants are part of the algorithm
+    /// the paper's improvement factor is measured against.
     Fixed,
 }
 
@@ -124,176 +139,192 @@ pub(crate) struct ConeClasses<'a> {
     pub ranges: Vec<ExtSlice<'a, Edge>>,
 }
 
-/// One in-memory chunk of pivot edges with its probe indexes, built once
-/// and scanned against by every cone stream:
+/// One in-memory chunk of pivot edges with its probe index, built once and
+/// scanned against by every cone stream:
 ///
 /// * `edges` — the chunk itself, sorted by `(u, v)`; the adjacency of an
-///   endpoint `u` is the run `edges[lo..hi]` located by binary search, so no
-///   separate adjacency map is materialised.
-/// * `endpoints` — `Γ_mem`, the sorted, deduplicated endpoint set, with
-///   membership by binary search.
+///   endpoint `u` is the run `edges[lo..hi]` located by binary search, and
+///   so is the membership of a smaller endpoint in `Γ_mem`.
+/// * `larger` — the sorted, deduplicated larger endpoints, with membership
+///   by binary search.
+/// * `gamma_mem` — `|Γ_mem|`, the exact number of distinct endpoints.
+#[derive(Default)]
 struct PivotChunk {
     edges: Vec<Edge>,
-    endpoints: Vec<VertexId>,
+    larger: Vec<VertexId>,
+    gamma_mem: usize,
 }
 
-/// Merges two sorted, deduplicated vertex lists into one (the endpoint-set
-/// maintenance of the adaptive loader), charging one unit of work per
-/// element touched.
-fn merge_dedup(machine: &Machine, a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        machine.work(1);
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x <= y => {
-                i += 1;
-                if x == y {
-                    j += 1;
-                }
-                x
-            }
-            (Some(_), Some(&y)) => {
-                j += 1;
-                y
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => unreachable!(),
-        };
-        out.push(next);
-    }
-    out
+/// What committing an increment would add to a chunk, measured without
+/// changing it: the increment's larger endpoints that the chunk does not
+/// index yet (sorted), and the chunk's `|Γ_mem|` after the commit.
+struct Probe {
+    fresh: Vec<VertexId>,
+    gamma_mem: usize,
 }
 
-/// Sorted, deduplicated endpoints of a sorted edge slice.
-fn endpoints_of(machine: &Machine, edges: &[Edge]) -> Vec<VertexId> {
-    let mut eps: Vec<VertexId> = Vec::with_capacity(edges.len() * 2);
+/// Sorted, deduplicated larger endpoints of an edge slice.
+fn larger_endpoints_of(machine: &Machine, edges: &[Edge]) -> Vec<VertexId> {
+    let mut vs: Vec<VertexId> = Vec::with_capacity(edges.len());
     for e in edges {
-        eps.push(e.u);
-        eps.push(e.v);
+        vs.push(e.v);
         machine.work(1);
     }
-    machine.work(eps.len() as u64 * (usize::BITS - eps.len().leading_zeros()) as u64);
-    // emlint: charge(work, eps.len() as u64 * (usize::BITS - eps.len().leading_zeros()) as u64)
-    eps.sort_unstable();
-    eps.dedup();
-    eps
+    machine.work(vs.len() as u64 * (usize::BITS - vs.len().leading_zeros()) as u64);
+    // emlint: charge(work, vs.len() as u64 * (usize::BITS - vs.len().leading_zeros()) as u64)
+    vs.sort_unstable();
+    vs.dedup();
+    vs
 }
 
 impl PivotChunk {
-    /// Loads the next chunk of `pivots` starting at `start` under `policy`
-    /// with memory budget `mem_words`, returning the chunk, its gauge lease
-    /// (chunk words plus endpoint words) and the exclusive end index of the
-    /// consumed pivot range. `start` must be in range (the chunk always
-    /// takes at least one edge), and `pivots` must be sorted by `(u, v)`:
-    /// the adjacency runs and the pruning bound read the chunk in that
-    /// order, and every caller hands over a sorted view.
+    /// Loads the next chunk of the pivots in `rest` under `policy` with
+    /// memory budget `mem_words`, returning the chunk, its gauge lease
+    /// (chunk words plus index words) and the pivot range still to load.
+    /// `rest` must be non-empty (the chunk always takes at least one edge),
+    /// and `pivots` must be sorted by `(u, v)`: the adjacency runs, the
+    /// smaller-endpoint lookups and the pruning bound read the chunk in
+    /// that order, and every caller hands over a sorted view.
+    /// `forward_degree` bounds every `Γ_v` (see [`scan_against_chunk`]).
     fn load(
         machine: &Machine,
         pivots: &ExtSlice<'_, Edge>,
-        start: usize,
+        rest: Range<usize>,
         mem_words: usize,
+        forward_degree: usize,
         policy: ChunkPolicy,
-    ) -> (Self, MemLease, usize) {
-        let loaded = match policy {
+    ) -> (Self, MemLease, Range<usize>) {
+        let mut chunk = Self::default();
+        let mut lease = machine.gauge().lease(0);
+        let left = match policy {
             ChunkPolicy::Fixed => {
-                let end = (start + (mem_words / CHUNK_DIVISOR).max(1)).min(pivots.len());
-                let (chunk, lease) = Self::load_fixed(machine, pivots, start, end);
-                (chunk, lease, end)
+                let end = (rest.start + (mem_words / CHUNK_DIVISOR).max(1)).min(rest.end);
+                let (inc, probe) = chunk.probe(machine, pivots, rest.start..end, &mut lease);
+                chunk.commit(machine, inc, probe);
+                end..rest.end
             }
-            ChunkPolicy::Adaptive => Self::load_adaptive(machine, pivots, start, mem_words),
+            ChunkPolicy::Adaptive => {
+                chunk.fill_from_top(machine, pivots, rest, mem_words, forward_degree, &mut lease)
+            }
         };
+        lease.resize(chunk.words() as u64);
         debug_assert!(
-            loaded.0.edges.is_sorted(),
+            chunk.edges.is_sorted(),
             "pivot chunks must be (u, v)-sorted"
         );
-        loaded
+        (chunk, lease, left)
     }
 
-    /// Loads pivot edges `[start, end)` of `pivots` and builds the indexes —
-    /// the published fixed-size iteration.
-    fn load_fixed(
+    /// Grows the (empty) chunk from the top of `rest` down by as many
+    /// pivot edges as the measured cost allows, and returns the range still
+    /// to load. The chunk grows in `M/16`-edge increments while
+    /// `edges + |larger| + min(forward_degree, |Γ_mem|) ≤ M`: the chunk
+    /// words, the larger-endpoint index and the reserve for the peak `Γ_v`
+    /// buffer stay within the budget. A first increment over budget is
+    /// still taken (the chunk must make progress) and ends the chunk.
+    fn fill_from_top(
+        &mut self,
         machine: &Machine,
         pivots: &ExtSlice<'_, Edge>,
-        start: usize,
-        end: usize,
-    ) -> (Self, MemLease) {
-        // Lease the chunk *before* materialising it so the words are on the
-        // gauge while the buffer is live (flow-soundness, lint rule R5).
-        let mut lease = machine.gauge().lease((end - start) as u64);
-        let edges: Vec<Edge> = pivots.slice(start, end).load();
-        machine.work(edges.len() as u64);
-        let endpoints = endpoints_of(machine, &edges);
-        lease.grow(endpoints.len() as u64);
-        (Self { edges, endpoints }, lease)
-    }
-
-    /// Loads as many pivot edges from `start` on as the measured gauge cost
-    /// allows: the chunk grows in `M/16`-edge increments while
-    /// `edges + 2·endpoints ≤ M` — i.e. the chunk words plus the endpoint
-    /// index plus an `endpoints`-word reserve for the peak `Γ_v` buffer
-    /// (`Γ_v ⊆ Γ_mem`) stay within the budget. Endpoint-light chunks (the
-    /// typical colour-class case) pack several times more pivots per pass
-    /// than the fixed `M/8`; the all-distinct worst case still packs `M/5`.
-    ///
-    /// The transient probe buffers are gauge-accounted too; the `M/16`
-    /// increment bounds the probe at `M + 5·M/16 < 1.4·M` words in flight.
-    fn load_adaptive(
-        machine: &Machine,
-        pivots: &ExtSlice<'_, Edge>,
-        start: usize,
+        rest: Range<usize>,
         mem_words: usize,
-    ) -> (Self, MemLease, usize) {
+        forward_degree: usize,
+        lease: &mut MemLease,
+    ) -> Range<usize> {
         let budget = mem_words.max(1);
         let step = (mem_words / 16).max(1);
-
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut endpoints: Vec<VertexId> = Vec::new();
-        let mut lease = machine.gauge().lease(0);
-        let mut end = start;
-
-        while end < pivots.len() {
-            let take = step.min(pivots.len() - end);
-            let mut inc: Vec<Edge> = pivots.slice(end, end + take).load();
-            machine.work(take as u64);
-            let inc_eps = endpoints_of(machine, &inc);
-            // Probe footprint: committed chunk + increment + its endpoints
-            // + the merged endpoint candidate, all simultaneously in core.
-            lease.resize((edges.len() + endpoints.len() + inc.len() + inc_eps.len()) as u64);
-            let merged = merge_dedup(machine, &endpoints, &inc_eps);
-            lease.grow(merged.len() as u64);
-            drop(inc_eps);
-
-            let cost = edges.len() + inc.len() + 2 * merged.len();
-            if !edges.is_empty() && cost > budget {
-                // Committing this increment would overrun the budget; the
-                // chunk is as large as the measured lease allows.
-                lease.resize((edges.len() + endpoints.len()) as u64);
+        let mut start = rest.end;
+        while start > rest.start {
+            let take = step.min(start - rest.start);
+            let (inc, probe) = self.probe(machine, pivots, start - take..start, lease);
+            let cost =
+                self.words() + inc.len() + probe.fresh.len() + forward_degree.min(probe.gamma_mem);
+            if cost > budget && !self.edges.is_empty() {
                 break;
             }
-            edges.append(&mut inc);
-            endpoints = merged;
-            end += take;
-            lease.resize((edges.len() + endpoints.len()) as u64);
+            self.commit(machine, inc, probe);
+            start -= take;
             if cost > budget {
-                // A single oversized first increment: accept it (the chunk
-                // must make progress) but stop growing.
                 break;
             }
         }
-        (Self { edges, endpoints }, lease, end)
+        rest.start..start
     }
 
-    /// Whether `v` is an endpoint of some pivot edge in the chunk (`Γ_mem`).
-    fn contains(&self, v: VertexId) -> bool {
-        self.endpoints.binary_search(&v).is_ok()
+    /// In-core words of the chunk: its edges and its larger-endpoint index.
+    fn words(&self) -> usize {
+        self.edges.len() + self.larger.len()
+    }
+
+    /// Loads the pivot edges `range` as an increment and measures what
+    /// committing it would add, without changing the chunk. `lease` is
+    /// resized to cover the chunk, the increment and its endpoint buffer
+    /// before the increment is materialised.
+    fn probe(
+        &self,
+        machine: &Machine,
+        pivots: &ExtSlice<'_, Edge>,
+        range: Range<usize>,
+        lease: &mut MemLease,
+    ) -> (Vec<Edge>, Probe) {
+        lease.resize((self.words() + 2 * range.len()) as u64);
+        let inc: Vec<Edge> = pivots.slice(range.start, range.end).load();
+        machine.work(inc.len() as u64);
+        // |Γ_mem| grows by the increment's endpoints outside Γ_mem: fresh
+        // larger endpoints that are no smaller endpoint of the chunk, and
+        // smaller endpoints that are neither in Γ_mem nor fresh.
+        let mut gamma_mem = self.gamma_mem;
+        let mut fresh = larger_endpoints_of(machine, &inc);
+        fresh.retain(|&v| {
+            machine.work(1);
+            let is_fresh = self.larger.binary_search(&v).is_err();
+            if is_fresh && !self.has_smaller(v) {
+                gamma_mem += 1;
+            }
+            is_fresh
+        });
+        let mut previous = None;
+        for e in &inc {
+            machine.work(1);
+            if previous != Some(e.u) {
+                previous = Some(e.u);
+                if !self.contains(e.u) && fresh.binary_search(&e.u).is_err() {
+                    gamma_mem += 1;
+                }
+            }
+        }
+        (inc, Probe { fresh, gamma_mem })
+    }
+
+    /// Commits a probed increment, whose edges sort below the chunk's:
+    /// splices them in front and merges the fresh larger endpoints into
+    /// the index in place, from the back.
+    fn commit(&mut self, machine: &Machine, inc: Vec<Edge>, probe: Probe) {
+        self.edges.splice(0..0, inc);
+        let (mut i, mut j) = (self.larger.len(), probe.fresh.len());
+        self.larger.resize(i + j, 0);
+        while j > 0 {
+            machine.work(1);
+            if i > 0 && self.larger[i - 1] > probe.fresh[j - 1] {
+                self.larger[i + j - 1] = self.larger[i - 1];
+                i -= 1;
+            } else {
+                self.larger[i + j - 1] = probe.fresh[j - 1];
+                j -= 1;
+            }
+        }
+        self.gamma_mem = probe.gamma_mem;
+    }
+
+    /// Whether `x` is the smaller endpoint of some pivot edge in the chunk.
+    fn has_smaller(&self, x: VertexId) -> bool {
+        let i = self.edges.partition_point(|e| e.u < x);
+        self.edges.get(i).is_some_and(|e| e.u == x)
+    }
+
+    /// Whether `x` is an endpoint of some pivot edge in the chunk (`Γ_mem`).
+    fn contains(&self, x: VertexId) -> bool {
+        self.larger.binary_search(&x).is_ok() || self.has_smaller(x)
     }
 
     /// The largest *smaller* endpoint of any pivot edge in the chunk: every
@@ -345,43 +376,42 @@ fn close_group(
 
 /// Scans one sorted edge stream against a pivot chunk: groups the stream by
 /// its smaller endpoint `v`, collects `Γ_v`, and closes the groups'
-/// triangles. The `Γ_v` buffer is gauge-accounted at its *retained capacity*
-/// (a cleared `Vec` keeps its allocation, so leasing only the live length
-/// would under-report the resident buffer). It is allocated at exactly
-/// `|Γ_mem|` entries up front — the tight upper bound on any group's
-/// `Γ_v ⊆ Γ_mem`, and precisely the `endpoints`-word reserve the chunk
-/// loaders budget for — so it never reallocates and the capacity never
-/// doubles past the reserve.
+/// triangles. `forward_degree` must bound the number of stream edges that
+/// share one smaller endpoint, so `Γ_v ⊆ N⁺(v) ∩ Γ_mem` never exceeds
+/// `min(forward_degree, |Γ_mem|)` entries: the buffer is allocated and
+/// leased at exactly that reserve, which the adaptive loader budgets for.
+/// A cleared `Vec` keeps its allocation, so the lease covers the retained
+/// capacity, and a debug assertion on every push checks that the buffer
+/// never reallocated past it.
 fn scan_against_chunk(
     machine: &Machine,
     chunk: &PivotChunk,
+    forward_degree: usize,
     edges: impl Iterator<Item = Edge>,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
     let mut emitted = 0u64;
-    let mut gamma_v: Vec<VertexId> = Vec::with_capacity(chunk.endpoints.len());
-    let mut gamma_lease = machine.gauge().lease(gamma_v.capacity() as u64);
+    let mut gamma_v: Vec<VertexId> = Vec::with_capacity(forward_degree.min(chunk.gamma_mem));
+    let gamma_lease = machine.gauge().lease(gamma_v.capacity() as u64);
     let mut current_v: Option<VertexId> = None;
 
     for e in edges {
         machine.work(1);
-        debug_assert_eq!(
-            gamma_lease.words(),
-            gamma_v.capacity() as u64,
-            "the Γ_v lease must cover the buffer's retained allocation"
-        );
         if current_v != Some(e.u) {
             if let Some(v) = current_v {
                 emitted += close_group(machine, chunk, v, &gamma_v, sink);
             }
             // `clear` keeps the capacity; the lease keeps covering it.
             gamma_v.clear();
-            gamma_lease.resize(gamma_v.capacity() as u64);
             current_v = Some(e.u);
         }
         if chunk.contains(e.v) {
             gamma_v.push(e.v);
-            gamma_lease.resize(gamma_v.capacity() as u64);
+            debug_assert_eq!(
+                gamma_lease.words(),
+                gamma_v.capacity() as u64,
+                "the Γ_v lease must cover the buffer's retained allocation"
+            );
         }
     }
     if let Some(v) = current_v {
@@ -396,11 +426,14 @@ fn scan_against_chunk(
 /// Requirements (all established by the callers):
 /// * `edge_set` is canonical and sorted lexicographically;
 /// * `pivots ⊆ edge_set`, sorted lexicographically too;
-/// * `mem_words` is the internal-memory budget `M` in words.
+/// * `mem_words` is the internal-memory budget `M` in words;
+/// * no vertex has more than `forward_degree` edges in `edge_set` with it
+///   as the smaller endpoint (`usize::MAX` when no bound is known).
 pub(crate) fn enumerate_with_pivots(
     edge_set: &ExtVec<Edge>,
     pivots: &ExtVec<Edge>,
     mem_words: usize,
+    forward_degree: usize,
     policy: ChunkPolicy,
     sink: &mut dyn TriangleSink,
 ) -> u64 {
@@ -408,9 +441,10 @@ pub(crate) fn enumerate_with_pivots(
     let pview = pivots.as_slice();
     let mut emitted = 0u64;
 
-    let mut start = 0usize;
-    while start < pivots.len() {
-        let (chunk, _lease, end) = PivotChunk::load(&machine, &pview, start, mem_words, policy);
+    let mut rest = 0..pivots.len();
+    while !rest.is_empty() {
+        let (chunk, _lease, left) =
+            PivotChunk::load(&machine, &pview, rest, mem_words, forward_degree, policy);
         let scan = if policy.prunes() {
             // Endpoint-range pruning: no triangle closed against this chunk
             // has a cone vertex at or above the chunk's largest smaller
@@ -423,8 +457,8 @@ pub(crate) fn enumerate_with_pivots(
         } else {
             edge_set.as_slice()
         };
-        emitted += scan_against_chunk(&machine, &chunk, scan.iter(), sink);
-        start = end;
+        emitted += scan_against_chunk(&machine, &chunk, forward_degree, scan.iter(), sink);
+        rest = left;
     }
     emitted
 }
@@ -444,20 +478,23 @@ pub(crate) fn enumerate_with_pivots(
 ///
 /// Requirements: `pivots` and every view in `cones` are sorted by `(u, v)`;
 /// the views of one cone input are pairwise disjoint; `mem_words` is the
-/// memory budget `M` in words.
+/// memory budget `M` in words; no vertex is the smaller endpoint of more
+/// than `forward_degree` edges of one cone input.
 pub(crate) fn enumerate_multi_cone(
     pivots: ExtSlice<'_, Edge>,
     cones: &[ConeClasses<'_>],
     mem_words: usize,
+    forward_degree: usize,
     policy: ChunkPolicy,
     sink: &mut dyn TriangleSink,
 ) -> Lemma2Stats {
     let machine: Machine = pivots.machine().clone();
     let mut stats = Lemma2Stats::default();
 
-    let mut start = 0usize;
-    while start < pivots.len() {
-        let (chunk, _lease, end) = PivotChunk::load(&machine, &pivots, start, mem_words, policy);
+    let mut rest = 0..pivots.len();
+    while !rest.is_empty() {
+        let (chunk, _lease, left) =
+            PivotChunk::load(&machine, &pivots, rest, mem_words, forward_degree, policy);
         stats.chunk_passes += 1;
         let bound = policy.prunes().then(|| chunk.max_pivot_u());
         for cone in cones {
@@ -476,9 +513,9 @@ pub(crate) fn enumerate_multi_cone(
                 })
                 .collect();
             let merged = emalgo::kway_merge(&machine, cursors, |e: &Edge| (e.u, e.v));
-            stats.emitted += scan_against_chunk(&machine, &chunk, merged, sink);
+            stats.emitted += scan_against_chunk(&machine, &chunk, forward_degree, merged, sink);
         }
-        start = end;
+        rest = left;
     }
     stats
 }
@@ -497,6 +534,18 @@ mod tests {
         ExtVec::from_slice(machine, &edges)
     }
 
+    /// The longest run of one smaller endpoint in `g`'s sorted edge list:
+    /// the forward-degree bound Lemma 2's callers hand over.
+    fn forward_degree(g: &Graph) -> usize {
+        let mut edges: Vec<Edge> = g.edges().to_vec();
+        edges.sort_unstable();
+        edges
+            .chunk_by(|a, b| a.u == b.u)
+            .map(<[Edge]>::len)
+            .max()
+            .unwrap_or(0)
+    }
+
     const BOTH_POLICIES: [ChunkPolicy; 2] = [ChunkPolicy::Adaptive, ChunkPolicy::Fixed];
 
     #[test]
@@ -507,7 +556,14 @@ mod tests {
                 let machine = Machine::new(EmConfig::new(1 << 10, 64));
                 let edges = canonical_ext(&g, &machine);
                 let mut sink = StrictSink::new();
-                let n = enumerate_with_pivots(&edges, &edges, 1 << 10, policy, &mut sink);
+                let n = enumerate_with_pivots(
+                    &edges,
+                    &edges,
+                    1 << 10,
+                    forward_degree(&g),
+                    policy,
+                    &mut sink,
+                );
                 assert_eq!(n, naive::count_triangles(&g), "seed {seed} {policy:?}");
                 assert_eq!(sink.len() as u64, n);
             }
@@ -527,7 +583,14 @@ mod tests {
             let pivots_vec: Vec<Edge> = g.edges().iter().copied().filter(|e| e.v == 7).collect();
             let pivots = ExtVec::from_slice(&machine, &pivots_vec);
             let mut sink = CollectingSink::new();
-            let n = enumerate_with_pivots(&edges, &pivots, 1 << 10, policy, &mut sink);
+            let n = enumerate_with_pivots(
+                &edges,
+                &pivots,
+                1 << 10,
+                forward_degree(&g),
+                policy,
+                &mut sink,
+            );
             assert_eq!(n, 21, "{policy:?}");
             assert!(sink.triangles().iter().all(|t| t.c == 7));
         }
@@ -540,9 +603,33 @@ mod tests {
             let machine = Machine::new(EmConfig::new(64, 16)); // M = 64 words!
             let edges = canonical_ext(&g, &machine);
             let mut sink = StrictSink::new();
-            let n = enumerate_with_pivots(&edges, &edges, 64, policy, &mut sink);
+            let n =
+                enumerate_with_pivots(&edges, &edges, 64, forward_degree(&g), policy, &mut sink);
             assert_eq!(n, naive::count_triangles(&g), "{policy:?}");
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the Γ_v lease must cover the buffer's retained allocation")]
+    fn a_reserve_below_the_forward_degree_trips_the_gamma_lease_check() {
+        // K12 in one chunk: Γ_mem holds all 12 vertices and vertex 0's Γ_v
+        // all 11 of its forward neighbours. A bound one below the true
+        // forward degree reserves 10 entries, so the 11th push reallocates.
+        let g = generators::clique(12);
+        let machine = Machine::new(EmConfig::new(1 << 10, 64));
+        let edges = canonical_ext(&g, &machine);
+        let mut sink = CollectingSink::new();
+        let d = forward_degree(&g);
+        assert_eq!(d, 11);
+        enumerate_with_pivots(
+            &edges,
+            &edges,
+            1 << 10,
+            d - 1,
+            ChunkPolicy::Adaptive,
+            &mut sink,
+        );
     }
 
     #[cfg(debug_assertions)]
@@ -558,7 +645,14 @@ mod tests {
         reversed.reverse();
         let pivots = ExtVec::from_slice(&machine, &reversed);
         let mut sink = CollectingSink::new();
-        enumerate_with_pivots(&edges, &pivots, 1 << 10, ChunkPolicy::Adaptive, &mut sink);
+        enumerate_with_pivots(
+            &edges,
+            &pivots,
+            1 << 10,
+            forward_degree(&g),
+            ChunkPolicy::Adaptive,
+            &mut sink,
+        );
     }
 
     #[test]
@@ -573,7 +667,7 @@ mod tests {
                 machine.cold_cache();
                 let before = machine.io().total();
                 let mut sink = CollectingSink::new();
-                enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
+                enumerate_with_pivots(&edges, &edges, mem, forward_degree(&g), policy, &mut sink);
                 machine.io().total() - before
             };
             let small = run(1 << 9);
@@ -594,7 +688,7 @@ mod tests {
             let machine = Machine::new(EmConfig::new(mem, 64));
             let edges = canonical_ext(&g, &machine);
             let mut sink = CollectingSink::new();
-            enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
+            enumerate_with_pivots(&edges, &edges, mem, forward_degree(&g), policy, &mut sink);
             // The invariant that the Γ_v lease tracks the buffer's retained
             // capacity (not just its live length) is debug-asserted inside
             // the scan on every edge this test streams; the peak below
@@ -621,7 +715,7 @@ mod tests {
             let edges = canonical_ext(&g, &machine);
             let mut sink = CollectingSink::new();
             assert_eq!(
-                enumerate_with_pivots(&edges, &edges, 512, policy, &mut sink),
+                enumerate_with_pivots(&edges, &edges, 512, forward_degree(&g), policy, &mut sink),
                 0,
                 "{policy:?}"
             );
@@ -642,7 +736,14 @@ mod tests {
                 let cones = [ConeClasses {
                     ranges: vec![edges.as_slice()],
                 }];
-                let stats = enumerate_multi_cone(edges.as_slice(), &cones, 512, policy, &mut sink);
+                let stats = enumerate_multi_cone(
+                    edges.as_slice(),
+                    &cones,
+                    512,
+                    forward_degree(&g),
+                    policy,
+                    &mut sink,
+                );
                 assert_eq!(
                     stats.emitted,
                     naive::count_triangles(&g),
@@ -673,7 +774,14 @@ mod tests {
             let cones = [ConeClasses {
                 ranges: vec![a.as_slice(), b.as_slice()],
             }];
-            let stats = enumerate_multi_cone(edges.as_slice(), &cones, mem, policy, &mut sink);
+            let stats = enumerate_multi_cone(
+                edges.as_slice(),
+                &cones,
+                mem,
+                forward_degree(&g),
+                policy,
+                &mut sink,
+            );
             assert_eq!(stats.emitted, naive::count_triangles(&g), "{policy:?}");
             assert!(
                 machine.gauge().peak() <= (mem + mem / 2) as u64,
@@ -703,8 +811,14 @@ mod tests {
             })
             .collect();
         let mut sink = CollectingSink::new();
-        let grouped =
-            enumerate_multi_cone(edges.as_slice(), &cones, mem, ChunkPolicy::Fixed, &mut sink);
+        let grouped = enumerate_multi_cone(
+            edges.as_slice(),
+            &cones,
+            mem,
+            forward_degree(&g),
+            ChunkPolicy::Fixed,
+            &mut sink,
+        );
         let grouped_io = machine.io().total() - before;
 
         machine.cold_cache();
@@ -712,7 +826,14 @@ mod tests {
         let mut sink2 = CollectingSink::new();
         let mut repeated = 0;
         for _ in 0..k {
-            repeated += enumerate_with_pivots(&edges, &edges, mem, ChunkPolicy::Fixed, &mut sink2);
+            repeated += enumerate_with_pivots(
+                &edges,
+                &edges,
+                mem,
+                forward_degree(&g),
+                ChunkPolicy::Fixed,
+                &mut sink2,
+            );
         }
         let repeated_io = machine.io().total() - before;
 
@@ -742,7 +863,14 @@ mod tests {
                 ranges: vec![edges.as_slice()],
             }];
             let mut sink = CollectingSink::new();
-            let stats = enumerate_multi_cone(edges.as_slice(), &cones, mem, policy, &mut sink);
+            let stats = enumerate_multi_cone(
+                edges.as_slice(),
+                &cones,
+                mem,
+                forward_degree(&g),
+                policy,
+                &mut sink,
+            );
             (stats, sink.into_triangles(), machine.io().total() - before)
         };
         let (fixed, mut t_fixed, io_fixed) = run(ChunkPolicy::Fixed);
@@ -787,6 +915,7 @@ mod tests {
             edges.as_slice(),
             &cones,
             mem,
+            forward_degree(&g),
             ChunkPolicy::Adaptive,
             &mut sink,
         );
@@ -804,6 +933,7 @@ mod tests {
             edges.as_slice(),
             &cones,
             mem,
+            forward_degree(&g),
             ChunkPolicy::Fixed,
             &mut sink2,
         );
@@ -820,6 +950,49 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn chunk_index_agrees_with_the_full_endpoint_set(
+            pairs in prop::collection::vec((0u32..61, 1u32..61), 1..400),
+            mem_exp in 4u32..10,
+            forward_degree in 0usize..40,
+        ) {
+            // The adaptive loader cuts random pivot sets into chunks from
+            // the top down. Each chunk's larger-endpoint index plus its
+            // smaller-endpoint lookups must answer exactly the deduplicated
+            // endpoint set, its tracked |Γ_mem| must be that set's size,
+            // and a chunk over the cost rule must be a lone increment.
+            let mut pivots: Vec<Edge> =
+                pairs.iter().map(|&(a, b)| Edge::new(a, (a + b) % 61)).collect();
+            pivots.sort_unstable();
+            pivots.dedup();
+            let mem = 1usize << mem_exp;
+            let machine = Machine::new(EmConfig::new(mem, 16));
+            let ext = ExtVec::from_slice(&machine, &pivots);
+            let view = ext.as_slice();
+            let mut rest = 0..pivots.len();
+            while !rest.is_empty() {
+                let end = rest.end;
+                let (chunk, lease, left) = PivotChunk::load(
+                    &machine, &view, rest, mem, forward_degree, ChunkPolicy::Adaptive,
+                );
+                prop_assert_eq!(left.end + chunk.edges.len(), end, "chunks are cut from the top");
+                prop_assert_eq!(&chunk.edges[..], &pivots[left.end..end]);
+                let mut endpoints: Vec<VertexId> =
+                    chunk.edges.iter().flat_map(|e| [e.u, e.v]).collect();
+                endpoints.sort_unstable();
+                endpoints.dedup();
+                prop_assert_eq!(chunk.gamma_mem, endpoints.len());
+                for x in 0..61 {
+                    prop_assert_eq!(chunk.contains(x), endpoints.binary_search(&x).is_ok(), "x = {}", x);
+                }
+                prop_assert!(chunk.larger.is_sorted());
+                prop_assert_eq!(lease.words(), chunk.words() as u64);
+                let cost = chunk.words() + forward_degree.min(chunk.gamma_mem);
+                prop_assert!(cost <= mem || chunk.edges.len() <= (mem / 16).max(1));
+                rest = left;
+            }
+        }
 
         #[test]
         fn adaptive_and_fixed_divisor_policies_are_bit_identical(
@@ -840,11 +1013,11 @@ mod tests {
                 let edges = canonical_ext(&g, &machine);
                 let mut sink = CollectingSink::new();
                 let plain =
-                    enumerate_with_pivots(&edges, &edges, mem, policy, &mut sink);
+                    enumerate_with_pivots(&edges, &edges, mem, forward_degree(&g), policy, &mut sink);
                 let cones = [ConeClasses { ranges: vec![edges.as_slice()] }];
                 let mut msink = CollectingSink::new();
                 let multi =
-                    enumerate_multi_cone(edges.as_slice(), &cones, mem, policy, &mut msink);
+                    enumerate_multi_cone(edges.as_slice(), &cones, mem, forward_degree(&g), policy, &mut msink);
                 let mut t = sink.into_triangles();
                 t.sort_unstable();
                 let mut tm = msink.into_triangles();

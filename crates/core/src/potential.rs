@@ -362,16 +362,16 @@ mod tests {
         let machine = Machine::new(EmConfig::new(64, 16));
         // No vertex above the degree threshold: E_l is the input itself.
         let er = ExtGraph::load(&machine, &generators::erdos_renyi(120, 700, 3));
-        let (_, el) = split_high_low_degree(&er, 1 << 12);
+        let (_, el, _) = split_high_low_degree(&er, 1 << 12);
         assert!(matches!(el, LowDegreeEdges::All(_)));
         check(el, 4);
         // Power-law hubs above the threshold: E_l is a filtered copy.
         let cl = ExtGraph::load(&machine, &generators::chung_lu_power_law(300, 1500, 2.1, 5));
-        let (high, el) = split_high_low_degree(&cl, 16);
+        let (high, el, _) = split_high_low_degree(&cl, 16);
         assert!(!high.is_empty() && matches!(el, LowDegreeEdges::Filtered(_)));
         check(el, 4);
         // One level reads the merged layout only and never splits.
-        let (_, el) = split_high_low_degree(&er, 1 << 12);
+        let (_, el, _) = split_high_low_degree(&er, 1 << 12);
         check(el, 1);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! R1/R3 judge each function in isolation: a helper that allocates on behalf
 //! of a caller whose lease already covers the words (the "folded into the
-//! caller's lease" pattern of `lemma2::merge_dedup` and friends) looks
+//! caller's lease" pattern of `lemma2::larger_endpoints_of` and friends) looks
 //! unleased and needs a waiver. This module removes that blind spot with a
 //! first pass over every scoped file of the workspace:
 //!
