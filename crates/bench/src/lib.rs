@@ -1335,12 +1335,15 @@ pub fn experiment_e9(e: usize, points: u64) -> Outcome {
 pub const E10_WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Ceiling on `max_worker_io / sum_io` at the `P = 4` sweep point, for both
-/// sharded drivers. Perfect balance is `1/P = 0.25`; the replicated preamble
-/// (graph scan, partitioning, the derandomized greedy levels) is charged to
-/// every worker and keeps the ratio pinned near `1/P` even when the owned
-/// units are skewed, so 0.35 gives ~40% headroom while still catching a
-/// sharding regression that lets one worker own a constant fraction of the
-/// unit stream (that costs ≥ 0.5 and trips the gate immediately).
+/// randomized drivers E10 sweeps. Perfect balance is `1/P = 0.25`; the
+/// replicated preamble (the cache-aware step-1 scan and step-2 partition,
+/// the cache-oblivious levels above the spawn depth) is charged to every
+/// worker and keeps the ratio pinned near `1/P` even when the owned units
+/// are skewed, so 0.35 gives ~40% headroom while still catching a sharding
+/// regression that lets one worker own a constant fraction of the unit
+/// stream (that costs ≥ 0.5 and trips the gate immediately). The
+/// derandomized greedy levels, which E10 does not sweep, are sharded rather
+/// than replicated.
 pub const E10_WORKER_BALANCE: ColumnGate = ColumnGate {
     name: "E10_WORKER_BALANCE",
     column: "max_io/sum",

@@ -62,7 +62,15 @@ pub(crate) fn run_cache_aware_randomized(
     let e = graph.edge_count();
     let c = number_of_colors(e, cfg.mem_words);
     let coloring = RandomColoring::new(c, seed);
-    run_colored(graph, cfg, c, &|v| coloring.color(v), sink, recorder, shard)
+    run_colored(
+        graph,
+        c,
+        &|v| coloring.color(v),
+        None,
+        sink,
+        recorder,
+        shard,
+    )
 }
 
 /// The number of colours `c = ⌈√(E/M)⌉` (at least 1), computed exactly in
@@ -89,8 +97,10 @@ pub(crate) fn high_degree_threshold(edges: usize, mem_words: usize) -> u32 {
     isqrt_u128(prod).min(u128::from(u32::MAX)) as u32
 }
 
-/// The low-degree edge set `E_l` of step 1: the graph's own edge array when
-/// `V_h = ∅` (no copy), otherwise a filtered copy.
+/// An edge list that is either borrowed whole or a filtered copy. Step 1's
+/// `E_l` is the graph's own edge array when `V_h = ∅` (no copy), otherwise
+/// a filtered copy; a sharded worker's half of the incidence list is its
+/// own filtered share of `E_l`.
 pub(crate) enum LowDegreeEdges<'a> {
     All(&'a ExtVec<Edge>),
     Filtered(ExtVec<Edge>),
@@ -125,10 +135,7 @@ impl Deref for LowDegreeEdges<'_> {
 /// The third value is `E_l`'s maximum forward degree, the longest run of
 /// one smaller endpoint in the `(u, v)`-sorted list, which bounds step 3's
 /// `Γ_v` buffers. Whichever scan produces `E_l` measures it on the way.
-pub(crate) fn split_high_low_degree(
-    graph: &ExtGraph,
-    mem_words: usize,
-) -> (Range<VertexId>, LowDegreeEdges<'_>, usize) {
+pub(crate) fn split_high_low_degree(graph: &ExtGraph, mem_words: usize) -> LowDegreeSplit<'_> {
     let machine = graph.machine();
     let edges = graph.edges();
     let threshold = high_degree_threshold(edges.len(), mem_words);
@@ -179,6 +186,10 @@ pub(crate) fn split_high_low_degree(
     )
 }
 
+/// Step 1's split of the input: `V_h`, `E_l` and `E_l`'s maximum forward
+/// degree (see [`split_high_low_degree`]).
+pub(crate) type LowDegreeSplit<'a> = (Range<VertexId>, LowDegreeEdges<'a>, usize);
+
 /// The longest run of one smaller endpoint in a `(u, v)`-sorted edge
 /// stream: the stream's maximum forward degree.
 #[derive(Default)]
@@ -210,22 +221,27 @@ impl LongestRun {
 /// Step 2 — building the partition — is replicated on every worker: all
 /// workers need the class index. With a solo cursor every claim succeeds and
 /// this is exactly the sequential driver.
+///
+/// `split` is step 1's split when the caller has already made it (the
+/// derandomized step 0 makes it to colour `E_l`); otherwise step 1 makes it.
 pub(crate) fn run_colored(
     graph: &ExtGraph,
-    cfg: EmConfig,
     c: u64,
     color: &dyn Fn(VertexId) -> u64,
+    split: Option<LowDegreeSplit<'_>>,
     sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
     shard: &mut ShardCursor,
 ) -> ColoredRunOutcome {
     let machine = graph.machine().clone();
+    let cfg = machine.config();
     let edges = graph.edges();
     let mut triangles = 0u64;
 
     // ---- Step 1: triangles with a high-degree vertex (Lemma 1 per vertex). ----
     let before: IoStats = machine.io();
-    let (high, el, forward_degree) = split_high_low_degree(graph, cfg.mem_words);
+    let (high, el, forward_degree) =
+        split.unwrap_or_else(|| split_high_low_degree(graph, cfg.mem_words));
     // Emit a triangle through high-degree vertex v only if v is the first
     // high-degree vertex of that triangle, so that triangles with several
     // high-degree vertices are emitted exactly once.
@@ -698,9 +714,9 @@ mod tests {
         let mut rec = PhaseRecorder::new(machine.gauge());
         let out = run_colored(
             &eg,
-            cfg,
             3,
             &|_| 0,
+            None,
             &mut sink,
             &mut rec,
             &mut ShardCursor::solo(),

@@ -12,6 +12,12 @@
 //! [`BitFunctionFamily`]); the greedy selection and the per-level inequality
 //! are implemented exactly as in the paper, and the final `X_ξ` is measured
 //! and reported so the guarantee is verified on every run.
+//!
+//! In a sharded run the greedy selection is sharded too: each worker scores
+//! every candidate on its own vertices' share of the incidence list, and
+//! one exchange per level sums the shares, so all workers choose the same
+//! colouring the sequential run chooses. Step 2's partition stays
+//! replicated: every owned pivot pair reads cone classes from all of `E_l`.
 
 use emsim::{EmConfig, IoStats};
 use kwise::{BitFunctionFamily, RefinedColoring};
@@ -50,18 +56,17 @@ fn level_family(candidates: usize, family_seed: u64, level: u32) -> BitFunctionF
 /// `candidate_override`, when set, fixes the per-level candidate-family size
 /// (otherwise the `O(log² V)`-style recommendation of Lemma 6 is used).
 ///
-/// The greedy per-level bit selection (step 0) sorts once — the reversed
-/// half of `E_l`'s incidence list — then costs one scan per level and one
-/// 4-way split per level except the last (see [`Incidence`]). It is
-/// **replicated** on every worker rather than sharded:
-/// each refinement level consumes the colouring chosen by all previous
-/// levels, so the levels form a sequential dependency chain that a
-/// statically assigned worker pool cannot split without cross-worker
-/// barriers. The selection is fully deterministic given
-/// `family_seed` — no worker-dependent state enters it — so every worker
-/// derives the identical colouring and then shares `run_colored`'s unit
-/// stream (high-degree vertices + pivot pairs), which is where the actual
-/// enumeration cost lives.
+/// The greedy per-level bit selection (step 0) makes step 1's split, sorts
+/// once — the reversed half of `E_l`'s incidence list — then costs one scan
+/// per level and one 4-way split per level except the last (see
+/// [`Incidence`]). Steps 1–3 reuse its split. Under a sharded cursor step 0
+/// is **sharded**: each worker builds, scans and splits only the incidence
+/// entries under the vertices it owns, and the workers sum their exact
+/// partial statistics through one exchange per level. Every worker then
+/// takes the same argmin, so the colouring — a deterministic function of
+/// `family_seed` and the graph — is identical on every worker and for
+/// every worker count, and the workers share `run_colored`'s unit stream
+/// (high-degree vertices + pivot pairs), where the enumeration cost lives.
 pub(crate) fn run_derandomized(
     graph: &ExtGraph,
     cfg: EmConfig,
@@ -84,8 +89,8 @@ pub(crate) fn run_derandomized(
     // The greedy selection operates on the low-degree edge set E_l, exactly
     // like the colouring it replaces.
     let before: IoStats = machine.io();
-    let (_high, el, _) = split_high_low_degree(graph, cfg.mem_words);
-    let el_len = el.len() as f64;
+    let split = split_high_low_degree(graph, cfg.mem_words);
+    let el_len = split.1.len() as f64;
 
     let alpha = if levels == 0 {
         0.0
@@ -96,7 +101,7 @@ pub(crate) fn run_derandomized(
     let mut chosen_potentials = Vec::new();
     let mut level_bounds = Vec::new();
     // No level, no incidence list: a one-colour run sorts nothing.
-    let mut incidence = (levels > 0).then(|| Incidence::new(el));
+    let mut incidence = (levels > 0).then(|| Incidence::new(&split.1, shard.exchange()));
     for level in 1..=levels {
         let family = level_family(candidates, family_seed, level);
         let _family_lease = machine.gauge().lease((4 * family.len()) as u64);
@@ -125,7 +130,7 @@ pub(crate) fn run_derandomized(
     // The refined colouring assigns values in [1, c]; the shared driver
     // expects colours in [0, c).
     let color = move |v: u32| coloring.color(v) - 1;
-    let outcome = run_colored(graph, cfg, c, &color, sink, recorder, shard);
+    let outcome = run_colored(graph, c, &color, Some(split), sink, recorder, shard);
 
     (
         outcome,
@@ -142,7 +147,8 @@ pub(crate) fn run_derandomized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::StrictSink;
+    use crate::sink::{CollectingSink, StrictSink};
+    use crate::workunit::{on_workers, ShardPlan};
     use emsim::Machine;
     use graphgen::{generators, naive};
 
@@ -324,8 +330,55 @@ mod tests {
         let eg = ExtGraph::load(&machine, &g);
         let before = machine.io();
         let (_, el, _) = split_high_low_degree(&eg, cfg.mem_words);
-        Incidence::new(el).evaluate(&RefinedColoring::identity(), &level_family(24, 1, 1));
+        Incidence::new(&el, None).evaluate(&RefinedColoring::identity(), &level_family(24, 1, 1));
         assert_eq!(charged, machine.io().since(before));
+    }
+
+    /// One run of the driver under `cursor`, on its own machine: the
+    /// outcome, the greedy record and the emitted triangles.
+    fn run_under(
+        g: &graphgen::Graph,
+        cfg: EmConfig,
+        mut cursor: ShardCursor,
+    ) -> (ColoredRunOutcome, DerandInfo, Vec<graphgen::Triangle>) {
+        let machine = Machine::new(cfg);
+        let eg = ExtGraph::load(&machine, g);
+        let mut sink = CollectingSink::new();
+        let mut rec = PhaseRecorder::new(machine.gauge());
+        let (out, info) = run_derandomized(&eg, cfg, 1, Some(12), &mut sink, &mut rec, &mut cursor);
+        (out, info, sink.into_triangles())
+    }
+
+    #[test]
+    fn sharded_step0_chooses_the_sequential_colouring_for_every_worker_count() {
+        // One, two and three greedy levels on an ER graph, and four on a
+        // power-law graph whose hubs are cut from E_l.
+        let er = generators::erdos_renyi(300, 2400, 7);
+        let cl = generators::chung_lu_power_law(300, 1500, 2.1, 5);
+        for (g, cfg, levels, hubs) in [
+            (&er, EmConfig::new(1024, 32), 1, false),
+            (&er, EmConfig::new(256, 32), 2, false),
+            (&er, EmConfig::new(128, 16), 3, false),
+            (&cl, EmConfig::new(16, 4), 4, true),
+        ] {
+            let (out, info, mut triangles) = run_under(g, cfg, ShardCursor::solo());
+            assert_eq!((info.levels, out.high_degree_vertices > 0), (levels, hubs));
+            triangles.sort_unstable();
+            assert_eq!(triangles.len() as u64, naive::count_triangles(g));
+            for workers in 1..=4 {
+                let runs = on_workers(ShardPlan::new(workers), |cursor| run_under(g, cfg, cursor));
+                let mut union = Vec::new();
+                for (w, (w_out, w_info, w_triangles)) in runs.into_iter().enumerate() {
+                    let at = format!("{levels} levels, worker {w} of {workers}");
+                    assert_eq!(w_info.chosen_potentials, info.chosen_potentials, "{at}");
+                    assert_eq!(w_out.x_statistic, out.x_statistic, "{at}");
+                    assert_eq!(w_info.levels, info.levels, "{at}");
+                    union.extend(w_triangles);
+                }
+                union.sort_unstable();
+                assert_eq!(union, triangles, "{levels} levels, {workers} workers");
+            }
+        }
     }
 
     #[test]

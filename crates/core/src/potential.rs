@@ -35,13 +35,22 @@
 //! read in sequence, keep every next-level class contiguous and sorted. In
 //! all, `sort(E_l)` once, one scan per level and one split per level except
 //! the last — the `O(E·log(E/M)/B)` preprocessing charge of Theorem 2.
+//!
+//! Sharded across `P` workers, each worker lays out, scans and splits only
+//! the entries under the vertices it owns, about `2E/P` of them. Both
+//! statistics are sums of per-run terms whose runs never straddle workers,
+//! so each worker posts its `X^adj` partials and, for every class run it
+//! saw, the run's four child counts per candidate; after the level's one
+//! exchange every worker sums the posts class by class and takes the pairs
+//! of the global counts. The result is the sequential evaluation exactly.
 
 use emalgo::{external_sort_by_key, kway_merge};
 use emsim::{ExtVec, Machine};
-use graphgen::Edge;
+use graphgen::{Edge, VertexId};
 use kwise::{BitFunctionFamily, FourWise, RefinedColoring};
 
 use crate::cache_aware::LowDegreeEdges;
+use crate::workunit::ExchangePort;
 
 /// Exact per-candidate statistics at one refinement level.
 #[derive(Debug, Clone)]
@@ -85,16 +94,25 @@ fn flush(counts: &mut [[u64; 4]], x: &mut [u128]) {
 /// The incidence list of `E_l`: every edge once under each endpoint, as a
 /// one-word `Edge { u: vertex, v: other }`. Read in sequence, every class
 /// `(ξ(min), ξ(max))` of the colouring it was last split by is one
-/// contiguous run sorted by `(vertex, other)`; the order of the classes
-/// themselves is not numeric.
+/// contiguous run sorted by `(vertex, other)`; the classes themselves come
+/// in ascending [`class_rank`], which is not numeric order.
+///
+/// On a worker of a sharded run the list holds only the entries under the
+/// vertices the worker owns. Each `(class, vertex)` run then lies on one
+/// worker, and so does the entry that counts an edge towards its class
+/// (the one under its smaller endpoint), so every worker's statistics are
+/// exact partials; [`Incidence::evaluate`] sums them through one exchange
+/// per level.
 pub(crate) struct Incidence<'a> {
     machine: Machine,
+    /// Set on a worker of a sharded run.
+    exchange: Option<&'a ExchangePort>,
     layout: Layout<'a>,
 }
 
 enum Layout<'a> {
-    /// Before the first split: `E_l` merged with its sorted reversal (one
-    /// class under the identity colouring).
+    /// Before the first split: the forward half merged with the sorted
+    /// reversed half (one class under the identity colouring).
     Merged {
         forward: LowDegreeEdges<'a>,
         reversed: ExtVec<Edge>,
@@ -103,20 +121,67 @@ enum Layout<'a> {
     Split(Vec<ExtVec<Edge>>),
 }
 
+/// Where the child counts of a finished class run go.
+enum ClassTotals<'a> {
+    /// Sequentially: straight into `X_total`, per candidate.
+    Summed(Vec<u128>),
+    /// On a sharded worker: out to the exchange, one record per class run —
+    /// its rank, then the four counts of every candidate.
+    Posted(&'a ExchangePort, Vec<u64>),
+}
+
+impl ClassTotals<'_> {
+    /// Ends the run of class `rank`, zeroing `counts` for the next one.
+    fn end_class(&mut self, rank: u64, counts: &mut [[u64; 4]]) {
+        match self {
+            ClassTotals::Summed(x_total) => flush(counts, x_total),
+            ClassTotals::Posted(_, post) => {
+                post.push(rank);
+                for c in counts.iter_mut() {
+                    post.extend_from_slice(c);
+                    *c = [0; 4];
+                }
+            }
+        }
+    }
+}
+
+/// The position of class `(a, b)` in a layout split `splits` times. A split
+/// by `b_j` keeps its input order within each of its four outputs, so the
+/// layout orders classes by the last split's bit pair first, then by the
+/// previous one's. `ξ − 1` holds the inverted bits of the splits, the first
+/// split's highest. Distinct classes get distinct ranks.
+fn class_rank((a, b): (u64, u64), splits: usize) -> u64 {
+    let (a, b) = (!(a - 1), !(b - 1));
+    (0..splits).fold(0, |rank, q| rank << 2 | (a >> q & 1) << 1 | (b >> q & 1))
+}
+
 impl<'a> Incidence<'a> {
-    /// Writes the reversed half of `el` and sorts it, the layout's one sort.
-    pub(crate) fn new(el: LowDegreeEdges<'a>) -> Self {
+    /// Writes the reversed half of `el` and sorts it, the layout's one
+    /// sort; the forward half is `el` itself. On a sharded worker one scan
+    /// of `el` writes the worker's own entries of both halves — the edges
+    /// whose smaller endpoint it owns, and reversed, those whose larger
+    /// endpoint it owns — and only its reversed part is sorted.
+    pub(crate) fn new(el: &'a ExtVec<Edge>, exchange: Option<&'a ExchangePort>) -> Self {
         let machine = el.machine().clone();
+        let owns = |v: VertexId| exchange.is_none_or(|x| x.owns_vertex(v));
+        let mut forward = exchange.map(|_| ExtVec::new(&machine));
         let mut reversed = ExtVec::new(&machine);
         for e in el.iter() {
             machine.work(1);
-            reversed.push(Edge { u: e.v, v: e.u });
+            if let Some(forward) = forward.as_mut().filter(|_| owns(e.u)) {
+                forward.push(e);
+            }
+            if owns(e.v) {
+                reversed.push(Edge { u: e.v, v: e.u });
+            }
         }
         let reversed = external_sort_by_key(&reversed, |e| *e);
         Self {
             machine,
+            exchange,
             layout: Layout::Merged {
-                forward: el,
+                forward: forward.map_or(LowDegreeEdges::All(el), LowDegreeEdges::Filtered),
                 reversed,
             },
         }
@@ -151,8 +216,14 @@ impl<'a> Incidence<'a> {
         let mut vertex_counts = vec![[0u64; 4]; t];
         let mut vertex_bits = vec![false; t];
         let mut other_bits = vec![false; t];
-        let mut x_total = vec![0u128; t];
+        let mut totals = match self.exchange {
+            None => ClassTotals::Summed(vec![0u128; t]),
+            // The post is written to the shared area, charged per block by
+            // the exchange.
+            Some(exchange) => ClassTotals::Posted(exchange, Vec::new()),
+        };
         let mut x_adj = vec![0u128; t];
+        let splits = parent.depth();
         // The current (class, vertex) run, and the parent colour of its vertex.
         let mut current: Option<((u64, u64), u32)> = None;
         let mut vertex_color = 0;
@@ -177,7 +248,7 @@ impl<'a> Incidence<'a> {
                     if let Some((prev_cls, _)) = current {
                         flush(&mut vertex_counts, &mut x_adj);
                         if prev_cls != cls {
-                            flush(&mut class_counts, &mut x_total);
+                            totals.end_class(class_rank(prev_cls, splits), &mut class_counts);
                         }
                     }
                     current = Some((cls, vertex));
@@ -199,8 +270,65 @@ impl<'a> Incidence<'a> {
             },
         );
         flush(&mut vertex_counts, &mut x_adj);
-        flush(&mut class_counts, &mut x_total);
+        if let Some((cls, _)) = current {
+            totals.end_class(class_rank(cls, splits), &mut class_counts);
+        }
+        match totals {
+            ClassTotals::Summed(x_total) => LevelEvaluation { x_total, x_adj },
+            ClassTotals::Posted(exchange, post) => {
+                self.gather(exchange, post, &x_adj, &mut class_counts)
+            }
+        }
+    }
 
+    /// Completes a sharded level. Posts this worker's class records
+    /// followed by its `X^adj` partials (two words per candidate), and sums
+    /// every worker's posts into the level's statistics: `X^adj` per
+    /// candidate, and the class records merged by rank, so each class's
+    /// counts are summed in `counts` before their pairs are taken.
+    fn gather(
+        &self,
+        exchange: &ExchangePort,
+        mut post: Vec<u64>,
+        x_adj: &[u128],
+        counts: &mut [[u64; 4]],
+    ) -> LevelEvaluation {
+        let machine = &self.machine;
+        let t = x_adj.len();
+        for &x in x_adj {
+            post.extend([x as u64, (x >> 64) as u64]);
+        }
+        let posts = exchange
+            .all_gather(machine, post)
+            .unwrap_or_else(|aborted| std::panic::panic_any(aborted));
+        let mut x_adj = vec![0u128; t];
+        let mut x_total = vec![0u128; t];
+        // One read cursor per post.
+        let _cursors = machine.gauge().lease(posts.len() as u64);
+        let mut records: Vec<&[u64]> = Vec::with_capacity(posts.len());
+        for post in posts.iter() {
+            let (body, tail) = post.split_at(post.len() - 2 * t);
+            machine.work(2 * t as u64);
+            for (x, w) in x_adj.iter_mut().zip(tail.chunks_exact(2)) {
+                *x += u128::from(w[0]) | u128::from(w[1]) << 64;
+            }
+            records.push(body);
+        }
+        let record = 1 + 4 * t;
+        while let Some(rank) = records.iter().filter_map(|r| r.first()).min().copied() {
+            for r in records.iter_mut().filter(|r| r.first() == Some(&rank)) {
+                let (head, rest) = r.split_at(record);
+                debug_assert!(rest.first().is_none_or(|&next| next > rank), "ranks ascend");
+                machine.work(4 * t as u64);
+                for (c, four) in counts.iter_mut().zip(head[1..].chunks_exact(4)) {
+                    for (ci, w) in c.iter_mut().zip(four) {
+                        *ci += w;
+                    }
+                }
+                *r = rest;
+            }
+            flush(counts, &mut x_total);
+        }
         LevelEvaluation { x_total, x_adj }
     }
 
@@ -219,6 +347,7 @@ impl<'a> Incidence<'a> {
         });
         Self {
             machine,
+            exchange: self.exchange,
             layout: Layout::Split(parts),
         }
     }
@@ -247,9 +376,9 @@ mod tests {
     use super::*;
     use crate::cache_aware::split_high_low_degree;
     use crate::input::ExtGraph;
+    use crate::workunit::{on_workers, ShardPlan};
     use emsim::EmConfig;
     use graphgen::generators;
-    use std::collections::HashSet;
 
     /// The layout read in sequence.
     fn entries(incidence: &Incidence) -> Vec<Edge> {
@@ -266,33 +395,62 @@ mod tests {
         assert_eq!(pairs(10), 45);
     }
 
+    /// `(X_total, X^adj)` of every candidate of `fam` on the merged layout of
+    /// the sorted `edges` under the identity colouring, then after each split
+    /// by the next function of `chain`; sharded when `exchange` is set.
+    fn evaluations(
+        edges: &[Edge],
+        chain: &[FourWise],
+        fam: &BitFunctionFamily,
+        exchange: Option<&ExchangePort>,
+    ) -> Vec<(Vec<u128>, Vec<u128>)> {
+        let machine = Machine::new(EmConfig::new(1 << 11, 64));
+        let el = ExtVec::from_slice(&machine, edges);
+        let mut incidence = Incidence::new(&el, exchange);
+        let mut parent = RefinedColoring::identity();
+        let mut out = Vec::new();
+        for depth in 0..=chain.len() {
+            if depth > 0 {
+                incidence = incidence.split(chain[depth - 1]);
+                parent.push(chain[depth - 1]);
+            }
+            let eval = incidence.evaluate(&parent, fam);
+            out.push((eval.x_total, eval.x_adj));
+        }
+        out
+    }
+
     #[test]
     fn candidate_statistics_match_reference() {
-        // Evaluates `fam` on the merged layout under the identity colouring,
-        // then after each split by the next function of `chain`.
+        // Checks every depth's statistics against the in-core reference,
+        // and every worker's of a sharded evaluation against them.
         let check = |mut edges: Vec<Edge>, chain: &[FourWise], fam: &BitFunctionFamily| {
-            let machine = Machine::new(EmConfig::new(1 << 11, 64));
             edges.sort_unstable();
-            let el = ExtVec::from_slice(&machine, &edges);
-            let mut incidence = Incidence::new(LowDegreeEdges::Filtered(el));
+            let sequential = evaluations(&edges, chain, fam, None);
             let mut parent = RefinedColoring::identity();
-            for depth in 0..=chain.len() {
+            for (depth, (x_total, x_adj)) in sequential.iter().enumerate() {
                 if depth > 0 {
-                    incidence = incidence.split(chain[depth - 1]);
                     parent.push(chain[depth - 1]);
                 }
-                let eval = incidence.evaluate(&parent, fam);
                 for j in 0..fam.len() {
                     let refined_color = |v: u32| -> u64 {
                         2 * parent.color(v) - u64::from(fam.function(j).eval_bit(v as u64))
                     };
-                    let (x_total, x_adj) = reference_statistics(&edges, refined_color);
+                    let reference = reference_statistics(&edges, refined_color);
                     assert_eq!(
-                        eval.x_total[j], x_total,
+                        x_total[j], reference.0,
                         "depth {depth} candidate {j} x_total"
                     );
-                    assert_eq!(eval.x_adj[j], x_adj, "depth {depth} candidate {j} x_adj");
-                    assert!(eval.x_nonadj(j) <= eval.x_total[j]);
+                    assert_eq!(x_adj[j], reference.1, "depth {depth} candidate {j} x_adj");
+                    assert!(x_adj[j] <= x_total[j]);
+                }
+            }
+            for workers in [2, 3] {
+                let sharded = on_workers(ShardPlan::new(workers), |cursor| {
+                    evaluations(&edges, chain, fam, cursor.exchange())
+                });
+                for (w, evals) in sharded.iter().enumerate() {
+                    assert_eq!(evals, &sequential, "worker {w} of {workers}");
                 }
             }
         };
@@ -322,7 +480,7 @@ mod tests {
     fn splits_keep_every_refined_class_contiguous_and_sorted() {
         // Reads the layout at each of `levels` levels — the merge, then the
         // outputs of each split but the last level's, which is skipped.
-        let check = |el: LowDegreeEdges, levels: usize| {
+        let check = |el: &ExtVec<Edge>, levels: usize| {
             let mut expected: Vec<Edge> = el
                 .load_all()
                 .iter()
@@ -331,7 +489,7 @@ mod tests {
             expected.sort_unstable();
             let chain = BitFunctionFamily::new(levels, 17);
             let mut coloring = RefinedColoring::identity();
-            let mut incidence = Incidence::new(el);
+            let mut incidence = Incidence::new(el, None);
             for depth in 0..levels {
                 if depth > 0 {
                     incidence = incidence.split(chain.function(depth - 1));
@@ -342,20 +500,26 @@ mod tests {
                 multiset.sort_unstable();
                 assert_eq!(multiset, expected, "depth {depth}: not the incidence list");
                 let class = |e: &Edge| (coloring.color(e.u.min(e.v)), coloring.color(e.u.max(e.v)));
-                let mut seen = HashSet::new();
+                let mut ranks = Vec::new();
                 for run in got.chunk_by(|a, b| class(a) == class(b)) {
                     let cls = class(&run[0]);
-                    assert!(seen.insert(cls), "depth {depth}: class {cls:?} in two runs");
+                    ranks.push(class_rank(cls, depth));
                     assert!(
                         run.windows(2).all(|w| w[0] < w[1]),
                         "depth {depth}: class {cls:?} not (vertex, other)-sorted"
                     );
                 }
+                // Ascending ranks: no class is in two runs, and the exchange
+                // can merge the workers' class records by rank.
+                assert!(
+                    ranks.windows(2).all(|w| w[0] < w[1]),
+                    "depth {depth}: class runs out of rank order"
+                );
                 assert_eq!(
-                    seen.len() > 1,
+                    ranks.len() > 1,
                     depth > 0,
                     "depth {depth}: {} classes",
-                    seen.len()
+                    ranks.len()
                 );
             }
         };
@@ -364,15 +528,63 @@ mod tests {
         let er = ExtGraph::load(&machine, &generators::erdos_renyi(120, 700, 3));
         let (_, el, _) = split_high_low_degree(&er, 1 << 12);
         assert!(matches!(el, LowDegreeEdges::All(_)));
-        check(el, 4);
+        check(&el, 4);
         // Power-law hubs above the threshold: E_l is a filtered copy.
         let cl = ExtGraph::load(&machine, &generators::chung_lu_power_law(300, 1500, 2.1, 5));
         let (high, el, _) = split_high_low_degree(&cl, 16);
         assert!(!high.is_empty() && matches!(el, LowDegreeEdges::Filtered(_)));
-        check(el, 4);
+        check(&el, 4);
         // One level reads the merged layout only and never splits.
         let (_, el, _) = split_high_low_degree(&er, 1 << 12);
-        check(el, 1);
+        check(&el, 1);
+    }
+
+    #[test]
+    fn class_ranks_are_distinct_and_below_four_to_the_splits() {
+        for splits in 0..4usize {
+            let colors = 1u64 << splits;
+            let mut ranks: Vec<u64> = (1..=colors)
+                .flat_map(|a| (1..=colors).map(move |b| class_rank((a, b), splits)))
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, (0..colors * colors).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_sharded_worker_holds_exactly_its_own_entries_in_layout_order() {
+        // At every depth a worker's layout is the sequential layout filtered
+        // to the entries under the vertices it owns.
+        let mut edges = generators::erdos_renyi(120, 700, 3).edges().to_vec();
+        edges.sort_unstable();
+        let chain = BitFunctionFamily::new(3, 17);
+        let layouts = |exchange: Option<&ExchangePort>| {
+            let machine = Machine::new(EmConfig::new(256, 16));
+            let el = ExtVec::from_slice(&machine, &edges);
+            let mut incidence = Incidence::new(&el, exchange);
+            let mut out = vec![entries(&incidence)];
+            for depth in 0..chain.len() {
+                incidence = incidence.split(chain.function(depth));
+                out.push(entries(&incidence));
+            }
+            out
+        };
+        let sequential = layouts(None);
+        for workers in [2u32, 3] {
+            let sharded = on_workers(ShardPlan::new(workers as usize), |cursor| {
+                layouts(cursor.exchange())
+            });
+            for (w, worker_layouts) in (0u32..).zip(&sharded) {
+                for (depth, got) in worker_layouts.iter().enumerate() {
+                    let owned: Vec<Edge> = sequential[depth]
+                        .iter()
+                        .copied()
+                        .filter(|e| e.u % workers == w)
+                        .collect();
+                    assert_eq!(got, &owned, "worker {w} of {workers}, depth {depth}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -387,7 +599,7 @@ mod tests {
         let el = ExtVec::from_slice(&machine, &edges);
         let fam = BitFunctionFamily::new(8, 7);
         let parent = RefinedColoring::identity();
-        let eval = Incidence::new(LowDegreeEdges::All(&el)).evaluate(&parent, &fam);
+        let eval = Incidence::new(&el, None).evaluate(&parent, &fam);
         let potentials: Vec<f64> = (0..fam.len()).map(|j| eval.potential(j, 1, 4)).collect();
         let min = potentials.iter().cloned().fold(f64::INFINITY, f64::min);
         let avg = potentials.iter().sum::<f64>() / potentials.len() as f64;

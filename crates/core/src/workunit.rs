@@ -28,18 +28,31 @@
 //!   per-level refinement bits — never from the worker id or arrival
 //!   order, so all workers expand the *same* recursion tree and skip the
 //!   parts they do not own.
+//! * Preprocessing that only ever needs *sums* over the input is sharded
+//!   by vertex instead of replicated: worker `w` owns the vertices
+//!   `v % workers == w`, and the workers meet at an [`ExchangePort`], an
+//!   all-gather of one post per worker per round. The derandomized step 0
+//!   posts each greedy level's partial statistics there, so every worker
+//!   scores only its own share of the incidence list and still takes the
+//!   same argmin. The exchange is charged: each worker pays the blocks it
+//!   posts and the blocks it reads back.
 //! * The per-worker buffers are merged by [`emalgo::kway_merge_tagged`] into
 //!   one globally sorted triangle stream, so the delivered multiset (and its
 //!   order) is bit-identical regardless of `P` and scheduling.
 //!
 //! With `P = 1` every unit is owned, the claim calls degenerate to counter
-//! increments charged to nothing, and the worker performs *exactly* the
-//! sequential driver's operation sequence — the refactor is zero-cost: the
-//! E10 gate pins `sum_io` at `P = 1` to the sequential driver's I/O, and a
-//! unit test pins the phases, peaks, work and extra rows as well.
+//! increments charged to nothing, no exchange is built, and the worker
+//! performs *exactly* the sequential driver's operation sequence — the
+//! refactor is zero-cost: the E10 gate pins `sum_io` at `P = 1` to the
+//! sequential driver's I/O, and a unit test pins the phases, peaks, work
+//! and extra rows as well.
 
-use emsim::{BackendKind, EmConfig, ExtVec, IoStats, Machine, PhaseSnapshot, WorkerReport};
-use graphgen::{Graph, Triangle};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use emsim::{
+    BackendKind, EmConfig, ExtVec, IoStats, Machine, PhaseSnapshot, TransferDir, WorkerReport,
+};
+use graphgen::{Graph, Triangle, VertexId};
 
 use crate::checkpoint::Recovery;
 use crate::sink::{CollectingSink, TriangleSink};
@@ -121,6 +134,9 @@ pub(crate) struct ShardCursor {
     next_unit: u64,
     /// `Some` when unit logging is on: every unit this worker *owns*.
     log: Option<Vec<WorkUnit>>,
+    /// This worker's port on the run's level exchange; `None` on a solo
+    /// cursor, which exchanges nothing.
+    exchange: Option<ExchangePort>,
 }
 
 impl ShardCursor {
@@ -141,7 +157,24 @@ impl ShardCursor {
             workers: workers as u64,
             log: log_units.then(Vec::new),
             next_unit: 0,
+            exchange: None,
         }
+    }
+
+    /// Attaches this worker's port on the run's level exchange.
+    pub(crate) fn with_exchange(mut self, port: ExchangePort) -> ShardCursor {
+        assert_eq!(
+            (port.worker as u64, port.exchange.workers as u64),
+            (self.worker, self.workers),
+            "the port must belong to this cursor's worker"
+        );
+        self.exchange = Some(port);
+        self
+    }
+
+    /// This worker's port on the level exchange, if the run has one.
+    pub(crate) fn exchange(&self) -> Option<&ExchangePort> {
+        self.exchange.as_ref()
     }
 
     /// Ticks the unit counter and answers whether this worker owns the unit
@@ -162,6 +195,141 @@ impl ShardCursor {
     /// The units this worker owned (empty unless logging was requested).
     pub(crate) fn into_log(self) -> Vec<WorkUnit> {
         self.log.unwrap_or_default()
+    }
+}
+
+/// The payload a worker panics with when the level exchange is aborted: a
+/// peer dropped its port (it unwound, or it left early) before posting to
+/// the round this worker is in. The pool re-raises the peer's own panic in
+/// preference to this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ExchangeAborted;
+
+/// The rendezvous the workers of a sharded run share: an all-gather of one
+/// post per worker per round. A `Mutex`/`Condvar` pair rather than a bare
+/// `Barrier`, so a worker that stops early releases its waiting peers.
+#[derive(Debug)]
+struct Exchange {
+    workers: usize,
+    state: Mutex<ExchangeState>,
+    turn: Condvar,
+}
+
+#[derive(Debug)]
+struct ExchangeState {
+    /// Rounds completed so far.
+    round: u64,
+    /// The current round's posts, indexed by worker.
+    posted: Vec<Option<Vec<u64>>>,
+    arrived: usize,
+    /// The posts of the last completed round, indexed by worker.
+    delivered: Arc<[Vec<u64>]>,
+    /// Set when a port is dropped; no round can complete after that.
+    aborted: bool,
+}
+
+/// One worker's handle on the exchange. The sharded derandomized step 0
+/// posts each level's partial statistics through it (see
+/// [`crate::potential::Incidence`]). Dropping a port, whether on an
+/// ordinary return or while unwinding, aborts the exchange: a peer waiting
+/// for its post gets [`ExchangeAborted`] instead of blocking forever.
+#[derive(Debug)]
+pub(crate) struct ExchangePort {
+    exchange: Arc<Exchange>,
+    worker: usize,
+}
+
+impl ExchangePort {
+    /// The ports of a fresh `workers`-worker exchange, indexed by worker.
+    pub(crate) fn ring(workers: usize) -> Vec<ExchangePort> {
+        let exchange = Arc::new(Exchange {
+            workers,
+            state: Mutex::new(ExchangeState {
+                round: 0,
+                // emlint: allow(unleased, reason = "P post slots of the host-side rendezvous; the posts are charged as shared-area blocks")
+                posted: vec![None; workers],
+                arrived: 0,
+                delivered: Arc::from(Vec::new()),
+                aborted: false,
+            }),
+            turn: Condvar::new(),
+        });
+        // emlint: allow(unleased, reason = "P port handles of scheduler bookkeeping, not algorithm memory")
+        (0..workers)
+            .map(|worker| ExchangePort {
+                exchange: Arc::clone(&exchange),
+                worker,
+            })
+            .collect()
+    }
+
+    /// Whether this worker owns vertex `v`: `v % workers == worker`, the
+    /// timely idiom of the unit assignment applied to vertices.
+    pub(crate) fn owns_vertex(&self, v: VertexId) -> bool {
+        v as usize % self.exchange.workers == self.worker
+    }
+
+    /// Posts `words` as this worker's share of the current round, waits
+    /// until every worker has posted, and returns all the round's posts
+    /// indexed by worker. The shared area's traffic is charged on
+    /// `machine`: `⌈|words|/B⌉` block writes for the post, and `⌈|p|/B⌉`
+    /// block reads for every post `p` delivered, this worker's own included.
+    pub(crate) fn all_gather(
+        &self,
+        machine: &Machine,
+        words: Vec<u64>,
+    ) -> Result<Arc<[Vec<u64>]>, ExchangeAborted> {
+        let blocks = |words: usize| words.div_ceil(machine.config().block_words) as u64;
+        machine.charge_shared(TransferDir::Write, blocks(words.len()));
+        let exchange = &*self.exchange;
+        let mut state = exchange
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.aborted {
+            return Err(ExchangeAborted);
+        }
+        let round = state.round;
+        state.posted[self.worker] = Some(words);
+        state.arrived += 1;
+        if state.arrived == exchange.workers {
+            let posted = state.posted.iter_mut();
+            // emlint: allow(unleased, reason = "the round's posts, moved into the shared area each reader is charged for")
+            state.delivered = posted
+                .map(|p| p.take().expect("every worker posted"))
+                .collect();
+            state.arrived = 0;
+            state.round += 1;
+            exchange.turn.notify_all();
+        } else {
+            state = exchange
+                .turn
+                .wait_while(state, |s| s.round == round && !s.aborted)
+                .unwrap_or_else(PoisonError::into_inner);
+            // A round that completed before the abort is still delivered.
+            if state.round == round {
+                return Err(ExchangeAborted);
+            }
+        }
+        let delivered = Arc::clone(&state.delivered);
+        drop(state);
+        machine.charge_shared(
+            TransferDir::Read,
+            delivered.iter().map(|p| blocks(p.len())).sum(),
+        );
+        Ok(delivered)
+    }
+}
+
+impl Drop for ExchangePort {
+    fn drop(&mut self) {
+        let mut state = self
+            .exchange
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.aborted = true;
+        self.exchange.turn.notify_all();
     }
 }
 
@@ -248,12 +416,13 @@ pub struct ShardedReport {
     /// has its own memory and disk). Extras are worker 0's rows (the
     /// seed-derived ones are identical on every worker) plus the aggregate
     /// `workers` / `max_worker_io` / `sum_worker_io` / `worker_balance` /
-    /// `merge_io` rows.
+    /// `merge_io` rows and one `max_worker_io.<phase>` row per phase: what
+    /// the costliest worker paid for that phase, where the summed phase row
+    /// cannot tell a replicated phase from a sharded one.
     pub report: RunReport,
     /// Per-worker I/O and the PEM aggregates (`max_io` is the PEM cost).
-    /// `per_worker` is indexed by worker id — the pool sorts by worker index
-    /// before aggregating, so the report is deterministic for any join
-    /// order.
+    /// `per_worker` is indexed by worker id — the pool returns its results
+    /// in worker order, so the report is deterministic for any scheduling.
     pub workers: WorkerReport,
     /// Block transfers of the merge pass (sorting and k-way-merging the
     /// per-worker triangle buffers on a separate merge machine). Reported
@@ -269,7 +438,6 @@ pub struct ShardedReport {
 /// What one worker thread brings home: its run report, its buffered
 /// triangles and (when logging) the units it owned.
 struct WorkerRun {
-    worker: usize,
     report: RunReport,
     triangles: Vec<Triangle>,
     units: Vec<WorkUnit>,
@@ -308,7 +476,9 @@ pub fn enumerate_triangles_sharded(
         });
     }
 
-    let runs = run_worker_pool(graph, algorithm, cfg, plan);
+    let runs = on_workers(plan, |cursor| {
+        run_worker(graph, algorithm, cfg, plan.backend, cursor)
+    });
     let (triangles, merge_io) = merge_worker_triangles(cfg, &runs, sink);
     // emlint: allow(unleased, reason = "P per-worker stat rows of scheduler bookkeeping, not algorithm memory")
     let workers = WorkerReport::from_per_worker(runs.iter().map(|r| r.report.io).collect());
@@ -323,37 +493,54 @@ pub fn enumerate_triangles_sharded(
     })
 }
 
-/// The hand-rolled worker pool: one `std::thread` per worker, scoped so the
-/// shared `graph` borrow needs no `Arc`. Results are collected in join order
-/// and re-sorted by worker index, so everything downstream is deterministic
-/// whatever the scheduling; a worker panic (e.g. a gauge-audit lease leak)
-/// is propagated, not swallowed.
-fn run_worker_pool(
-    graph: &Graph,
-    algorithm: Algorithm,
-    cfg: EmConfig,
+/// The hand-rolled worker pool: runs `body` once per worker of `plan`, each
+/// under its own shard cursor, and returns the results indexed by worker.
+/// With more than one worker, every worker gets a scoped `std::thread` (the
+/// shared borrows need no `Arc`) and a port on one level exchange. A worker
+/// panic (e.g. a gauge-audit lease leak) is propagated, never swallowed and
+/// never a hang: the panicking worker's port drops as it unwinds, which
+/// releases its peers from the exchange, and once every thread has stopped
+/// the first panic that is not [`ExchangeAborted`] is re-raised.
+pub(crate) fn on_workers<T: Send>(
     plan: ShardPlan,
-) -> Vec<WorkerRun> {
+    body: impl Fn(ShardCursor) -> T + Sync,
+) -> Vec<T> {
+    let cursor = |worker| ShardCursor::new(worker, plan.workers, plan.log_units);
     if plan.workers == 1 {
-        // No thread for the degenerate case: keeps single-worker runs (and
-        // their panics/backtraces) on the caller's stack.
+        // No thread and no exchange for the degenerate case: keeps
+        // single-worker runs (and their panics/backtraces) on the caller's
+        // stack, with the sequential driver's exact operation sequence.
         // emlint: allow(unleased, reason = "one-element pool result, scheduler bookkeeping")
-        return vec![run_worker(graph, algorithm, cfg, plan, 0)];
+        return vec![body(cursor(0))];
     }
-    std::thread::scope(|scope| {
+    let body = &body;
+    let joined: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
         // emlint: allow(unleased, reason = "P thread handles of scheduler bookkeeping, not algorithm memory")
-        let handles: Vec<_> = (0..plan.workers)
-            .map(|worker| scope.spawn(move || run_worker(graph, algorithm, cfg, plan, worker)))
+        let handles: Vec<_> = ExchangePort::ring(plan.workers)
+            .into_iter()
+            .enumerate()
+            .map(|(worker, port)| scope.spawn(move || body(cursor(worker).with_exchange(port))))
             .collect();
         // emlint: allow(unleased, reason = "P worker results collected on the host, outside the measured region")
-        let mut runs: Vec<WorkerRun> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
-        // emlint: allow(uncharged-std, reason = "sorting P pool results by worker index for deterministic reports; host-side, not algorithm work")
-        runs.sort_by_key(|r| r.worker);
-        runs
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    // emlint: allow(unleased, reason = "P worker results collected on the host, outside the measured region")
+    let mut results = Vec::with_capacity(joined.len());
+    let mut cause: Option<Box<dyn std::any::Any + Send>> = None;
+    for result in joined {
+        match result {
+            Ok(t) => results.push(t),
+            // The first panic that is not a peer's abort is the cause.
+            Err(payload) if cause.as_ref().is_none_or(|c| c.is::<ExchangeAborted>()) => {
+                cause = Some(payload)
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some(payload) = cause {
+        std::panic::resume_unwind(payload);
+    }
+    results
 }
 
 /// One worker: its own machine from the shared `Copy` config and the run
@@ -362,11 +549,10 @@ fn run_worker(
     graph: &Graph,
     algorithm: Algorithm,
     cfg: EmConfig,
-    plan: ShardPlan,
-    worker: usize,
+    backend: BackendKind,
+    mut cursor: ShardCursor,
 ) -> WorkerRun {
-    let machine = Machine::with_backend(cfg, plan.backend);
-    let mut cursor = ShardCursor::new(worker, plan.workers, plan.log_units);
+    let machine = Machine::with_backend(cfg, backend);
     let mut collected = CollectingSink::new();
     let report = run_pipeline(
         &machine,
@@ -377,7 +563,6 @@ fn run_worker(
         Recovery::default(),
     );
     WorkerRun {
-        worker,
         report,
         triangles: collected.into_triangles(),
         units: cursor.into_log(),
@@ -416,9 +601,9 @@ fn merge_worker_triangles(
     (triangles, machine.stats().io)
 }
 
-/// Builds the merged [`RunReport`]. Sums and maxima are taken over the
-/// worker-index-sorted runs, and phase rows keep worker 0's phase order, so
-/// serialising the report is byte-stable across runs and join orders.
+/// Builds the merged [`RunReport`]. Sums and maxima are taken over the runs
+/// in worker order, and phase rows keep worker 0's phase order, so
+/// serialising the report is byte-stable across runs and schedulings.
 fn merged_report(
     runs: &[WorkerRun],
     workers: &WorkerReport,
@@ -456,6 +641,11 @@ fn merged_report(
     extra.push(("sum_worker_io".into(), workers.sum_io as f64));
     extra.push(("worker_balance".into(), workers.balance));
     extra.push(("merge_io".into(), merge_io.total() as f64));
+    for (name, _) in &phases {
+        let worker_io = runs.iter().filter_map(|r| r.report.phase_io(name));
+        let max = worker_io.map(|io| io.total()).max().unwrap_or(0);
+        extra.push((format!("max_worker_io.{name}"), max as f64));
+    }
 
     RunReport {
         algorithm: runs[0].report.algorithm.clone(),
@@ -576,15 +766,20 @@ mod tests {
 
     #[test]
     fn owned_units_partition_the_unit_stream_and_are_worker_count_invariant() {
-        // Satellite regression: the union of per-worker owned units at P=4
-        // must be exactly the P=1 unit stream (same indices, same kinds) —
-        // i.e. all randomness and numbering derive from the seed and unit
-        // order, never from worker identity. Covers both drivers.
+        // The union of per-worker owned units at P=4 must be exactly the
+        // P=1 unit stream (same indices, same kinds) — i.e. all randomness
+        // and numbering derive from the seed and unit order, never from
+        // worker identity. Covers all three drivers; the derandomized one
+        // reaches its units through the sharded step 0's exchange.
         let g = generators::erdos_renyi(300, 2400, 7);
         let cfg = EmConfig::new(128, 16); // small M: several colours
         for algorithm in [
             Algorithm::CacheAwareRandomized { seed: 5 },
             Algorithm::CacheObliviousRandomized { seed: 5 },
+            Algorithm::DeterministicCacheAware {
+                family_seed: 5,
+                candidates: Some(12),
+            },
         ] {
             let units_at = |workers: usize| {
                 let mut sink = CollectingSink::new();
@@ -616,6 +811,97 @@ mod tests {
             union.sort_unstable();
             assert_eq!(union, solo[0], "{algorithm:?}");
         }
+    }
+
+    #[test]
+    fn sharded_step0_costs_each_worker_well_under_the_sequential_step0() {
+        // Each worker scans, sorts and splits only its own share of the
+        // incidence list; the per-phase maxima show what one worker paid.
+        let g = generators::erdos_renyi(1000, 16_000, 2);
+        let cfg = EmConfig::new(1024, 32);
+        let algorithm = Algorithm::DeterministicCacheAware {
+            family_seed: 4,
+            candidates: Some(12),
+        };
+        let (_, sequential) = sorted_sequential(&g, algorithm, cfg);
+        let step0 = |r: &RunReport| r.phase_io("step0_greedy_coloring").expect("step 0").total();
+        let mut sink = CollectingSink::new();
+        let sharded = enumerate_triangles_sharded(&g, algorithm, cfg, ShardPlan::new(2), &mut sink)
+            .expect("valid plan")
+            .report;
+        assert_eq!(sharded.extra("greedy_levels"), Some(2.0));
+        let worker_step0 = sharded
+            .extra("max_worker_io.step0_greedy_coloring")
+            .expect("per-phase maximum");
+        assert!(
+            worker_step0 <= 0.65 * step0(&sequential) as f64,
+            "a worker's step 0 charged {worker_step0} of the sequential {}",
+            step0(&sequential)
+        );
+        // The step-2 partition is replicated: each worker pays the whole of
+        // it, half the summed row.
+        let step2 = sharded.phase_io("step2_partition").expect("step 2").total();
+        assert_eq!(
+            sharded.extra("max_worker_io.step2_partition"),
+            Some((step2 / 2) as f64)
+        );
+        assert_eq!(
+            sharded.phase_io("step2_partition"),
+            sequential.phase_io("step2_partition").map(|io| {
+                let mut both = io;
+                both += io;
+                both
+            })
+        );
+    }
+
+    #[test]
+    fn a_port_dropped_without_posting_aborts_its_peers_round() {
+        let machine = Machine::new(EmConfig::new(256, 32));
+        // The peer is gone before this worker posts...
+        let [a, b]: [ExchangePort; 2] = ExchangePort::ring(2).try_into().expect("two ports");
+        drop(b);
+        assert_eq!(a.all_gather(&machine, vec![1, 2]), Err(ExchangeAborted));
+        // ...or leaves, whenever it does, while this worker may be waiting.
+        let [a, b]: [ExchangePort; 2] = ExchangePort::ring(2).try_into().expect("two ports");
+        let got = std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || {
+                let machine = Machine::new(EmConfig::new(256, 32));
+                a.all_gather(&machine, vec![3]).map(|posts| posts.len())
+            });
+            drop(b);
+            waiter.join().expect("no panic")
+        });
+        assert_eq!(got, Err(ExchangeAborted));
+        // A completed round is delivered to both, charged to each.
+        let posts = on_workers(ShardPlan::new(2), |cursor| {
+            let machine = Machine::new(EmConfig::new(256, 32));
+            let port = cursor.exchange().expect("a port per worker");
+            let posts = port.all_gather(&machine, vec![port.worker as u64; 40]);
+            (posts.expect("both posted").to_vec(), machine.io())
+        });
+        for (delivered, io) in posts {
+            assert_eq!(delivered, vec![vec![0; 40], vec![1; 40]]);
+            assert_eq!((io.writes, io.reads), (2, 4));
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_while_its_peer_waits_in_the_exchange() {
+        let outcome = std::panic::catch_unwind(|| {
+            on_workers(ShardPlan::new(3), |cursor| {
+                let machine = Machine::new(EmConfig::new(256, 32));
+                let port = cursor.exchange().expect("a port per worker");
+                if port.worker == 1 {
+                    panic!("worker 1 failed");
+                }
+                port.all_gather(&machine, vec![7])
+                    .unwrap_or_else(|aborted| std::panic::panic_any(aborted))
+                    .len()
+            })
+        });
+        let payload = outcome.expect_err("the panic is propagated");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 failed"));
     }
 
     #[test]

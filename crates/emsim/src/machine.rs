@@ -387,6 +387,23 @@ impl Machine {
         dirty.len() as u64
     }
 
+    /// Charges `blocks` transfers in direction `dir` against storage outside
+    /// this machine: the shared area through which the workers of a sharded
+    /// run exchange blocks. Each is an ordinary charged transfer (the fault
+    /// plan sees it) that touches no frame of the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a permanent storage fault, as [`Machine::flush`] does.
+    pub fn charge_shared(&self, dir: TransferDir, blocks: u64) {
+        let mut inner = self.inner.borrow_mut();
+        for _ in 0..blocks {
+            if let Err(e) = inner.lane.charge(dir) {
+                panic!("unrecoverable storage fault on a shared-area transfer: {e}");
+            }
+        }
+    }
+
     /// Number of block frames in the simulated internal memory (`M / B`).
     pub fn frames(&self) -> usize {
         self.config.frames()
@@ -580,6 +597,22 @@ mod tests {
         assert_eq!(io.writes, 0);
         m.flush();
         assert_eq!(m.io().writes, 10);
+    }
+
+    #[test]
+    fn shared_area_transfers_are_charged_without_touching_the_pool() {
+        let m = Machine::new(EmConfig::new(128, 64)); // 2 frames
+        let seg = m.new_segment();
+        m.write_word(seg, 0, 7);
+        m.charge_shared(TransferDir::Write, 3);
+        m.charge_shared(TransferDir::Read, 5);
+        assert_eq!((m.io().reads, m.io().writes), (5, 3));
+        assert_eq!(m.transfers(), 8);
+        // The dirty block is still resident: reading it is free, and it is
+        // written back only when flushed.
+        assert_eq!(m.read_word(seg, 0), 7);
+        assert_eq!(m.io().reads, 5);
+        assert_eq!(m.flush(), 1);
     }
 
     #[test]
